@@ -203,3 +203,62 @@ fn vertex_and_edge_streams_have_the_declared_kind() {
         }
     }
 }
+
+/// FNV-1a 64-bit: a dependency-free fingerprint for the pins below.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn serialized_runner_bytes_are_stable() {
+    // The FSRC checkpoint format is what journals persist, so a blob
+    // written by one build must resume in the next. Each pin is the
+    // (length, FNV-1a-64) of a runner serialized at a fixed chunk
+    // boundary; a layout or draw-order change moves it.
+    let g = fixture();
+    let cost = CostModel::unit();
+    let mid_run = |spec: &SamplerSpec| {
+        let mut runner = ChunkedRunner::new(spec, &g, &cost, 700.0, 42);
+        for _ in 0..3 {
+            assert_eq!(
+                runner.run_chunk(64, |_| {}),
+                ChunkStatus::InProgress,
+                "{}",
+                spec.label()
+            );
+        }
+        runner.serialize()
+    };
+    let mut blobs: Vec<(String, Vec<u8>)> = all_specs()
+        .iter()
+        .map(|spec| (spec.label(), mid_run(spec)))
+        .collect();
+    let drained = ChunkedRunner::new(&SamplerSpec::Single, &g, &cost, 0.0, 42);
+    assert!(drained.finished());
+    blobs.push(("drained".into(), drained.serialize()));
+    let mut done = ChunkedRunner::new(&SamplerSpec::Multiple { m: 4 }, &g, &cost, 700.0, 42);
+    while done.run_chunk(usize::MAX, |_| {}) == ChunkStatus::InProgress {}
+    blobs.push(("finished".into(), done.serialize()));
+
+    let got: Vec<(String, usize, u64)> = blobs
+        .iter()
+        .map(|(name, bytes)| (name.clone(), bytes.len(), fnv1a64(bytes)))
+        .collect();
+    let pinned: [(&str, usize, u64); 8] = [
+        ("FS (m=5)", 50376, 0x937527598f20db51),
+        ("SingleRW", 107, 0xa6fb2d74fffdd224),
+        ("MultipleRW (m=4)", 179, 0xdea347b316edb1f5),
+        ("MHRW", 107, 0xbcb1b823e5342d48),
+        ("NBRW", 116, 0xc07179ded7a4afdf),
+        ("RWJ (alpha=2)", 131, 0x227e2da20190e22e),
+        ("drained", 83, 0x009eda953b9beaf9),
+        ("finished", 179, 0x1dfb9dea83977718),
+    ];
+    let want: Vec<(String, usize, u64)> = pinned
+        .iter()
+        .map(|&(name, len, hash)| (name.to_string(), len, hash))
+        .collect();
+    assert_eq!(got, want);
+}
