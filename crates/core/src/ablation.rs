@@ -19,8 +19,8 @@
 
 use crate::budget::{Budget, CostModel};
 use crate::start::StartPolicy;
-use crate::walk::{self, StepOutcome};
-use fs_graph::{Arc, GraphAccess, QueryKind};
+use crate::walk::{self, Position, StepOutcome};
+use fs_graph::{Arc, GraphAccess};
 use rand::Rng;
 
 /// The D1 ablation: `m` walkers advanced in uniformly random order
@@ -56,29 +56,20 @@ impl UniformSelectWalkers {
         rng: &mut R,
         mut sink: impl FnMut(Arc),
     ) {
-        let mut positions = self.start.draw(access, self.m, cost, budget, rng);
-        if positions.is_empty() {
+        let mut walkers: Vec<Position> = self
+            .start
+            .draw(access, self.m, cost, budget, rng)
+            .into_iter()
+            .map(|v| Position::at(access, v))
+            .collect();
+        if walkers.is_empty() {
             return;
         }
-        let step_cost = cost.walk_step * access.cost_factor(QueryKind::NeighborStep);
-        let mut degrees: Vec<usize> = positions.iter().map(|&v| access.degree(v)).collect();
-        let mut rows: Vec<usize> = positions.iter().map(|&v| access.vertex_row(v)).collect();
+        let step_cost = walk::step_cost(cost, access);
         while budget.try_spend(step_cost) {
-            let i = rng.gen_range(0..positions.len());
-            let stepped = walk::step_known(access, positions[i], degrees[i], rows[i], rng);
-            match stepped.outcome {
-                StepOutcome::Edge(edge) => {
-                    positions[i] = edge.target;
-                    degrees[i] = stepped.degree_after;
-                    rows[i] = stepped.row_after;
-                    sink(edge);
-                }
-                StepOutcome::Lost(edge) => {
-                    positions[i] = edge.target;
-                    degrees[i] = stepped.degree_after;
-                    rows[i] = stepped.row_after;
-                }
-                StepOutcome::Bounced | StepOutcome::Isolated => {}
+            let i = rng.gen_range(0..walkers.len());
+            if let StepOutcome::Edge(edge) = walkers[i].step(access, rng) {
+                sink(edge);
             }
         }
     }

@@ -18,7 +18,7 @@ use crate::diagnostics::effective_sample_size;
 use crate::frontier::{Frontier, FrontierSampler};
 use crate::start::StartPolicy;
 use crate::walk::StepOutcome;
-use fs_graph::{Arc, GraphAccess, QueryKind};
+use fs_graph::{Arc, GraphAccess};
 use rand::Rng;
 
 /// Outcome of an adaptive run.
@@ -115,7 +115,7 @@ impl AdaptiveFrontier {
                 }
             }
         };
-        let step_cost = cost.walk_step * access.cost_factor(QueryKind::NeighborStep);
+        let step_cost = crate::walk::step_cost(cost, access);
         let mut series: Vec<f64> = Vec::new();
         let mut next_check = self.min_steps.max(4);
         let mut ess = 0.0;

@@ -29,11 +29,19 @@
 //! [`FsEventBatch`] layers the Theorem 5.5 exponential-clock schedule on
 //! top: each lane is one FS walker generating `(event time, outcome)`
 //! pairs, advanced in lockstep up to a virtual-time horizon. It is the
-//! shared engine behind the pool's `frontier` and the chunked runner's
-//! FS arm, so the two cannot drift apart.
+//! shared engine behind the pool's `frontier` and `FsWindowWalk`, the
+//! windowed FS step machine the chunked runner drives, so the two
+//! cannot drift apart.
 
-use crate::walk::{self, Stepped};
-use fs_graph::{GraphAccess, StepSlot, VertexId};
+use crate::budget::{Budget, CostModel};
+use crate::checkpoint::{
+    put_vertex, take_vertex, CheckpointError, Decoder, Encoder, MAX_CHECKPOINT_BUFFER,
+    MAX_CHECKPOINT_LANES,
+};
+use crate::parallel::{stream_seed, FS_GROWTH_HEADROOM};
+use crate::start::StartPolicy;
+use crate::walk::{self, StepOutcome, Stepped};
+use fs_graph::{Arc, GraphAccess, StepSlot, VertexId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -169,7 +177,7 @@ impl WalkerBatch {
                 apply(
                     lane,
                     Stepped {
-                        outcome: walk::StepOutcome::Isolated,
+                        outcome: StepOutcome::Isolated,
                         degree_after: 0,
                         row_after: self.row[lane],
                     },
@@ -280,7 +288,7 @@ impl FsEventBatch {
         &mut self,
         access: &A,
         t_hi: f64,
-        mut emit: impl FnMut(usize, f64, walk::StepOutcome),
+        mut emit: impl FnMut(usize, f64, StepOutcome),
     ) {
         loop {
             self.due.clear();
@@ -297,7 +305,7 @@ impl FsEventBatch {
                 .step_lanes(access, &self.due, |lane, stepped, rng| {
                     let t = next_fire[lane].expect("due lane has a pending clock");
                     emit(lane, t, stepped.outcome);
-                    next_fire[lane] = if stepped.outcome == walk::StepOutcome::Isolated {
+                    next_fire[lane] = if stepped.outcome == StepOutcome::Isolated {
                         None
                     } else {
                         walk::exp_holding_time(stepped.degree_after, rng).map(|dt| t + dt)
@@ -307,11 +315,276 @@ impl FsEventBatch {
     }
 }
 
+/// Target event count per FS virtual-time window. Bounds the per-refill
+/// latency (one [`FsWindowWalk::step`] never generates much more than
+/// this many speculative events) and the buffer memory, while staying
+/// large enough that the lockstep engine amortises its fill/apply
+/// passes.
+const FS_WINDOW: usize = 4096;
+
+/// Frontier Sampling as a resumable step machine — the form
+/// [`crate::runner::ChunkedRunner`] drives. The `m` walkers are
+/// [`FsEventBatch`] lanes (Theorem 5.5), the same engine
+/// [`crate::parallel::ParallelWalkerPool::frontier`] runs, so the
+/// emitted stream is bit-identical to the pool's with the same seed.
+/// Events are generated window-by-window in virtual time (windows
+/// partition the time axis, so the global `(time, walker)` order holds
+/// across windows) and buffered sorted; memory stays `O(window + m)`.
+#[derive(Debug)]
+pub(crate) struct FsWindowWalk {
+    engine: FsEventBatch,
+    /// Virtual-time high edge of the last generated window.
+    t_hi: f64,
+    /// Starting frontier volume `Σ deg(start_i)` — the event-rate
+    /// estimate before any event has fired.
+    volume: f64,
+    /// Events generated so far (measured-rate numerator).
+    generated: u64,
+    /// Current window's events, sorted by `(time, walker)`.
+    buffer: Vec<(f64, usize, StepOutcome)>,
+    /// Next unemitted event in `buffer`.
+    cursor: usize,
+    /// Fixed step quota computed at start (Algorithm 1's `B − mc`).
+    n_steps: usize,
+    /// Events emitted so far; the deferred spend at completion.
+    emitted: usize,
+}
+
+impl FsWindowWalk {
+    /// Draws the `m` uniform starts from `rng` (the same draw as
+    /// `Frontier::init` and the pool), seeds walker `i` with
+    /// `stream_seed(seed, i)` exactly like `pool.frontier(seed)`, and
+    /// freezes the step quota; `None` when not even one start is
+    /// affordable.
+    pub(crate) fn start<A: GraphAccess + ?Sized, R: Rng + ?Sized>(
+        access: &A,
+        m: usize,
+        cost: &CostModel,
+        budget: &mut Budget,
+        rng: &mut R,
+        seed: u64,
+    ) -> Option<Self> {
+        let starts = StartPolicy::Uniform.draw(access, m, cost, budget, rng);
+        if starts.is_empty() {
+            return None;
+        }
+        let seeds: Vec<u64> = (0..starts.len())
+            .map(|i| stream_seed(seed, i as u64))
+            .collect();
+        let volume = starts.iter().map(|&v| access.degree(v) as f64).sum();
+        Some(FsWindowWalk {
+            engine: FsEventBatch::new(access, &starts, &seeds),
+            t_hi: 0.0,
+            volume,
+            generated: 0,
+            buffer: Vec::new(),
+            cursor: 0,
+            n_steps: budget.affordable(walk::step_cost(cost, access)),
+            emitted: 0,
+        })
+    }
+
+    /// Budget the events emitted so far will be charged at completion.
+    pub(crate) fn pending_spend(&self, step_cost: f64) -> f64 {
+        self.emitted as f64 * step_cost
+    }
+
+    /// Emits the next event of the superposed exponential-clock stream
+    /// in `(time, walker)` order, refilling the buffer from the next
+    /// virtual-time window when it runs dry, and feeds a reported edge
+    /// to `sink`. Like the pool, the quota is fixed at start and the
+    /// whole spend is one deferred `force_spend` at the end. Returns
+    /// `true` once the run has ended.
+    pub(crate) fn step<A: GraphAccess + ?Sized>(
+        &mut self,
+        access: &A,
+        budget: &mut Budget,
+        step_cost: f64,
+        mut sink: impl FnMut(Arc),
+    ) -> bool {
+        if self.emitted >= self.n_steps {
+            budget.force_spend(self.pending_spend(step_cost));
+            return true;
+        }
+        if self.cursor >= self.buffer.len() {
+            self.buffer.clear();
+            self.cursor = 0;
+            while self.buffer.is_empty() && !self.engine.all_stuck() {
+                // Size the window for a bounded batch of events at the
+                // measured rate (starting volume until anything has
+                // fired), padded like the pool's growth windows so most
+                // refills need one pass.
+                let target = (self.n_steps - self.emitted).clamp(64, FS_WINDOW);
+                let rate = if self.generated > 0 {
+                    self.generated as f64 / self.t_hi
+                } else {
+                    self.volume
+                };
+                let t_next =
+                    self.t_hi + FS_GROWTH_HEADROOM * target as f64 / rate.max(f64::MIN_POSITIVE);
+                let buffer = &mut self.buffer;
+                self.engine
+                    .advance(access, t_next, |lane, t, o| buffer.push((t, lane, o)));
+                self.t_hi = t_next;
+            }
+            if self.buffer.is_empty() {
+                // Every lane stuck: the run ends short of quota,
+                // spending only what was actually emitted (the pool's
+                // `merged.len() < n_steps` endgame).
+                budget.force_spend(self.pending_spend(step_cost));
+                return true;
+            }
+            self.generated += self.buffer.len() as u64;
+            self.buffer
+                .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
+        }
+        let (_, _, outcome) = self.buffer[self.cursor];
+        self.cursor += 1;
+        self.emitted += 1;
+        if let StepOutcome::Edge(edge) = outcome {
+            sink(edge);
+        }
+        false
+    }
+
+    pub(crate) fn encode(&self, enc: &mut Encoder) {
+        let (lanes, fires) = self.engine.checkpoint();
+        enc.put_usize(lanes.len());
+        for lane in &lanes {
+            put_vertex(enc, lane.vertex);
+            enc.put_usize(lane.degree);
+            enc.put_usize(lane.row);
+            for word in lane.rng {
+                enc.put_u64(word);
+            }
+        }
+        for fire in &fires {
+            match *fire {
+                Some(t) => {
+                    enc.put_u8(1);
+                    enc.put_f64(t);
+                }
+                None => enc.put_u8(0),
+            }
+        }
+        enc.put_f64(self.t_hi);
+        enc.put_f64(self.volume);
+        enc.put_u64(self.generated);
+        enc.put_usize(self.buffer.len());
+        for &(t, lane, outcome) in &self.buffer {
+            enc.put_f64(t);
+            enc.put_usize(lane);
+            put_outcome(enc, outcome);
+        }
+        enc.put_usize(self.cursor);
+        enc.put_usize(self.n_steps);
+        enc.put_usize(self.emitted);
+    }
+
+    pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<Self, CheckpointError> {
+        let n_lanes = dec.take_usize()?;
+        if n_lanes > MAX_CHECKPOINT_LANES {
+            return Err(CheckpointError::Malformed(format!(
+                "implausible lane count {n_lanes}"
+            )));
+        }
+        let mut lanes = Vec::with_capacity(n_lanes);
+        for _ in 0..n_lanes {
+            let vertex = take_vertex(dec)?;
+            let degree = dec.take_usize()?;
+            let row = dec.take_usize()?;
+            let mut rng = [0u64; 4];
+            for word in &mut rng {
+                *word = dec.take_u64()?;
+            }
+            lanes.push(LaneState {
+                vertex,
+                degree,
+                row,
+                rng,
+            });
+        }
+        let mut fires = Vec::with_capacity(n_lanes);
+        for _ in 0..n_lanes {
+            fires.push(match dec.take_u8()? {
+                0 => None,
+                1 => Some(dec.take_f64()?),
+                t => {
+                    return Err(CheckpointError::Malformed(format!(
+                        "unknown option tag {t}"
+                    )))
+                }
+            });
+        }
+        let t_hi = dec.take_f64()?;
+        let volume = dec.take_f64()?;
+        let generated = dec.take_u64()?;
+        let n_buffered = dec.take_usize()?;
+        if n_buffered > MAX_CHECKPOINT_BUFFER {
+            return Err(CheckpointError::Malformed(format!(
+                "implausible buffer length {n_buffered}"
+            )));
+        }
+        let mut buffer = Vec::with_capacity(n_buffered);
+        for _ in 0..n_buffered {
+            let t = dec.take_f64()?;
+            let lane = dec.take_usize()?;
+            buffer.push((t, lane, take_outcome(dec)?));
+        }
+        let cursor = dec.take_usize()?;
+        if cursor > buffer.len() {
+            return Err(CheckpointError::Malformed("buffer cursor past end".into()));
+        }
+        Ok(FsWindowWalk {
+            engine: FsEventBatch::from_checkpoint(&lanes, fires),
+            t_hi,
+            volume,
+            generated,
+            buffer,
+            cursor,
+            n_steps: dec.take_usize()?,
+            emitted: dec.take_usize()?,
+        })
+    }
+}
+
+fn put_outcome(enc: &mut Encoder, outcome: StepOutcome) {
+    let (tag, arc) = match outcome {
+        StepOutcome::Edge(arc) => (0, Some(arc)),
+        StepOutcome::Lost(arc) => (1, Some(arc)),
+        StepOutcome::Bounced => (2, None),
+        StepOutcome::Isolated => (3, None),
+    };
+    enc.put_u8(tag);
+    if let Some(arc) = arc {
+        put_vertex(enc, arc.source);
+        put_vertex(enc, arc.target);
+    }
+}
+
+fn take_outcome(dec: &mut Decoder<'_>) -> Result<StepOutcome, CheckpointError> {
+    let take_arc = |dec: &mut Decoder<'_>| -> Result<Arc, CheckpointError> {
+        Ok(Arc {
+            source: take_vertex(dec)?,
+            target: take_vertex(dec)?,
+        })
+    };
+    Ok(match dec.take_u8()? {
+        0 => StepOutcome::Edge(take_arc(dec)?),
+        1 => StepOutcome::Lost(take_arc(dec)?),
+        2 => StepOutcome::Bounced,
+        3 => StepOutcome::Isolated,
+        t => {
+            return Err(CheckpointError::Malformed(format!(
+                "unknown step outcome tag {t}"
+            )))
+        }
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parallel::stream_seed;
-    use crate::walk::StepOutcome;
     use fs_graph::graph_from_undirected_pairs;
 
     #[test]

@@ -27,6 +27,7 @@
 //! fall back to re-running from scratch, which the determinism contract
 //! makes equally correct, just slower.
 
+use fs_graph::VertexId;
 use std::fmt;
 
 /// FNV-1a 64-bit hash — the same checksum the `.fsg` store format
@@ -267,6 +268,24 @@ impl<'a> Decoder<'a> {
             )))
         }
     }
+}
+
+/// Decode-time plausibility bound on walker/lane counts — far above the
+/// serving layer's `MAX_WALKERS`, low enough that a forged length field
+/// cannot drive a huge allocation before failing.
+pub(crate) const MAX_CHECKPOINT_LANES: usize = 1 << 28;
+/// Same bound for buffered events and estimator vectors (the FS event
+/// buffer holds one window plus one refill overshoot in practice).
+pub(crate) const MAX_CHECKPOINT_BUFFER: usize = 1 << 28;
+
+/// Appends a vertex id as its `usize` index.
+pub(crate) fn put_vertex(enc: &mut Encoder, v: VertexId) {
+    enc.put_usize(v.index());
+}
+
+/// Inverse of [`put_vertex`].
+pub(crate) fn take_vertex(dec: &mut Decoder<'_>) -> Result<VertexId, CheckpointError> {
+    Ok(VertexId::new(dec.take_usize()?))
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@
 use crate::budget::{Budget, CostModel};
 use crate::start::StartPolicy;
 use crate::walk::{self, StepOutcome};
-use fs_graph::{Arc, GraphAccess, QueryKind};
+use fs_graph::{Arc, GraphAccess};
 use rand::Rng;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -91,7 +91,7 @@ impl DistributedFs {
         if positions.is_empty() {
             return;
         }
-        let step_cost = cost.walk_step * access.cost_factor(QueryKind::NeighborStep);
+        let step_cost = walk::step_cost(cost, access);
         let mut positions = positions;
         // Degrees and row handles ride along with positions (start
         // crawls revealed them), so each event issues exactly one

@@ -128,7 +128,7 @@ impl DeadVertexModel {
             return;
         }
         let start_cost = cost.uniform_vertex * access.cost_factor(QueryKind::UniformVertex);
-        let step_cost = cost.walk_step * access.cost_factor(QueryKind::NeighborStep);
+        let step_cost = crate::walk::step_cost(cost, access);
         // Uniform alive start.
         let mut v = loop {
             if !budget.try_spend(start_cost) {

@@ -33,7 +33,7 @@ use crate::budget::{Budget, CostModel};
 use crate::fenwick::IntFenwick;
 use crate::start::StartPolicy;
 use crate::walk::{self, StepOutcome};
-use fs_graph::{Arc, GraphAccess, QueryKind, VertexId};
+use fs_graph::{Arc, GraphAccess, VertexId};
 use rand::Rng;
 
 /// Frontier Sampling (Algorithm 1): an `m`-dimensional random walk.
@@ -91,7 +91,7 @@ impl FrontierSampler {
             Some(f) => f,
             None => return,
         };
-        let step_cost = cost.walk_step * access.cost_factor(QueryKind::NeighborStep);
+        let step_cost = walk::step_cost(cost, access);
         // Hoist the budget arithmetic out of the hot loop: the number of
         // affordable steps is fixed up front and each attempt — including
         // a final Isolated one — costs one step, exactly as the

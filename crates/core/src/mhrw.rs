@@ -12,7 +12,8 @@
 
 use crate::budget::{Budget, CostModel};
 use crate::start::StartPolicy;
-use fs_graph::{GraphAccess, NeighborReply, QueryKind, StepReply, VertexId};
+use crate::walk::{self, Position};
+use fs_graph::{GraphAccess, NeighborReply, StepReply, VertexId};
 use rand::Rng;
 
 /// Metropolis–Hastings random walk emitting one (uniformly distributed)
@@ -59,41 +60,68 @@ impl MetropolisHastingsRw {
         rng: &mut R,
         mut sink: impl FnMut(VertexId),
     ) {
-        let starts = self.start.draw(access, 1, cost, budget, rng);
-        let Some(&start) = starts.first() else {
+        let Some(pos) = Position::draw(&self.start, access, cost, budget, rng) else {
             return;
         };
-        let step_cost = cost.walk_step * access.cost_factor(QueryKind::NeighborStep);
-        let mut current = start;
-        let mut d = access.degree(start);
-        let mut row = access.vertex_row(start);
-        while budget.try_spend(step_cost) {
-            if d == 0 {
-                break;
-            }
-            let StepReply {
-                reply,
-                target_degree,
-                target_row,
-            } = access.step_query_at(current, row, rng.gen_range(0..d));
-            let (proposal, report) = match reply {
-                NeighborReply::Vertex(w) => (Some(w), true),
-                NeighborReply::Lost(w) => (Some(w), false),
-                NeighborReply::Unresponsive => (None, true),
-            };
-            if let Some(proposal) = proposal {
-                let dp = target_degree.max(1);
-                let accept = d as f64 / dp as f64;
-                if accept >= 1.0 || rng.gen_range(0.0..1.0) < accept {
-                    current = proposal;
-                    d = target_degree;
-                    row = target_row;
-                }
-            }
-            if report {
-                sink(current);
+        let mut walk = MhrwWalk(pos);
+        let step_cost = walk::step_cost(cost, access);
+        while !walk.step(access, budget, step_cost, rng, &mut sink) {}
+    }
+}
+
+/// MHRW as a resumable step machine — the one walk loop that both
+/// [`MetropolisHastingsRw::sample_vertices`] and
+/// [`crate::runner::ChunkedRunner`] drive. Its whole state is the
+/// walker's [`Position`] (and so is its checkpoint).
+#[derive(Clone, Debug)]
+pub(crate) struct MhrwWalk(pub(crate) Position);
+
+impl MhrwWalk {
+    /// One proposal: spends a step, runs the acceptance test, and feeds
+    /// the walker's position after it to `sink` unless the reply was
+    /// lost. Returns `true` once the walk has ended (budget exhausted,
+    /// or stuck on a degree-0 vertex).
+    #[inline]
+    pub(crate) fn step<A: GraphAccess + ?Sized, R: Rng + ?Sized>(
+        &mut self,
+        access: &A,
+        budget: &mut Budget,
+        step_cost: f64,
+        rng: &mut R,
+        mut sink: impl FnMut(VertexId),
+    ) -> bool {
+        if !budget.try_spend(step_cost) {
+            return true;
+        }
+        let Position { v, d, row } = self.0;
+        if d == 0 {
+            return true;
+        }
+        let StepReply {
+            reply,
+            target_degree,
+            target_row,
+        } = access.step_query_at(v, row, rng.gen_range(0..d));
+        let (proposal, report) = match reply {
+            NeighborReply::Vertex(w) => (Some(w), true),
+            NeighborReply::Lost(w) => (Some(w), false),
+            NeighborReply::Unresponsive => (None, true),
+        };
+        if let Some(proposal) = proposal {
+            let dp = target_degree.max(1);
+            let accept = d as f64 / dp as f64;
+            if accept >= 1.0 || rng.gen_range(0.0..1.0) < accept {
+                self.0 = Position {
+                    v: proposal,
+                    d: target_degree,
+                    row: target_row,
+                };
             }
         }
+        if report {
+            sink(self.0.v);
+        }
+        false
     }
 }
 

@@ -10,9 +10,12 @@
 //! (Section 4.5).
 
 use crate::budget::{Budget, CostModel};
+use crate::checkpoint::{
+    put_vertex, take_vertex, CheckpointError, Decoder, Encoder, MAX_CHECKPOINT_LANES,
+};
 use crate::start::StartPolicy;
-use crate::walk::{self, StepOutcome};
-use fs_graph::{Arc, GraphAccess, QueryKind};
+use crate::walk::{self, Position, StepOutcome};
+use fs_graph::{Arc, GraphAccess, VertexId};
 use rand::Rng;
 
 /// How the step budget is spread across the independent walkers.
@@ -71,66 +74,147 @@ impl MultipleRw {
         rng: &mut R,
         mut sink: impl FnMut(Arc),
     ) {
-        let starts = self.start.draw(access, self.m, cost, budget, rng);
-        if starts.is_empty() {
-            return;
-        }
-        let step_cost = cost.walk_step * access.cost_factor(QueryKind::NeighborStep);
+        let step_cost = walk::step_cost(cost, access);
         match self.schedule {
             Schedule::EqualSplit => {
-                let per_walker = budget.affordable(step_cost) / starts.len();
-                for &start in &starts {
-                    let mut v = start;
-                    let mut d = access.degree(start);
-                    let mut row = access.vertex_row(start);
-                    for _ in 0..per_walker {
-                        if !budget.try_spend(step_cost) {
-                            return;
-                        }
-                        let stepped = walk::step_known(access, v, d, row, rng);
-                        d = stepped.degree_after;
-                        row = stepped.row_after;
-                        match stepped.outcome {
-                            StepOutcome::Edge(edge) => {
-                                v = edge.target;
-                                sink(edge);
-                            }
-                            StepOutcome::Lost(edge) => v = edge.target,
-                            StepOutcome::Bounced => {}
-                            StepOutcome::Isolated => break,
-                        }
-                    }
-                }
+                let Some(mut walk) =
+                    MultipleRwWalk::start(&self.start, self.m, access, cost, budget, rng)
+                else {
+                    return;
+                };
+                while !walk.step(access, budget, step_cost, rng, &mut sink) {}
             }
             Schedule::Interleaved => {
-                let mut positions = starts;
-                let mut degrees: Vec<usize> = positions.iter().map(|&v| access.degree(v)).collect();
-                let mut rows: Vec<usize> =
-                    positions.iter().map(|&v| access.vertex_row(v)).collect();
+                let starts = self.start.draw(access, self.m, cost, budget, rng);
+                let mut walkers: Vec<Position> =
+                    starts.iter().map(|&v| Position::at(access, v)).collect();
+                if walkers.is_empty() {
+                    return;
+                }
                 'outer: loop {
-                    for ((v, d), row) in positions
-                        .iter_mut()
-                        .zip(degrees.iter_mut())
-                        .zip(rows.iter_mut())
-                    {
+                    for pos in &mut walkers {
                         if !budget.try_spend(step_cost) {
                             break 'outer;
                         }
-                        let stepped = walk::step_known(access, *v, *d, *row, rng);
-                        *d = stepped.degree_after;
-                        *row = stepped.row_after;
-                        match stepped.outcome {
-                            StepOutcome::Edge(edge) => {
-                                *v = edge.target;
-                                sink(edge);
-                            }
-                            StepOutcome::Lost(edge) => *v = edge.target,
-                            StepOutcome::Bounced | StepOutcome::Isolated => {}
+                        if let StepOutcome::Edge(edge) = pos.step(access, rng) {
+                            sink(edge);
                         }
                     }
                 }
             }
         }
+    }
+}
+
+/// MultipleRW under [`Schedule::EqualSplit`] as a resumable step
+/// machine — the one walk loop that both [`MultipleRw::sample_edges`]
+/// and [`crate::runner::ChunkedRunner`] drive. Walker `w` runs its
+/// whole `per_walker` quota, then the next walker starts from its own
+/// start vertex.
+#[derive(Clone, Debug)]
+pub(crate) struct MultipleRwWalk {
+    starts: Vec<VertexId>,
+    /// Steps each walker may take, frozen after the start draws.
+    per_walker: usize,
+    /// Current walker index.
+    w: usize,
+    /// Attempts taken by the current walker.
+    taken: usize,
+    /// Current walker's position.
+    pos: Position,
+}
+
+impl MultipleRwWalk {
+    /// Draws the `m` start vertices, charging the budget, and splits
+    /// what is left equally; `None` when not even one start is
+    /// affordable.
+    pub(crate) fn start<A: GraphAccess + ?Sized, R: Rng + ?Sized>(
+        policy: &StartPolicy,
+        m: usize,
+        access: &A,
+        cost: &CostModel,
+        budget: &mut Budget,
+        rng: &mut R,
+    ) -> Option<Self> {
+        let starts = policy.draw(access, m, cost, budget, rng);
+        let first = *starts.first()?;
+        Some(MultipleRwWalk {
+            per_walker: budget.affordable(walk::step_cost(cost, access)) / starts.len(),
+            pos: Position::at(access, first),
+            starts,
+            w: 0,
+            taken: 0,
+        })
+    }
+
+    /// One attempt of the current walker, handing over to the next
+    /// walker first when its quota is spent. Returns `true` once the
+    /// last walker is done or the budget runs out.
+    #[inline]
+    pub(crate) fn step<A: GraphAccess + ?Sized, R: Rng + ?Sized>(
+        &mut self,
+        access: &A,
+        budget: &mut Budget,
+        step_cost: f64,
+        rng: &mut R,
+        mut sink: impl FnMut(Arc),
+    ) -> bool {
+        loop {
+            if self.w >= self.starts.len() {
+                return true;
+            }
+            if self.taken < self.per_walker {
+                break;
+            }
+            self.w += 1;
+            self.taken = 0;
+            if let Some(&next) = self.starts.get(self.w) {
+                self.pos = Position::at(access, next);
+            }
+        }
+        if !budget.try_spend(step_cost) {
+            return true;
+        }
+        self.taken += 1;
+        match self.pos.step(access, rng) {
+            StepOutcome::Edge(edge) => sink(edge),
+            StepOutcome::Lost(_) | StepOutcome::Bounced => {}
+            // A stuck walker forfeits the rest of its quota; the next
+            // attempt hands over to the following walker.
+            StepOutcome::Isolated => self.taken = self.per_walker,
+        }
+        false
+    }
+
+    pub(crate) fn encode(&self, enc: &mut Encoder) {
+        enc.put_usize(self.starts.len());
+        for &s in &self.starts {
+            put_vertex(enc, s);
+        }
+        enc.put_usize(self.per_walker);
+        enc.put_usize(self.w);
+        enc.put_usize(self.taken);
+        self.pos.encode(enc);
+    }
+
+    pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<Self, CheckpointError> {
+        let n_starts = dec.take_usize()?;
+        if n_starts > MAX_CHECKPOINT_LANES {
+            return Err(CheckpointError::Malformed(format!(
+                "implausible walker count {n_starts}"
+            )));
+        }
+        let mut starts = Vec::with_capacity(n_starts);
+        for _ in 0..n_starts {
+            starts.push(take_vertex(dec)?);
+        }
+        Ok(MultipleRwWalk {
+            starts,
+            per_walker: dec.take_usize()?,
+            w: dec.take_usize()?,
+            taken: dec.take_usize()?,
+            pos: Position::decode(dec)?,
+        })
     }
 }
 

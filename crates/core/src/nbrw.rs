@@ -21,10 +21,11 @@
 //! FS in the `extra_nbrw` experiment.
 
 use crate::budget::{Budget, CostModel};
+use crate::checkpoint::{put_vertex, take_vertex, CheckpointError, Decoder, Encoder};
 use crate::fenwick::IntFenwick;
 use crate::start::StartPolicy;
-use crate::walk::{StepOutcome, Stepped};
-use fs_graph::{Arc, GraphAccess, QueryKind, VertexId};
+use crate::walk::{Position, StepOutcome, Stepped};
+use fs_graph::{Arc, GraphAccess, VertexId};
 use rand::Rng;
 
 /// Takes one non-backtracking step from `cur`, whose degree `d` the
@@ -150,33 +151,85 @@ impl NonBacktrackingRw {
         rng: &mut R,
         mut sink: impl FnMut(Arc),
     ) {
-        let starts = self.start.draw(access, 1, cost, budget, rng);
-        let Some(&start) = starts.first() else {
+        let Some(pos) = Position::draw(&self.start, access, cost, budget, rng) else {
             return;
         };
-        let step_cost = cost.walk_step * access.cost_factor(QueryKind::NeighborStep);
-        let mut cur = start;
-        let mut d = access.degree(start);
-        let mut row = access.vertex_row(start);
-        let mut prev = None;
-        while budget.try_spend(step_cost) {
-            let stepped = nb_step_known(access, cur, d, row, prev, rng);
-            d = stepped.degree_after;
-            row = stepped.row_after;
-            match stepped.outcome {
-                StepOutcome::Edge(edge) => {
-                    prev = Some(cur);
-                    cur = edge.target;
-                    sink(edge);
-                }
-                StepOutcome::Lost(edge) => {
-                    prev = Some(cur);
-                    cur = edge.target;
-                }
-                StepOutcome::Bounced => {}
-                StepOutcome::Isolated => break,
-            }
+        let mut walk = NbrwWalk::at(pos);
+        let step_cost = crate::walk::step_cost(cost, access);
+        while !walk.step(access, budget, step_cost, rng, &mut sink) {}
+    }
+}
+
+/// NBRW as a resumable step machine — the one walk loop that both
+/// [`NonBacktrackingRw::sample_edges`] and
+/// [`crate::runner::ChunkedRunner`] drive.
+#[derive(Clone, Debug)]
+pub(crate) struct NbrwWalk {
+    pos: Position,
+    /// The vertex the walker occupied before `pos` (`None` at the start).
+    prev: Option<VertexId>,
+}
+
+impl NbrwWalk {
+    /// A fresh walk from `pos`, with no previous vertex yet.
+    pub(crate) fn at(pos: Position) -> Self {
+        NbrwWalk { pos, prev: None }
+    }
+
+    /// One attempt: spends a step, moves non-backtrackingly, and feeds
+    /// a reported edge to `sink`. Returns `true` once the walk has
+    /// ended (budget exhausted, or stuck on a degree-0 vertex).
+    #[inline]
+    pub(crate) fn step<A: GraphAccess + ?Sized, R: Rng + ?Sized>(
+        &mut self,
+        access: &A,
+        budget: &mut Budget,
+        step_cost: f64,
+        rng: &mut R,
+        mut sink: impl FnMut(Arc),
+    ) -> bool {
+        if !budget.try_spend(step_cost) {
+            return true;
         }
+        let Position { v, d, row } = self.pos;
+        match self
+            .pos
+            .advance(nb_step_known(access, v, d, row, self.prev, rng))
+        {
+            StepOutcome::Edge(edge) => {
+                self.prev = Some(v);
+                sink(edge);
+                false
+            }
+            StepOutcome::Lost(_) => {
+                self.prev = Some(v);
+                false
+            }
+            StepOutcome::Bounced => false,
+            StepOutcome::Isolated => true,
+        }
+    }
+
+    pub(crate) fn encode(&self, enc: &mut Encoder) {
+        self.pos.encode(enc);
+        match self.prev {
+            Some(p) => {
+                enc.put_u8(1);
+                put_vertex(enc, p);
+            }
+            None => enc.put_u8(0),
+        }
+    }
+
+    pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<Self, CheckpointError> {
+        Ok(NbrwWalk {
+            pos: Position::decode(dec)?,
+            prev: match dec.take_u8()? {
+                0 => None,
+                1 => Some(take_vertex(dec)?),
+                t => return Err(CheckpointError::Malformed(format!("invalid prev tag {t}"))),
+            },
+        })
     }
 }
 
@@ -224,7 +277,7 @@ impl NonBacktrackingFrontier {
         if positions.is_empty() {
             return;
         }
-        let step_cost = cost.walk_step * access.cost_factor(QueryKind::NeighborStep);
+        let step_cost = crate::walk::step_cost(cost, access);
         let degrees: Vec<u64> = positions.iter().map(|&v| access.degree(v) as u64).collect();
         let mut weights = IntFenwick::new(&degrees);
         let mut rows: Vec<usize> = positions.iter().map(|&v| access.vertex_row(v)).collect();

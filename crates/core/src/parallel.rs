@@ -68,7 +68,7 @@ use crate::frontier::FrontierSampler;
 use crate::multiple::{MultipleRw, Schedule};
 use crate::walk::StepOutcome;
 use fs_graph::csr::STEP_PIPELINE_WIDTH;
-use fs_graph::{Arc, GraphAccess, QueryKind, VertexId};
+use fs_graph::{Arc, GraphAccess, VertexId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -311,7 +311,7 @@ impl ParallelWalkerPool {
                 steps: Vec::new(),
             };
         }
-        let step_cost = cost.walk_step * access.cost_factor(QueryKind::NeighborStep);
+        let step_cost = crate::walk::step_cost(cost, access);
         let affordable = budget.affordable(step_cost);
         let m = starts.len();
         // Per-walker attempt quotas mirroring the sequential schedules:
@@ -423,7 +423,7 @@ impl ParallelWalkerPool {
                 steps: Vec::new(),
             };
         }
-        let step_cost = cost.walk_step * access.cost_factor(QueryKind::NeighborStep);
+        let step_cost = crate::walk::step_cost(cost, access);
         let n_steps = budget.affordable(step_cost);
 
         // Walkers are packed into lockstep groups ([`FsEventBatch`]);

@@ -1,25 +1,27 @@
 //! Chunked, cancellable sampling runs with streaming estimator
 //! snapshots — the execution engine behind the serving layer.
 //!
-//! Every sampler in this crate runs to budget exhaustion inside one
-//! `sample_edges`/`sample_vertices` call, which is the right shape for
-//! experiments but not for a server: a long job must report progress,
-//! surface *partial* estimates, and stop promptly when cancelled.
-//! [`ChunkedRunner`] re-exposes the six serving-relevant samplers (FS,
-//! SingleRW, MultipleRW, MHRW, NBRW, RWJ) as resumable state machines:
-//! [`ChunkedRunner::run_chunk`] advances the walk by at most `n`
-//! attempts and returns, so a driver can interleave snapshotting,
-//! cancellation checks, and other jobs between chunks.
+//! Each serving-relevant sampler (FS, SingleRW, MultipleRW, MHRW, NBRW,
+//! RWJ) is one resumable step machine that lives beside its sampler:
+//! `SingleRwWalk`, `MultipleRwWalk`, `MhrwWalk`, `NbrwWalk`, `RwjWalk`,
+//! and FS's windowed `FsWindowWalk` in [`crate::batch`]. A one-shot call
+//! such as [`crate::SingleRw::sample_edges`] starts its machine and steps
+//! it until done; [`ChunkedRunner`] drives the same machine, but
+//! [`ChunkedRunner::run_chunk`] returns after at most `n` attempts, so a
+//! server can interleave snapshotting, cancellation checks, and other
+//! jobs between chunks.
 //!
 //! ## Determinism contract
 //!
 //! A chunked run with seed `s` consumes its RNG **exactly** like the
 //! one-shot library call with seed `s` — same start draws, same step
 //! draws, same budget accounting — so the emitted sample stream is
-//! bit-identical whatever the chunk size (pinned by the
-//! `chunked_runner` integration test, chunk sizes 1 through ∞). This is
-//! the guarantee that lets a server advertise: *a job with seed `s`
-//! equals the library call with seed `s`*.
+//! bit-identical whatever the chunk size. For the five single-stream
+//! walks this holds because both drivers call the same `step`; the
+//! `chunked_runner` integration test (chunk sizes 1 through ∞) stays as
+//! the regression check. This is the guarantee that lets a server
+//! advertise: *a job with seed `s` equals the library call with seed
+//! `s`*.
 //!
 //! For Frontier Sampling the reference call is
 //! [`crate::parallel::ParallelWalkerPool::frontier`] with the same seed
@@ -27,8 +29,7 @@
 //! runner drives the same per-walker exponential-clock streams
 //! ([`crate::batch::FsEventBatch`]) through the same `(time, walker)`
 //! merge, just window-by-window so chunks stay prompt and memory
-//! bounded. The other five methods mirror their sequential
-//! single-RNG loops as before.
+//! bounded.
 //!
 //! [`JobEstimator`] pairs the runner with the estimator suite: it
 //! consumes the runner's [`Sample`] stream (edges for the edge
@@ -37,30 +38,26 @@
 //! point mid-run — every defined value finite, every undefined value an
 //! explicit `None`, never NaN (see the estimator audit tests).
 
-use crate::batch::FsEventBatch;
+use crate::batch::FsWindowWalk;
 use crate::budget::{Budget, CostModel};
-use crate::checkpoint::{CheckpointError, Decoder, Encoder};
+use crate::checkpoint::{CheckpointError, Decoder, Encoder, MAX_CHECKPOINT_BUFFER};
 use crate::estimators::population::PopulationCheckpoint;
 use crate::estimators::{
     AssortativityEstimator, AverageDegreeEstimator, ClusteringEstimator,
     DegreeDistributionEstimator, EdgeEstimator, PopulationSizeEstimator,
     VertexSampleDegreeEstimator,
 };
-use crate::parallel::{stream_seed, FS_GROWTH_HEADROOM};
-use crate::rwj::RwjDegreeDistributionEstimator;
+use crate::mhrw::MhrwWalk;
+use crate::multiple::MultipleRwWalk;
+use crate::nbrw::NbrwWalk;
+use crate::rwj::{RwjDegreeDistributionEstimator, RwjWalk};
+use crate::single::SingleRwWalk;
 use crate::start::StartPolicy;
-use crate::walk::{self, StepOutcome};
+use crate::walk::{self, Position};
 use fs_graph::stats::DegreeKind;
-use fs_graph::{Arc, GraphAccess, NeighborReply, QueryKind, StepReply, VertexId};
+use fs_graph::{Arc, GraphAccess, VertexId};
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-
-/// Target event count per FS virtual-time window. Bounds the per-refill
-/// latency (a `run_chunk(1)` call never generates much more than this
-/// many speculative events) and the buffer memory, while staying large
-/// enough that the lockstep batch engine amortises its fill/apply
-/// passes.
-const FS_RUNNER_WINDOW: usize = 4096;
+use rand::SeedableRng;
 
 /// Which sampler a job runs, with its parameters. The six methods the
 /// serving layer exposes.
@@ -159,72 +156,17 @@ pub enum ChunkStatus {
     Finished,
 }
 
-/// Per-method resumable state. Each variant mirrors its sampler's
-/// sequential loop **exactly** — same RNG draws in the same order, same
-/// budget spends — just suspendable between attempts.
+/// The run's step machine. The variant order is the checkpoint's state
+/// tag (0–6).
 enum State {
     /// Start draw failed (budget below one start): nothing to run.
     Drained,
-    Single {
-        v: VertexId,
-        d: usize,
-        row: usize,
-    },
-    Frontier {
-        /// The `m` walkers as lockstep exponential-clock lanes
-        /// ([`FsEventBatch`], Theorem 5.5) — the same engine
-        /// [`crate::parallel::ParallelWalkerPool::frontier`] runs, so the
-        /// emitted stream is bit-identical to the pool's at any chunk
-        /// size. Events are generated window-by-window in virtual time
-        /// (windows partition the time axis, so the global
-        /// `(time, walker)` order is preserved across windows) and
-        /// buffered sorted; memory stays `O(window + m)`.
-        engine: FsEventBatch,
-        /// Virtual-time high edge of the last generated window.
-        t_hi: f64,
-        /// Starting frontier volume `Σ deg(start_i)` — the event-rate
-        /// estimate before any event has fired.
-        volume: f64,
-        /// Events generated so far (measured-rate numerator).
-        generated: u64,
-        /// Current window's events, sorted by `(time, walker)`.
-        buffer: Vec<(f64, usize, StepOutcome)>,
-        /// Next unemitted event in `buffer`.
-        cursor: usize,
-        /// Fixed step quota computed at init (Algorithm 1's `B − mc`).
-        n_steps: usize,
-        /// Events emitted so far; the deferred spend at completion.
-        emitted: usize,
-    },
-    Multiple {
-        starts: Vec<VertexId>,
-        per_walker: usize,
-        /// Current walker index.
-        w: usize,
-        /// Attempts taken by the current walker.
-        taken: usize,
-        v: VertexId,
-        d: usize,
-        row: usize,
-    },
-    Mhrw {
-        v: VertexId,
-        d: usize,
-        row: usize,
-    },
-    Nbrw {
-        v: VertexId,
-        d: usize,
-        row: usize,
-        prev: Option<VertexId>,
-    },
-    Rwj {
-        alpha: f64,
-        jump_cost: f64,
-        v: VertexId,
-        d: usize,
-        row: usize,
-    },
+    Single(SingleRwWalk),
+    Frontier(FsWindowWalk),
+    Multiple(MultipleRwWalk),
+    Mhrw(MhrwWalk),
+    Nbrw(NbrwWalk),
+    Rwj(RwjWalk),
 }
 
 /// A point-in-time profiling view of a [`ChunkedRunner`], read between
@@ -269,110 +211,35 @@ impl<'a, A: GraphAccess + ?Sized> ChunkedRunner<'a, A> {
     ) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut budget = Budget::new(budget_total);
-        let step_cost = cost.walk_step * access.cost_factor(QueryKind::NeighborStep);
-        let start = StartPolicy::Uniform;
+        let (b, r) = (&mut budget, &mut rng);
+        let start = &StartPolicy::Uniform;
         let state = match *spec {
             SamplerSpec::Frontier { m } => {
-                // Same start draw as `Frontier::init` / the pool (both
-                // consume only the base-seed RNG), then per-walker
-                // SplitMix streams exactly like `pool.frontier(seed)`.
-                let starts = start.draw(access, m, cost, &mut budget, &mut rng);
-                if starts.is_empty() {
-                    State::Drained
-                } else {
-                    let seeds: Vec<u64> = (0..starts.len())
-                        .map(|i| stream_seed(seed, i as u64))
-                        .collect();
-                    let volume = starts.iter().map(|&v| access.degree(v) as f64).sum();
-                    State::Frontier {
-                        engine: FsEventBatch::new(access, &starts, &seeds),
-                        t_hi: 0.0,
-                        volume,
-                        generated: 0,
-                        buffer: Vec::new(),
-                        cursor: 0,
-                        n_steps: budget.affordable(step_cost),
-                        emitted: 0,
-                    }
-                }
+                FsWindowWalk::start(access, m, cost, b, r, seed).map(State::Frontier)
             }
-            SamplerSpec::Single => match start
-                .draw(access, 1, cost, &mut budget, &mut rng)
-                .first()
-                .copied()
-            {
-                Some(v) => State::Single {
-                    v,
-                    d: access.degree(v),
-                    row: access.vertex_row(v),
-                },
-                None => State::Drained,
-            },
+            SamplerSpec::Single => Position::draw(start, access, cost, b, r)
+                .map(|pos| State::Single(SingleRwWalk(pos))),
             SamplerSpec::Multiple { m } => {
-                let starts = start.draw(access, m, cost, &mut budget, &mut rng);
-                if starts.is_empty() {
-                    State::Drained
-                } else {
-                    let per_walker = budget.affordable(step_cost) / starts.len();
-                    let v = starts[0];
-                    State::Multiple {
-                        d: access.degree(v),
-                        row: access.vertex_row(v),
-                        v,
-                        starts,
-                        per_walker,
-                        w: 0,
-                        taken: 0,
-                    }
-                }
+                MultipleRwWalk::start(start, m, access, cost, b, r).map(State::Multiple)
             }
-            SamplerSpec::Mhrw => match start
-                .draw(access, 1, cost, &mut budget, &mut rng)
-                .first()
-                .copied()
-            {
-                Some(v) => State::Mhrw {
-                    v,
-                    d: access.degree(v),
-                    row: access.vertex_row(v),
-                },
-                None => State::Drained,
-            },
-            SamplerSpec::Nbrw => match start
-                .draw(access, 1, cost, &mut budget, &mut rng)
-                .first()
-                .copied()
-            {
-                Some(v) => State::Nbrw {
-                    v,
-                    d: access.degree(v),
-                    row: access.vertex_row(v),
-                    prev: None,
-                },
-                None => State::Drained,
-            },
-            SamplerSpec::Rwj { alpha } => match start
-                .draw(access, 1, cost, &mut budget, &mut rng)
-                .first()
-                .copied()
-            {
-                Some(v) => State::Rwj {
-                    alpha,
-                    jump_cost: cost.uniform_vertex * access.cost_factor(QueryKind::UniformVertex),
-                    v,
-                    d: access.degree(v),
-                    row: access.vertex_row(v),
-                },
-                None => State::Drained,
-            },
-        };
+            SamplerSpec::Mhrw => {
+                Position::draw(start, access, cost, b, r).map(|pos| State::Mhrw(MhrwWalk(pos)))
+            }
+            SamplerSpec::Nbrw => {
+                Position::draw(start, access, cost, b, r).map(|pos| State::Nbrw(NbrwWalk::at(pos)))
+            }
+            SamplerSpec::Rwj { alpha } => {
+                RwjWalk::start(alpha, start, access, cost, b, r).map(State::Rwj)
+            }
+        }
+        .unwrap_or(State::Drained);
         let finished = matches!(state, State::Drained);
         ChunkedRunner {
             access,
             spec: spec.clone(),
             rng,
             budget,
-            step_cost,
+            step_cost: walk::step_cost(cost, access),
             state,
             steps_done: 0,
             finished,
@@ -390,9 +257,8 @@ impl<'a, A: GraphAccess + ?Sized> ChunkedRunner<'a, A> {
     }
 
     /// Fraction of the budget consumed, in `[0, 1]`. FS defers its bulk
-    /// spend to completion (mirroring the sequential sampler's single
-    /// `force_spend`), so the in-flight estimate charges pending
-    /// attempts at the step cost.
+    /// spend to completion (one `force_spend`, like the pool's), so the
+    /// in-flight estimate charges pending attempts at the step cost.
     pub fn progress(&self) -> f64 {
         if self.finished {
             return 1.0;
@@ -402,7 +268,7 @@ impl<'a, A: GraphAccess + ?Sized> ChunkedRunner<'a, A> {
             return 1.0;
         }
         let pending = match &self.state {
-            State::Frontier { emitted, .. } => *emitted as f64 * self.step_cost,
+            State::Frontier(walk) => walk.pending_spend(self.step_cost),
             _ => 0.0,
         };
         ((self.budget.spent() + pending) / total).clamp(0.0, 1.0)
@@ -461,247 +327,25 @@ impl<'a, A: GraphAccess + ?Sized> ChunkedRunner<'a, A> {
         ChunkStatus::InProgress
     }
 
-    /// One attempt of the method's sequential loop body. Returns `true`
-    /// when the run just completed (the attempt may or may not have
+    /// One attempt of the method's step machine. Returns `true` when
+    /// the run just completed (the attempt may or may not have
     /// executed).
     fn one_attempt(&mut self, sink: &mut impl FnMut(Sample)) -> bool {
-        let access = self.access;
+        let (access, budget, step_cost, rng) =
+            (self.access, &mut self.budget, self.step_cost, &mut self.rng);
+        let edge = |e: Arc| sink(Sample::Edge(e));
         match &mut self.state {
             State::Drained => true,
-            // Mirrors `SingleRw::sample_edges`.
-            State::Single { v, d, row } => {
-                if !self.budget.try_spend(self.step_cost) {
-                    return true;
-                }
-                let stepped = walk::step_known(access, *v, *d, *row, &mut self.rng);
-                *d = stepped.degree_after;
-                *row = stepped.row_after;
-                match stepped.outcome {
-                    StepOutcome::Edge(edge) => {
-                        *v = edge.target;
-                        sink(Sample::Edge(edge));
-                        false
-                    }
-                    StepOutcome::Lost(edge) => {
-                        *v = edge.target;
-                        false
-                    }
-                    StepOutcome::Bounced => false,
-                    StepOutcome::Isolated => true,
-                }
+            State::Single(walk) => walk.step(access, budget, step_cost, rng, edge),
+            State::Frontier(walk) => walk.step(access, budget, step_cost, edge),
+            State::Multiple(walk) => walk.step(access, budget, step_cost, rng, edge),
+            State::Mhrw(walk) => {
+                walk.step(access, budget, step_cost, rng, |v| sink(Sample::Vertex(v)))
             }
-            // Mirrors `ParallelWalkerPool::frontier`: the superposed
-            // exponential-clock event stream in `(time, walker)` order,
-            // fixed quota computed at init, one deferred `force_spend`
-            // at the end. Each attempt emits the next buffered event,
-            // refilling the buffer from the next virtual-time window
-            // when it runs dry.
-            State::Frontier {
-                engine,
-                t_hi,
-                volume,
-                generated,
-                buffer,
-                cursor,
-                n_steps,
-                emitted,
-            } => {
-                if *emitted >= *n_steps {
-                    self.budget.force_spend(*emitted as f64 * self.step_cost);
-                    return true;
-                }
-                if *cursor >= buffer.len() {
-                    buffer.clear();
-                    *cursor = 0;
-                    while buffer.is_empty() && !engine.all_stuck() {
-                        // Size the window for a bounded batch of events
-                        // at the measured rate (starting volume until
-                        // anything has fired), padded like the pool's
-                        // growth windows so most refills need one pass.
-                        let target = (*n_steps - *emitted).clamp(64, FS_RUNNER_WINDOW);
-                        let rate = if *generated > 0 {
-                            *generated as f64 / *t_hi
-                        } else {
-                            *volume
-                        };
-                        let t_next = *t_hi
-                            + FS_GROWTH_HEADROOM * target as f64 / rate.max(f64::MIN_POSITIVE);
-                        engine.advance(access, t_next, |lane, t, o| buffer.push((t, lane, o)));
-                        *t_hi = t_next;
-                    }
-                    if buffer.is_empty() {
-                        // Every lane stuck: the run ends short of quota,
-                        // spending only what was actually emitted (the
-                        // pool's `merged.len() < n_steps` endgame).
-                        self.budget.force_spend(*emitted as f64 * self.step_cost);
-                        return true;
-                    }
-                    *generated += buffer.len() as u64;
-                    buffer.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-                }
-                let (_, _, outcome) = buffer[*cursor];
-                *cursor += 1;
-                *emitted += 1;
-                if let StepOutcome::Edge(edge) = outcome {
-                    sink(Sample::Edge(edge));
-                }
-                false
-            }
-            // Mirrors `MultipleRw::sample_edges` (EqualSplit): walker
-            // `w` runs its whole `per_walker` quota, then the next
-            // walker re-initialises from its start vertex.
-            State::Multiple {
-                starts,
-                per_walker,
-                w,
-                taken,
-                v,
-                d,
-                row,
-            } => {
-                loop {
-                    if *w >= starts.len() {
-                        return true;
-                    }
-                    if *taken < *per_walker {
-                        break;
-                    }
-                    *w += 1;
-                    *taken = 0;
-                    if *w < starts.len() {
-                        *v = starts[*w];
-                        *d = access.degree(*v);
-                        *row = access.vertex_row(*v);
-                    }
-                }
-                if !self.budget.try_spend(self.step_cost) {
-                    return true;
-                }
-                *taken += 1;
-                let stepped = walk::step_known(access, *v, *d, *row, &mut self.rng);
-                *d = stepped.degree_after;
-                *row = stepped.row_after;
-                match stepped.outcome {
-                    StepOutcome::Edge(edge) => {
-                        *v = edge.target;
-                        sink(Sample::Edge(edge));
-                    }
-                    StepOutcome::Lost(edge) => *v = edge.target,
-                    StepOutcome::Bounced => {}
-                    // The sequential loop `break`s this walker; the next
-                    // attempt advances to the following walker.
-                    StepOutcome::Isolated => *taken = *per_walker,
-                }
-                false
-            }
-            // Mirrors `MetropolisHastingsRw::sample_vertices`.
-            State::Mhrw { v, d, row } => {
-                if !self.budget.try_spend(self.step_cost) {
-                    return true;
-                }
-                if *d == 0 {
-                    return true;
-                }
-                let StepReply {
-                    reply,
-                    target_degree,
-                    target_row,
-                } = access.step_query_at(*v, *row, self.rng.gen_range(0..*d));
-                let (proposal, report) = match reply {
-                    NeighborReply::Vertex(w) => (Some(w), true),
-                    NeighborReply::Lost(w) => (Some(w), false),
-                    NeighborReply::Unresponsive => (None, true),
-                };
-                if let Some(proposal) = proposal {
-                    let dp = target_degree.max(1);
-                    let accept = *d as f64 / dp as f64;
-                    if accept >= 1.0 || self.rng.gen_range(0.0..1.0) < accept {
-                        *v = proposal;
-                        *d = target_degree;
-                        *row = target_row;
-                    }
-                }
-                if report {
-                    sink(Sample::Vertex(*v));
-                }
-                false
-            }
-            // Mirrors `NonBacktrackingRw::sample_edges`.
-            State::Nbrw { v, d, row, prev } => {
-                if !self.budget.try_spend(self.step_cost) {
-                    return true;
-                }
-                let stepped =
-                    crate::nbrw::nb_step_known(access, *v, *d, *row, *prev, &mut self.rng);
-                *d = stepped.degree_after;
-                *row = stepped.row_after;
-                match stepped.outcome {
-                    StepOutcome::Edge(edge) => {
-                        *prev = Some(*v);
-                        *v = edge.target;
-                        sink(Sample::Edge(edge));
-                        false
-                    }
-                    StepOutcome::Lost(edge) => {
-                        *prev = Some(*v);
-                        *v = edge.target;
-                        false
-                    }
-                    StepOutcome::Bounced => false,
-                    StepOutcome::Isolated => true,
-                }
-            }
-            // Mirrors `RandomWalkWithJumps::sample` (visits sink).
-            State::Rwj {
-                alpha,
-                jump_cost,
-                v,
-                d,
-                row,
-            } => {
-                let df = *d as f64;
-                let jump = *alpha > 0.0 && self.rng.gen_range(0.0..df + *alpha) < *alpha;
-                if jump {
-                    let n = access.num_vertices();
-                    let mut landed = None;
-                    while self.budget.try_spend(*jump_cost) {
-                        let cand = VertexId::new(self.rng.gen_range(0..n));
-                        let cand_deg = access.query_vertex(cand);
-                        if cand_deg > 0 {
-                            landed = Some((cand, cand_deg));
-                            break;
-                        }
-                    }
-                    let Some((to, to_deg)) = landed else {
-                        return true; // budget died mid-jump
-                    };
-                    sink(Sample::Vertex(to));
-                    *v = to;
-                    *d = to_deg;
-                    *row = access.vertex_row(to);
-                    false
-                } else {
-                    if !self.budget.try_spend(self.step_cost) {
-                        return true;
-                    }
-                    let stepped = walk::step_known(access, *v, *d, *row, &mut self.rng);
-                    *d = stepped.degree_after;
-                    *row = stepped.row_after;
-                    match stepped.outcome {
-                        StepOutcome::Edge(edge) => {
-                            *v = edge.target;
-                            sink(Sample::Vertex(edge.target));
-                            false
-                        }
-                        StepOutcome::Lost(edge) => {
-                            *v = edge.target;
-                            false
-                        }
-                        StepOutcome::Bounced => false,
-                        StepOutcome::Isolated => true,
-                    }
-                }
-            }
+            State::Nbrw(walk) => walk.step(access, budget, step_cost, rng, edge),
+            State::Rwj(walk) => walk.step(access, budget, step_cost, rng, |ev| {
+                sink(Sample::Vertex(ev.destination()))
+            }),
         }
     }
 }
@@ -711,77 +355,6 @@ impl<'a, A: GraphAccess + ?Sized> ChunkedRunner<'a, A> {
 const RUNNER_MAGIC: [u8; 4] = *b"FSRC";
 /// Newest runner checkpoint layout this build reads and writes.
 const RUNNER_VERSION: u32 = 1;
-
-fn put_vertex(enc: &mut Encoder, v: VertexId) {
-    enc.put_usize(v.index());
-}
-
-fn take_vertex(dec: &mut Decoder<'_>) -> Result<VertexId, CheckpointError> {
-    Ok(VertexId::new(dec.take_usize()?))
-}
-
-fn put_arc(enc: &mut Encoder, arc: Arc) {
-    put_vertex(enc, arc.source);
-    put_vertex(enc, arc.target);
-}
-
-fn take_arc(dec: &mut Decoder<'_>) -> Result<Arc, CheckpointError> {
-    Ok(Arc {
-        source: take_vertex(dec)?,
-        target: take_vertex(dec)?,
-    })
-}
-
-fn put_outcome(enc: &mut Encoder, outcome: StepOutcome) {
-    match outcome {
-        StepOutcome::Edge(arc) => {
-            enc.put_u8(0);
-            put_arc(enc, arc);
-        }
-        StepOutcome::Lost(arc) => {
-            enc.put_u8(1);
-            put_arc(enc, arc);
-        }
-        StepOutcome::Bounced => enc.put_u8(2),
-        StepOutcome::Isolated => enc.put_u8(3),
-    }
-}
-
-fn take_outcome(dec: &mut Decoder<'_>) -> Result<StepOutcome, CheckpointError> {
-    Ok(match dec.take_u8()? {
-        0 => StepOutcome::Edge(take_arc(dec)?),
-        1 => StepOutcome::Lost(take_arc(dec)?),
-        2 => StepOutcome::Bounced,
-        3 => StepOutcome::Isolated,
-        t => {
-            return Err(CheckpointError::Malformed(format!(
-                "unknown step outcome tag {t}"
-            )))
-        }
-    })
-}
-
-fn put_opt_f64(enc: &mut Encoder, v: Option<f64>) {
-    match v {
-        Some(x) => {
-            enc.put_u8(1);
-            enc.put_f64(x);
-        }
-        None => enc.put_u8(0),
-    }
-}
-
-fn take_opt_f64(dec: &mut Decoder<'_>) -> Result<Option<f64>, CheckpointError> {
-    Ok(match dec.take_u8()? {
-        0 => None,
-        1 => Some(dec.take_f64()?),
-        t => {
-            return Err(CheckpointError::Malformed(format!(
-                "unknown option tag {t}"
-            )))
-        }
-    })
-}
 
 fn put_sampler(enc: &mut Encoder, spec: &SamplerSpec) {
     match *spec {
@@ -835,7 +408,7 @@ fn take_rng(dec: &mut Decoder<'_>) -> Result<SmallRng, CheckpointError> {
 
 impl<'a, A: GraphAccess + ?Sized> ChunkedRunner<'a, A> {
     /// Serializes the runner's full state machine — sampler spec, base
-    /// RNG stream, budget cursor, per-method walker state (including
+    /// RNG stream, budget cursor, per-method step machine (including
     /// FS's lockstep lanes, per-lane RNG streams, pending exponential
     /// clocks, and buffered event window) — into a versioned,
     /// checksummed blob.
@@ -857,102 +430,29 @@ impl<'a, A: GraphAccess + ?Sized> ChunkedRunner<'a, A> {
         enc.put_u8(self.finished as u8);
         match &self.state {
             State::Drained => enc.put_u8(0),
-            State::Single { v, d, row } => {
+            State::Single(walk) => {
                 enc.put_u8(1);
-                put_vertex(&mut enc, *v);
-                enc.put_usize(*d);
-                enc.put_usize(*row);
+                walk.0.encode(&mut enc);
             }
-            State::Frontier {
-                engine,
-                t_hi,
-                volume,
-                generated,
-                buffer,
-                cursor,
-                n_steps,
-                emitted,
-            } => {
+            State::Frontier(walk) => {
                 enc.put_u8(2);
-                let (lanes, fires) = engine.checkpoint();
-                enc.put_usize(lanes.len());
-                for lane in &lanes {
-                    put_vertex(&mut enc, lane.vertex);
-                    enc.put_usize(lane.degree);
-                    enc.put_usize(lane.row);
-                    for word in lane.rng {
-                        enc.put_u64(word);
-                    }
-                }
-                for fire in &fires {
-                    put_opt_f64(&mut enc, *fire);
-                }
-                enc.put_f64(*t_hi);
-                enc.put_f64(*volume);
-                enc.put_u64(*generated);
-                enc.put_usize(buffer.len());
-                for &(t, lane, outcome) in buffer {
-                    enc.put_f64(t);
-                    enc.put_usize(lane);
-                    put_outcome(&mut enc, outcome);
-                }
-                enc.put_usize(*cursor);
-                enc.put_usize(*n_steps);
-                enc.put_usize(*emitted);
+                walk.encode(&mut enc);
             }
-            State::Multiple {
-                starts,
-                per_walker,
-                w,
-                taken,
-                v,
-                d,
-                row,
-            } => {
+            State::Multiple(walk) => {
                 enc.put_u8(3);
-                enc.put_usize(starts.len());
-                for &s in starts {
-                    put_vertex(&mut enc, s);
-                }
-                enc.put_usize(*per_walker);
-                enc.put_usize(*w);
-                enc.put_usize(*taken);
-                put_vertex(&mut enc, *v);
-                enc.put_usize(*d);
-                enc.put_usize(*row);
+                walk.encode(&mut enc);
             }
-            State::Mhrw { v, d, row } => {
+            State::Mhrw(walk) => {
                 enc.put_u8(4);
-                put_vertex(&mut enc, *v);
-                enc.put_usize(*d);
-                enc.put_usize(*row);
+                walk.0.encode(&mut enc);
             }
-            State::Nbrw { v, d, row, prev } => {
+            State::Nbrw(walk) => {
                 enc.put_u8(5);
-                put_vertex(&mut enc, *v);
-                enc.put_usize(*d);
-                enc.put_usize(*row);
-                match prev {
-                    Some(p) => {
-                        enc.put_u8(1);
-                        put_vertex(&mut enc, *p);
-                    }
-                    None => enc.put_u8(0),
-                }
+                walk.encode(&mut enc);
             }
-            State::Rwj {
-                alpha,
-                jump_cost,
-                v,
-                d,
-                row,
-            } => {
+            State::Rwj(walk) => {
                 enc.put_u8(6);
-                enc.put_f64(*alpha);
-                enc.put_f64(*jump_cost);
-                put_vertex(&mut enc, *v);
-                enc.put_usize(*d);
-                enc.put_usize(*row);
+                walk.encode(&mut enc);
             }
         }
         enc.finish()
@@ -1004,112 +504,12 @@ impl<'a, A: GraphAccess + ?Sized> ChunkedRunner<'a, A> {
         };
         let state = match dec.take_u8()? {
             0 => State::Drained,
-            1 => State::Single {
-                v: take_vertex(&mut dec)?,
-                d: dec.take_usize()?,
-                row: dec.take_usize()?,
-            },
-            2 => {
-                let n_lanes = dec.take_usize()?;
-                if n_lanes > MAX_CHECKPOINT_LANES {
-                    return Err(CheckpointError::Malformed(format!(
-                        "implausible lane count {n_lanes}"
-                    )));
-                }
-                let mut lanes = Vec::with_capacity(n_lanes);
-                for _ in 0..n_lanes {
-                    let vertex = take_vertex(&mut dec)?;
-                    let degree = dec.take_usize()?;
-                    let row = dec.take_usize()?;
-                    let mut rng = [0u64; 4];
-                    for word in &mut rng {
-                        *word = dec.take_u64()?;
-                    }
-                    lanes.push(crate::batch::LaneState {
-                        vertex,
-                        degree,
-                        row,
-                        rng,
-                    });
-                }
-                let mut fires = Vec::with_capacity(n_lanes);
-                for _ in 0..n_lanes {
-                    fires.push(take_opt_f64(&mut dec)?);
-                }
-                let t_hi = dec.take_f64()?;
-                let volume = dec.take_f64()?;
-                let generated = dec.take_u64()?;
-                let n_buffered = dec.take_usize()?;
-                if n_buffered > MAX_CHECKPOINT_BUFFER {
-                    return Err(CheckpointError::Malformed(format!(
-                        "implausible buffer length {n_buffered}"
-                    )));
-                }
-                let mut buffer = Vec::with_capacity(n_buffered);
-                for _ in 0..n_buffered {
-                    let t = dec.take_f64()?;
-                    let lane = dec.take_usize()?;
-                    let outcome = take_outcome(&mut dec)?;
-                    buffer.push((t, lane, outcome));
-                }
-                let cursor = dec.take_usize()?;
-                if cursor > buffer.len() {
-                    return Err(CheckpointError::Malformed("buffer cursor past end".into()));
-                }
-                State::Frontier {
-                    engine: FsEventBatch::from_checkpoint(&lanes, fires),
-                    t_hi,
-                    volume,
-                    generated,
-                    buffer,
-                    cursor,
-                    n_steps: dec.take_usize()?,
-                    emitted: dec.take_usize()?,
-                }
-            }
-            3 => {
-                let n_starts = dec.take_usize()?;
-                if n_starts > MAX_CHECKPOINT_LANES {
-                    return Err(CheckpointError::Malformed(format!(
-                        "implausible walker count {n_starts}"
-                    )));
-                }
-                let mut starts = Vec::with_capacity(n_starts);
-                for _ in 0..n_starts {
-                    starts.push(take_vertex(&mut dec)?);
-                }
-                State::Multiple {
-                    starts,
-                    per_walker: dec.take_usize()?,
-                    w: dec.take_usize()?,
-                    taken: dec.take_usize()?,
-                    v: take_vertex(&mut dec)?,
-                    d: dec.take_usize()?,
-                    row: dec.take_usize()?,
-                }
-            }
-            4 => State::Mhrw {
-                v: take_vertex(&mut dec)?,
-                d: dec.take_usize()?,
-                row: dec.take_usize()?,
-            },
-            5 => State::Nbrw {
-                v: take_vertex(&mut dec)?,
-                d: dec.take_usize()?,
-                row: dec.take_usize()?,
-                prev: match dec.take_u8()? {
-                    0 => None,
-                    1 => Some(take_vertex(&mut dec)?),
-                    t => return Err(CheckpointError::Malformed(format!("invalid prev tag {t}"))),
-                },
-            },
-            6 => State::Rwj {
-                alpha: dec.take_f64()?,
-                jump_cost: dec.take_f64()?,
-                v: take_vertex(&mut dec)?,
-                d: dec.take_usize()?,
-                row: dec.take_usize()?,
-            },
+            1 => State::Single(SingleRwWalk(Position::decode(&mut dec)?)),
+            2 => State::Frontier(FsWindowWalk::decode(&mut dec)?),
+            3 => State::Multiple(MultipleRwWalk::decode(&mut dec)?),
+            4 => State::Mhrw(MhrwWalk(Position::decode(&mut dec)?)),
+            5 => State::Nbrw(NbrwWalk::decode(&mut dec)?),
+            6 => State::Rwj(RwjWalk::decode(&mut dec)?),
             t => {
                 return Err(CheckpointError::Malformed(format!(
                     "unknown runner state tag {t}"
@@ -1129,14 +529,6 @@ impl<'a, A: GraphAccess + ?Sized> ChunkedRunner<'a, A> {
         })
     }
 }
-
-/// Decode-time plausibility bound on walker/lane counts — far above the
-/// serving layer's `MAX_WALKERS`, low enough that a forged length field
-/// cannot drive a huge allocation before failing.
-const MAX_CHECKPOINT_LANES: usize = 1 << 28;
-/// Same bound for the FS event buffer (sized by `FS_RUNNER_WINDOW` plus
-/// one refill overshoot in practice).
-const MAX_CHECKPOINT_BUFFER: usize = 1 << 28;
 
 /// Which estimate a job reports.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -1289,13 +681,6 @@ impl JobEstimator {
     /// The estimator this job reports.
     pub fn spec(&self) -> EstimatorSpec {
         self.spec
-    }
-
-    /// Samples consumed so far — the profiling hook the serving tier
-    /// reads per chunk (queries/sample follows by dividing into the
-    /// runner's [`ChunkedRunner::queries_issued`]).
-    pub fn num_observed(&self) -> u64 {
-        self.snapshot().num_observed
     }
 
     /// Consumes one sample. Edge estimators ignore vertex samples and

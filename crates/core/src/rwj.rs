@@ -27,8 +27,9 @@
 //! experiment quantifies that trade-off on the `G_AB` graph.
 
 use crate::budget::{Budget, CostModel};
+use crate::checkpoint::{CheckpointError, Decoder, Encoder};
 use crate::start::StartPolicy;
-use crate::walk::StepOutcome;
+use crate::walk::{Position, StepOutcome};
 use fs_graph::stats::DegreeKind;
 use fs_graph::{Arc, GraphAccess, QueryKind, VertexId};
 use rand::Rng;
@@ -118,57 +119,12 @@ impl RandomWalkWithJumps {
         rng: &mut R,
         mut sink: impl FnMut(RwjEvent),
     ) {
-        let starts = self.start.draw(access, 1, cost, budget, rng);
-        let Some(&start) = starts.first() else {
+        let Some(mut walk) = RwjWalk::start(self.alpha, &self.start, access, cost, budget, rng)
+        else {
             return;
         };
-        let n = access.num_vertices();
-        let step_cost = cost.walk_step * access.cost_factor(QueryKind::NeighborStep);
-        let jump_cost = cost.uniform_vertex * access.cost_factor(QueryKind::UniformVertex);
-        let mut v = start;
-        let mut deg = access.degree(start);
-        let mut row = access.vertex_row(start);
-        loop {
-            let d = deg as f64;
-            let jump = self.alpha > 0.0 && rng.gen_range(0.0..d + self.alpha) < self.alpha;
-            if jump {
-                // Redraw until a walkable vertex lands; each try is a
-                // charged uniform-vertex crawl (`query_vertex`), whose
-                // reply carries the landing degree.
-                let mut landed = None;
-                while budget.try_spend(jump_cost) {
-                    let cand = VertexId::new(rng.gen_range(0..n));
-                    let cand_deg = access.query_vertex(cand);
-                    if cand_deg > 0 {
-                        landed = Some((cand, cand_deg));
-                        break;
-                    }
-                }
-                let Some((to, to_deg)) = landed else {
-                    return; // budget died mid-jump
-                };
-                sink(RwjEvent::Jump { from: v, to });
-                v = to;
-                deg = to_deg;
-                row = access.vertex_row(to);
-            } else {
-                if !budget.try_spend(step_cost) {
-                    return;
-                }
-                let stepped = crate::walk::step_known(access, v, deg, row, rng);
-                deg = stepped.degree_after;
-                row = stepped.row_after;
-                match stepped.outcome {
-                    StepOutcome::Edge(edge) => {
-                        v = edge.target;
-                        sink(RwjEvent::Walk(edge));
-                    }
-                    StepOutcome::Lost(edge) => v = edge.target,
-                    StepOutcome::Bounced => {}
-                    StepOutcome::Isolated => return, // isolated vertex with alpha = 0
-                }
-            }
-        }
+        let step_cost = crate::walk::step_cost(cost, access);
+        while !walk.step(access, budget, step_cost, rng, &mut sink) {}
     }
 
     /// Convenience wrapper feeding only the visited vertices (the
@@ -182,6 +138,107 @@ impl RandomWalkWithJumps {
         mut sink: impl FnMut(VertexId),
     ) {
         self.sample(access, cost, budget, rng, |ev| sink(ev.destination()));
+    }
+}
+
+/// RWJ as a resumable step machine — the one walk loop that both
+/// [`RandomWalkWithJumps::sample`] and [`crate::runner::ChunkedRunner`]
+/// drive.
+#[derive(Clone, Debug)]
+pub(crate) struct RwjWalk {
+    alpha: f64,
+    /// Budget one jump attempt costs (a uniform-vertex query).
+    jump_cost: f64,
+    pos: Position,
+}
+
+impl RwjWalk {
+    /// Draws the start vertex, charging the budget; `None` when the
+    /// budget cannot afford one.
+    pub(crate) fn start<A: GraphAccess + ?Sized, R: Rng + ?Sized>(
+        alpha: f64,
+        policy: &StartPolicy,
+        access: &A,
+        cost: &CostModel,
+        budget: &mut Budget,
+        rng: &mut R,
+    ) -> Option<Self> {
+        Some(RwjWalk {
+            alpha,
+            jump_cost: cost.uniform_vertex * access.cost_factor(QueryKind::UniformVertex),
+            pos: Position::draw(policy, access, cost, budget, rng)?,
+        })
+    }
+
+    /// One move — a jump with probability `α / (deg + α)`, else a walk
+    /// step — fed to `sink` when it reports. Returns `true` once the
+    /// walk has ended (budget exhausted, or stuck on an isolated vertex
+    /// with `α = 0`).
+    #[inline]
+    pub(crate) fn step<A: GraphAccess + ?Sized, R: Rng + ?Sized>(
+        &mut self,
+        access: &A,
+        budget: &mut Budget,
+        step_cost: f64,
+        rng: &mut R,
+        mut sink: impl FnMut(RwjEvent),
+    ) -> bool {
+        let d = self.pos.d as f64;
+        let jump = self.alpha > 0.0 && rng.gen_range(0.0..d + self.alpha) < self.alpha;
+        if jump {
+            // Redraw until a walkable vertex lands; each try is a
+            // charged uniform-vertex crawl (`query_vertex`), whose
+            // reply carries the landing degree.
+            let n = access.num_vertices();
+            let mut landed = None;
+            while budget.try_spend(self.jump_cost) {
+                let cand = VertexId::new(rng.gen_range(0..n));
+                let cand_deg = access.query_vertex(cand);
+                if cand_deg > 0 {
+                    landed = Some((cand, cand_deg));
+                    break;
+                }
+            }
+            let Some((to, to_deg)) = landed else {
+                return true; // budget died mid-jump
+            };
+            sink(RwjEvent::Jump {
+                from: self.pos.v,
+                to,
+            });
+            self.pos = Position {
+                v: to,
+                d: to_deg,
+                row: access.vertex_row(to),
+            };
+            false
+        } else {
+            if !budget.try_spend(step_cost) {
+                return true;
+            }
+            match self.pos.step(access, rng) {
+                StepOutcome::Edge(edge) => {
+                    sink(RwjEvent::Walk(edge));
+                    false
+                }
+                StepOutcome::Lost(_) | StepOutcome::Bounced => false,
+                StepOutcome::Isolated => true, // isolated vertex with alpha = 0
+            }
+        }
+    }
+
+    pub(crate) fn encode(&self, enc: &mut Encoder) {
+        enc.put_f64(self.alpha);
+        enc.put_f64(self.jump_cost);
+        self.pos.encode(enc);
+    }
+
+    pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<Self, CheckpointError> {
+        Ok(RwjWalk {
+            alpha: dec.take_f64()?,
+            jump_cost: dec.take_f64()?,
+            pos: Position::decode(dec)?,
+        })
     }
 }
 

@@ -8,8 +8,8 @@
 
 use crate::budget::{Budget, CostModel};
 use crate::start::StartPolicy;
-use crate::walk::{self, StepOutcome};
-use fs_graph::{Arc, GraphAccess, QueryKind};
+use crate::walk::{self, Position, StepOutcome};
+use fs_graph::{Arc, GraphAccess};
 use rand::Rng;
 
 /// Single random-walk edge sampler.
@@ -48,30 +48,45 @@ impl SingleRw {
         rng: &mut R,
         mut sink: impl FnMut(Arc),
     ) {
-        let starts = self.start.draw(access, 1, cost, budget, rng);
-        let Some(&start) = starts.first() else {
+        let Some(pos) = Position::draw(&self.start, access, cost, budget, rng) else {
             return;
         };
-        let step_cost = cost.walk_step * access.cost_factor(QueryKind::NeighborStep);
-        // The start crawl revealed the walker's degree and row handle;
-        // from here every step is one combined query that hands back the
-        // next pair.
-        let mut v = start;
-        let mut d = access.degree(start);
-        let mut row = access.vertex_row(start);
-        while budget.try_spend(step_cost) {
-            let stepped = walk::step_known(access, v, d, row, rng);
-            d = stepped.degree_after;
-            row = stepped.row_after;
-            match stepped.outcome {
-                StepOutcome::Edge(edge) => {
-                    v = edge.target;
-                    sink(edge);
-                }
-                StepOutcome::Lost(edge) => v = edge.target,
-                StepOutcome::Bounced => continue,
-                StepOutcome::Isolated => break, // stuck (degree-0)
+        let mut walk = SingleRwWalk(pos);
+        let step_cost = walk::step_cost(cost, access);
+        while !walk.step(access, budget, step_cost, rng, &mut sink) {}
+    }
+}
+
+/// SingleRW as a resumable step machine — the one walk loop that both
+/// [`SingleRw::sample_edges`] and [`crate::runner::ChunkedRunner`]
+/// drive. Its whole state is the walker's [`Position`] (and so is its
+/// checkpoint).
+#[derive(Clone, Debug)]
+pub(crate) struct SingleRwWalk(pub(crate) Position);
+
+impl SingleRwWalk {
+    /// One attempt: spends a step, moves, and feeds a reported edge to
+    /// `sink`. Returns `true` once the walk has ended (budget
+    /// exhausted, or stuck on a degree-0 vertex).
+    #[inline]
+    pub(crate) fn step<A: GraphAccess + ?Sized, R: Rng + ?Sized>(
+        &mut self,
+        access: &A,
+        budget: &mut Budget,
+        step_cost: f64,
+        rng: &mut R,
+        mut sink: impl FnMut(Arc),
+    ) -> bool {
+        if !budget.try_spend(step_cost) {
+            return true;
+        }
+        match self.0.step(access, rng) {
+            StepOutcome::Edge(edge) => {
+                sink(edge);
+                false
             }
+            StepOutcome::Lost(_) | StepOutcome::Bounced => false,
+            StepOutcome::Isolated => true,
         }
     }
 }

@@ -21,7 +21,10 @@
 //! pair serves pick + degree; see `fs_graph::Csr::step_to` and the
 //! `BENCH_samplers.json` baseline).
 
-use fs_graph::{Arc, GraphAccess, NeighborReply, StepReply, VertexId};
+use crate::budget::{Budget, CostModel};
+use crate::checkpoint::{put_vertex, take_vertex, CheckpointError, Decoder, Encoder};
+use crate::start::StartPolicy;
+use fs_graph::{Arc, GraphAccess, NeighborReply, QueryKind, StepReply, VertexId};
 use rand::Rng;
 
 /// Outcome of one attempted random-walk step.
@@ -138,6 +141,84 @@ pub(crate) fn resolve_stepped(v: VertexId, d: usize, row: usize, reply: StepRepl
             degree_after: d,
             row_after: row,
         },
+    }
+}
+
+/// Budget one walk step costs on `access`: the cost model's
+/// `walk_step` times the backend's neighbor-step surcharge.
+#[inline]
+pub(crate) fn step_cost<A: GraphAccess + ?Sized>(cost: &CostModel, access: &A) -> f64 {
+    cost.walk_step * access.cost_factor(QueryKind::NeighborStep)
+}
+
+/// Where a single-query walker stands: its vertex plus the degree and
+/// backend row handle it learned on arriving there. Every walk machine
+/// threads one of these from step to step (MultipleRW re-seats it per
+/// walker) and checkpoints it as `v ‖ d ‖ row`.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) struct Position {
+    pub(crate) v: VertexId,
+    pub(crate) d: usize,
+    pub(crate) row: usize,
+}
+
+impl Position {
+    /// A walker standing on `v` (degree and row read from the start
+    /// crawl that revealed it).
+    #[inline]
+    pub(crate) fn at<A: GraphAccess + ?Sized>(access: &A, v: VertexId) -> Self {
+        Position {
+            v,
+            d: access.degree(v),
+            row: access.vertex_row(v),
+        }
+    }
+
+    /// Draws one start vertex through `policy`, charging the budget;
+    /// `None` when the budget cannot afford it.
+    pub(crate) fn draw<A: GraphAccess + ?Sized, R: Rng + ?Sized>(
+        policy: &StartPolicy,
+        access: &A,
+        cost: &CostModel,
+        budget: &mut Budget,
+        rng: &mut R,
+    ) -> Option<Self> {
+        let v = *policy.draw(access, 1, cost, budget, rng).first()?;
+        Some(Position::at(access, v))
+    }
+
+    /// One uniform random-walk step ([`step_known`]); the walker moves
+    /// on `Edge`/`Lost` and stays put otherwise.
+    #[inline]
+    pub(crate) fn step<A: GraphAccess + ?Sized, R: Rng + ?Sized>(
+        &mut self,
+        access: &A,
+        rng: &mut R,
+    ) -> StepOutcome {
+        self.advance(step_known(access, self.v, self.d, self.row, rng))
+    }
+
+    /// Adopts a step's landing state and returns its outcome.
+    #[inline]
+    pub(crate) fn advance(&mut self, stepped: Stepped) -> StepOutcome {
+        self.v = stepped.outcome.position_after(self.v);
+        self.d = stepped.degree_after;
+        self.row = stepped.row_after;
+        stepped.outcome
+    }
+
+    pub(crate) fn encode(&self, enc: &mut Encoder) {
+        put_vertex(enc, self.v);
+        enc.put_usize(self.d);
+        enc.put_usize(self.row);
+    }
+
+    pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<Self, CheckpointError> {
+        Ok(Position {
+            v: take_vertex(dec)?,
+            d: dec.take_usize()?,
+            row: dec.take_usize()?,
+        })
     }
 }
 

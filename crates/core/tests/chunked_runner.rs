@@ -3,6 +3,12 @@
 //! samples — and spends an identical budget — to the one-shot library
 //! call with seed `s`. This is the property the serving layer's
 //! "server result == library result" guarantee rests on.
+//!
+//! Each sampler is one step machine, and the one-shot call and the
+//! runner are two drivers over it (for FS, the runner's window machine
+//! and the pool share one event engine). These tests stay as the
+//! regression check that the two drivers agree, and pin the bytes the
+//! runner's checkpoint format writes.
 
 use frontier_sampling::runner::{ChunkStatus, ChunkedRunner, Sample, SamplerSpec};
 use frontier_sampling::{

@@ -961,16 +961,12 @@ impl JobManager {
             }
             self.observe_terminal(id, JobPhase::Cancelled, steps_done);
         } else {
-            state.progress = 1.0;
-            state.phase = JobPhase::Done;
             let steps_done = state.steps_done;
-            drop(state);
-            if let Some(journal) = &self.journal {
-                journal.terminal(id, JobPhase::Done, None, steps_done, Some(&snapshot));
-            }
             // Publish to the result cache: the run is complete and the
             // result is a pure function of (digest, spec, seed), so
             // future identical submits answer from here byte-for-byte.
+            // It goes in before the job shows as done, so a resubmit
+            // sent on reading the terminal line cannot miss it.
             self.cache.insert(
                 CacheKey::new(
                     shared.store_digest,
@@ -981,10 +977,16 @@ impl JobManager {
                     spec.pool_threads.is_some(),
                 ),
                 CachedResult {
-                    snapshot,
+                    snapshot: snapshot.clone(),
                     steps_done,
                 },
             );
+            state.progress = 1.0;
+            state.phase = JobPhase::Done;
+            drop(state);
+            if let Some(journal) = &self.journal {
+                journal.terminal(id, JobPhase::Done, None, steps_done, Some(&snapshot));
+            }
             self.observe_terminal(id, JobPhase::Done, steps_done);
         }
         self.touch(shared);

@@ -101,6 +101,46 @@ fn stream_of_cached_job_is_one_terminal_line_and_keeps_pipelining() {
 }
 
 #[test]
+fn resubmit_right_after_terminal_line_hits_the_cache() {
+    // A job is published to the result cache before it shows as done,
+    // so a resubmit sent the moment its stream's terminal line arrives
+    // is always a hit. The journal's fsync of the terminal record makes
+    // any gap between the two wide enough to hit. 300 jobs stay far
+    // below the cache's capacity.
+    let dir = store_dir("resubmit_hit", 400, 24);
+    let mut config = Config::new(&dir);
+    config.journal_dir = Some(dir.join("journal"));
+    let server = Server::start(config).unwrap();
+    let addr = server.addr();
+    for seed in 0..300u64 {
+        let spec = format!(
+            "{{\"store\":\"ba.fsg\",\"sampler\":\"single\",\"budget\":200,\
+             \"seed\":{seed},\"estimator\":\"avg_degree\"}}"
+        );
+        let id = submit(addr, &spec).get("id").unwrap().as_u64().unwrap();
+        let mut session = Session::connect(addr);
+        session.send("GET", &format!("/v1/jobs/{id}/stream"), None);
+        assert_eq!(session.read_stream_head(), 200);
+        let mut last = None;
+        while let Some(chunk) = session.read_chunk() {
+            last = Some(chunk);
+        }
+        let last = parse(last.expect("stream had no lines").trim_end());
+        assert_eq!(last.get("phase").unwrap().as_str().unwrap(), "done");
+
+        let hit_id = submit(addr, &spec).get("id").unwrap().as_u64().unwrap();
+        let (_, view) = request(addr, "GET", &format!("/v1/jobs/{hit_id}"), None);
+        assert_eq!(
+            parse(&view).get("cached").unwrap().as_bool(),
+            Some(true),
+            "seed {seed}: resubmit after the terminal line missed the cache"
+        );
+    }
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn cache_hit_is_byte_identical_and_counted() {
     let dir = store_dir("cache_bytes", 1_500, 23);
     let server = Server::start(Config::new(&dir)).unwrap();
