@@ -199,3 +199,21 @@ pub fn wait_terminal(addr: SocketAddr, id: u64) -> Json {
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
 }
+
+/// Polls `/healthz` until replay finishes and the server answers 200.
+#[allow(dead_code)] // used by the journal-backed suites only
+pub fn wait_ready(addr: SocketAddr) -> Json {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    loop {
+        let (status, body) = request(addr, "GET", "/healthz", None);
+        if status == 200 {
+            return parse(&body);
+        }
+        assert_eq!(status, 503, "unexpected health status: {body}");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "server never finished replaying"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+}

@@ -16,7 +16,7 @@
 
 mod common;
 
-use common::{parse, request, store_dir, wait_terminal};
+use common::{parse, request, store_dir, wait_ready, wait_terminal};
 use frontier_sampling::runner::{
     ChunkStatus, ChunkedRunner, EstimateSnapshot, EstimatorSpec, JobEstimator, SamplerSpec,
 };
@@ -26,7 +26,6 @@ use fs_serve::journal::{DurabilityStats, Journal};
 use fs_serve::json::Json;
 use fs_serve::{Config, JobSpec, Server};
 use fs_store::MmapGraph;
-use std::net::SocketAddr;
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -78,23 +77,6 @@ fn assert_estimate_matches(doc: &Json, expect: &EstimateSnapshot, context: &str)
         expect.scalar.map(f64::to_bits),
         "{context}: scalar bits"
     );
-}
-
-/// Polls `/healthz` until replay finishes and the server answers 200.
-fn wait_ready(addr: SocketAddr) -> Json {
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-    loop {
-        let (status, body) = request(addr, "GET", "/healthz", None);
-        if status == 200 {
-            return parse(&body);
-        }
-        assert_eq!(status, 503, "unexpected health status: {body}");
-        assert!(
-            std::time::Instant::now() < deadline,
-            "server never finished replaying"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
 }
 
 fn server_over(dir: &Path) -> Server {

@@ -4,7 +4,7 @@
 
 mod common;
 
-use common::{parse, request, store_dir, wait_terminal, Session};
+use common::{parse, request, store_dir, wait_ready, wait_terminal, Session};
 use fs_serve::json::Json;
 use fs_serve::{Config, Server};
 
@@ -112,6 +112,7 @@ fn resubmit_right_after_terminal_line_hits_the_cache() {
     config.journal_dir = Some(dir.join("journal"));
     let server = Server::start(config).unwrap();
     let addr = server.addr();
+    wait_ready(addr);
     for seed in 0..300u64 {
         let spec = format!(
             "{{\"store\":\"ba.fsg\",\"sampler\":\"single\",\"budget\":200,\
