@@ -18,10 +18,11 @@
 //! (submit + poll share the socket), matching the reactor's intended
 //! hot path.
 //!
-//! `--verify` additionally submits one seeded job (sequential and at
-//! `pool_threads=8`) and asserts the served estimate is bit-identical
-//! to the direct library call over the same store file — the serving
-//! layer's determinism guarantee, checked against a *real* server.
+//! `--verify` additionally submits a seeded job (and, for FS/MultipleRW,
+//! one at `pool_threads=8` with the next seed) and asserts each served
+//! estimate is bit-identical to the direct library call over the same
+//! store file — the serving layer's determinism guarantee, checked
+//! against a *real* server.
 //! `--cache-phase` re-runs the whole burst with identical specs after
 //! the cold phase: every job must hit the deterministic result cache,
 //! return estimate bits identical to its cold twin, and the phase as a
@@ -58,9 +59,9 @@
 //! the results.
 
 use frontier_sampling::runner::{
-    ChunkStatus, ChunkedRunner, EstimateSnapshot, EstimatorSpec, JobEstimator, Sample, SamplerSpec,
+    ChunkStatus, ChunkedRunner, EstimateSnapshot, EstimatorSpec, JobEstimator, SamplerSpec,
 };
-use frontier_sampling::{Budget, CostModel, FrontierSampler, MultipleRw, ParallelWalkerPool};
+use frontier_sampling::CostModel;
 use fs_serve::json::{self, Json};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -854,10 +855,15 @@ fn main() {
         let est_spec = EstimatorSpec::parse(&estimator).expect("estimator");
 
         // Sequential reference.
-        let mut est = JobEstimator::new(est_spec, &spec).expect("combo");
-        let mut runner = ChunkedRunner::new(&spec, &graph, &CostModel::unit(), budget, vseed);
-        while runner.run_chunk(usize::MAX, |s| est.observe(&graph, s)) == ChunkStatus::InProgress {}
-        let seq_expect = snapshot_bits(&est.snapshot());
+        let reference = |seed: u64| {
+            let mut est = JobEstimator::new(est_spec, &spec).expect("combo");
+            let mut runner = ChunkedRunner::new(&spec, &graph, &CostModel::unit(), budget, seed);
+            while runner.run_chunk(usize::MAX, |s| est.observe(&graph, s))
+                == ChunkStatus::InProgress
+            {}
+            snapshot_bits(&est.snapshot())
+        };
+        let seq_expect = reference(vseed);
         let vp = JobParams {
             store: store.clone(),
             sampler: sampler.clone(),
@@ -873,44 +879,19 @@ fn main() {
             "SEQUENTIAL DETERMINISM VIOLATION: served != library"
         );
 
-        // Pooled reference at 8 threads (FS/MultipleRW only — the pool
-        // has no factorization for the other walkers).
-        let pooled = match spec {
-            SamplerSpec::Frontier { m } => {
-                let pool = ParallelWalkerPool::with_threads(8);
-                let mut pbudget = Budget::new(budget);
-                Some(pool.frontier(
-                    &FrontierSampler::new(m),
-                    &graph,
-                    &CostModel::unit(),
-                    &mut pbudget,
-                    vseed,
-                ))
-            }
-            SamplerSpec::Multiple { m } => {
-                let pool = ParallelWalkerPool::with_threads(8);
-                let mut pbudget = Budget::new(budget);
-                Some(pool.multiple_rw(
-                    &MultipleRw::new(m),
-                    &graph,
-                    &CostModel::unit(),
-                    &mut pbudget,
-                    vseed,
-                ))
-            }
-            _ => None,
-        };
-        if let Some(run) = pooled {
-            let mut est = JobEstimator::new(est_spec, &spec).expect("combo");
-            for edge in run.edges() {
-                est.observe(&graph, Sample::Edge(edge));
-            }
-            let pool_expect = snapshot_bits(&est.snapshot());
+        // A pooled job (FS/MultipleRW only) runs the same chunked
+        // runner, so it must match the same sequential reference. It
+        // takes the next seed: at `vseed` it would be answered from
+        // the cache entry the sequential job just left.
+        if matches!(
+            spec,
+            SamplerSpec::Frontier { .. } | SamplerSpec::Multiple { .. }
+        ) {
             let doc =
-                run_job(&mut vclient, &vp, vseed, Some(8)).expect("verification job (pooled)");
+                run_job(&mut vclient, &vp, vseed + 1, Some(8)).expect("verification job (pooled)");
             assert_eq!(
                 wire_bits(&doc),
-                pool_expect,
+                reference(vseed + 1),
                 "POOLED DETERMINISM VIOLATION: served != library"
             );
             eprintln!(

@@ -260,7 +260,7 @@ fn pool_mrw_once<A: GraphAccess + ?Sized>(access: &A, steps: usize, seed: u64) -
 /// The batched-engine query-overhead gate: a batched cell that issues
 /// materially more backend queries per retained step than the
 /// sequential loop (`1 + starts/steps`, plus `slack` for FS's bounded
-/// speculative horizon overshoot) is a regression, and the suite fails
+/// speculative final-window overshoot) is a regression, and the suite fails
 /// loudly rather than committing the number.
 fn gate_queries_per_step(label: &str, qps: f64, starts: usize, taken: usize, slack: f64) {
     let bound = (1.0 + starts as f64 / taken.max(1) as f64) * slack + 1e-9;
@@ -657,8 +657,9 @@ fn main() {
             let crawler = CrawlAccess::new(&graph);
             let taken = pool_fs_once(&crawler, steps, 7);
             let qps = crawler.queries_issued() as f64 / taken.max(1) as f64;
-            // FS generates events speculatively to a horizon; the
-            // adaptive schedule keeps the overshoot to a few percent.
+            // FS generates each window's events speculatively; the
+            // final-window slack covers the unused tail of the last
+            // window, the only overshoot.
             gate_queries_per_step("FS (m=100) @batch", qps, 100, taken, 1.15);
             fs_batch_qps = qps;
             let cell = measure(

@@ -28,18 +28,18 @@
 //!
 //! [`FsEventBatch`] layers the Theorem 5.5 exponential-clock schedule on
 //! top: each lane is one FS walker generating `(event time, outcome)`
-//! pairs, advanced in lockstep up to a virtual-time horizon. It is the
-//! shared engine behind the pool's `frontier` and `FsWindowWalk`, the
-//! windowed FS step machine the chunked runner drives, so the two
-//! cannot drift apart.
+//! pairs, advanced in lockstep up to a virtual-time horizon.
+//! `FsWindowWalk` merges those streams window by window in
+//! `(time, walker)` order. It is the one windowed FS engine: the
+//! chunked runner and the pool's `frontier` both drive it, the pool's
+//! threads splitting each window's generation between them.
 
-use crate::budget::{Budget, CostModel};
+use crate::budget::Budget;
 use crate::checkpoint::{
     put_vertex, take_vertex, CheckpointError, Decoder, Encoder, MAX_CHECKPOINT_BUFFER,
     MAX_CHECKPOINT_LANES,
 };
-use crate::parallel::{stream_seed, FS_GROWTH_HEADROOM};
-use crate::start::StartPolicy;
+use crate::parallel::{for_each_walker, stream_seed};
 use crate::walk::{self, StepOutcome, Stepped};
 use fs_graph::{Arc, GraphAccess, StepSlot, VertexId};
 use rand::rngs::SmallRng;
@@ -322,17 +322,42 @@ impl FsEventBatch {
 /// passes.
 const FS_WINDOW: usize = 4096;
 
-/// Frontier Sampling as a resumable step machine — the form
-/// [`crate::runner::ChunkedRunner`] drives. The `m` walkers are
-/// [`FsEventBatch`] lanes (Theorem 5.5), the same engine
-/// [`crate::parallel::ParallelWalkerPool::frontier`] runs, so the
-/// emitted stream is bit-identical to the pool's with the same seed.
-/// Events are generated window-by-window in virtual time (windows
-/// partition the time axis, so the global `(time, walker)` order holds
-/// across windows) and buffered sorted; memory stays `O(window + m)`.
+/// Window headroom: each window is sized for its target event count at
+/// the measured event rate, padded by 10% so most refills need one
+/// pass. Every event past the quota is a speculative backend query, so
+/// the pad stays tight.
+const FS_WINDOW_HEADROOM: f64 = 1.10;
+
+/// A window's `(time, walker, outcome)` events.
+type Events = Vec<(f64, usize, StepOutcome)>;
+
+/// One thread's share of the walkers: a contiguous run of lanes.
+#[derive(Debug)]
+struct FsSlice {
+    /// Walker id of lane 0.
+    base: usize,
+    engine: FsEventBatch,
+    /// This slice's events of the window being generated.
+    events: Events,
+}
+
+/// Frontier Sampling as a resumable step machine: the one windowed FS
+/// engine, driven by [`crate::runner::ChunkedRunner`] (chunk by chunk)
+/// and [`crate::parallel::ParallelWalkerPool::frontier`] (to the end).
+/// The `m` walkers are [`FsEventBatch`] lanes (Theorem 5.5), walker `i`
+/// on stream `stream_seed(seed, i)`. Events are generated
+/// window-by-window in virtual time (windows partition the time axis,
+/// so the global `(time, walker)` order holds across windows) and
+/// buffered sorted; memory stays `O(window + m)`.
+///
+/// Each window is generated over `min(threads, m)` contiguous slices of
+/// the walkers, one per thread. Window sizing never looks at the thread
+/// count and the sorted window is a pure function of the walkers'
+/// streams, so the emitted stream and the checkpoint bytes are the same
+/// at every thread count.
 #[derive(Debug)]
 pub(crate) struct FsWindowWalk {
-    engine: FsEventBatch,
+    slices: Vec<FsSlice>,
     /// Virtual-time high edge of the last generated window.
     t_hi: f64,
     /// Starting frontier volume `Σ deg(start_i)` — the event-rate
@@ -341,7 +366,7 @@ pub(crate) struct FsWindowWalk {
     /// Events generated so far (measured-rate numerator).
     generated: u64,
     /// Current window's events, sorted by `(time, walker)`.
-    buffer: Vec<(f64, usize, StepOutcome)>,
+    buffer: Events,
     /// Next unemitted event in `buffer`.
     cursor: usize,
     /// Fixed step quota computed at start (Algorithm 1's `B − mc`).
@@ -351,20 +376,14 @@ pub(crate) struct FsWindowWalk {
 }
 
 impl FsWindowWalk {
-    /// Draws the `m` uniform starts from `rng` (the same draw as
-    /// `Frontier::init` and the pool), seeds walker `i` with
-    /// `stream_seed(seed, i)` exactly like `pool.frontier(seed)`, and
-    /// freezes the step quota; `None` when not even one start is
-    /// affordable.
-    pub(crate) fn start<A: GraphAccess + ?Sized, R: Rng + ?Sized>(
+    /// Walker `i` starts at `starts[i]` on stream `stream_seed(seed, i)`;
+    /// the run emits at most `n_steps` events. `None` without walkers.
+    pub(crate) fn new<A: GraphAccess + ?Sized>(
         access: &A,
-        m: usize,
-        cost: &CostModel,
-        budget: &mut Budget,
-        rng: &mut R,
+        starts: &[VertexId],
         seed: u64,
+        n_steps: usize,
     ) -> Option<Self> {
-        let starts = StartPolicy::Uniform.draw(access, m, cost, budget, rng);
         if starts.is_empty() {
             return None;
         }
@@ -373,15 +392,63 @@ impl FsWindowWalk {
             .collect();
         let volume = starts.iter().map(|&v| access.degree(v) as f64).sum();
         Some(FsWindowWalk {
-            engine: FsEventBatch::new(access, &starts, &seeds),
+            slices: vec![FsSlice {
+                base: 0,
+                engine: FsEventBatch::new(access, starts, &seeds),
+                events: Vec::new(),
+            }],
             t_hi: 0.0,
             volume,
             generated: 0,
             buffer: Vec::new(),
             cursor: 0,
-            n_steps: budget.affordable(walk::step_cost(cost, access)),
+            n_steps,
             emitted: 0,
         })
+    }
+
+    /// Regroups the walkers into `min(threads, m)` contiguous slices,
+    /// each generated on its own thread. Changes no emitted bit.
+    pub(crate) fn set_threads(&mut self, threads: usize) {
+        assert!(threads >= 1, "need at least one thread");
+        let (lanes, fires) = self.lanes();
+        let chunk = lanes.len().div_ceil(threads).max(1);
+        self.slices = lanes
+            .chunks(chunk)
+            .zip(fires.chunks(chunk))
+            .enumerate()
+            .map(|(i, (lanes, fires))| FsSlice {
+                base: i * chunk,
+                engine: FsEventBatch::from_checkpoint(lanes, fires.to_vec()),
+                events: Vec::new(),
+            })
+            .collect();
+    }
+
+    /// Every walker's state and pending clock, in walker order.
+    fn lanes(&self) -> (Vec<LaneState>, Vec<Option<f64>>) {
+        let (mut lanes, mut fires) = (Vec::new(), Vec::new());
+        for slice in &self.slices {
+            let (l, f) = slice.engine.checkpoint();
+            lanes.extend(l);
+            fires.extend(f);
+        }
+        (lanes, fires)
+    }
+
+    fn all_stuck(&self) -> bool {
+        self.slices.iter().all(|s| s.engine.all_stuck())
+    }
+
+    /// High edge of the next window: `target` events at the measured
+    /// rate (the starting volume until anything has fired), padded.
+    fn next_horizon(&self, target: usize) -> f64 {
+        let rate = if self.generated > 0 {
+            self.generated as f64 / self.t_hi
+        } else {
+            self.volume
+        };
+        self.t_hi + FS_WINDOW_HEADROOM * target as f64 / rate.max(f64::MIN_POSITIVE)
     }
 
     /// Budget the events emitted so far will be charged at completion.
@@ -389,18 +456,18 @@ impl FsWindowWalk {
         self.emitted as f64 * step_cost
     }
 
-    /// Emits the next event of the superposed exponential-clock stream
-    /// in `(time, walker)` order, refilling the buffer from the next
-    /// virtual-time window when it runs dry, and feeds a reported edge
-    /// to `sink`. Like the pool, the quota is fixed at start and the
-    /// whole spend is one deferred `force_spend` at the end. Returns
-    /// `true` once the run has ended.
+    /// Emits the next attempt of the superposed exponential-clock
+    /// stream in `(time, walker)` order as `sink(walker, outcome)`,
+    /// refilling the buffer from the next virtual-time window when it
+    /// runs dry. The quota is fixed at start and the whole spend is one
+    /// deferred `force_spend` at the end. Returns `true` once the run
+    /// has ended.
     pub(crate) fn step<A: GraphAccess + ?Sized>(
         &mut self,
         access: &A,
         budget: &mut Budget,
         step_cost: f64,
-        mut sink: impl FnMut(Arc),
+        mut sink: impl FnMut(usize, StepOutcome),
     ) -> bool {
         if self.emitted >= self.n_steps {
             budget.force_spend(self.pending_spend(step_cost));
@@ -409,28 +476,27 @@ impl FsWindowWalk {
         if self.cursor >= self.buffer.len() {
             self.buffer.clear();
             self.cursor = 0;
-            while self.buffer.is_empty() && !self.engine.all_stuck() {
-                // Size the window for a bounded batch of events at the
-                // measured rate (starting volume until anything has
-                // fired), padded like the pool's growth windows so most
-                // refills need one pass.
-                let target = (self.n_steps - self.emitted).clamp(64, FS_WINDOW);
-                let rate = if self.generated > 0 {
-                    self.generated as f64 / self.t_hi
-                } else {
-                    self.volume
-                };
-                let t_next =
-                    self.t_hi + FS_GROWTH_HEADROOM * target as f64 / rate.max(f64::MIN_POSITIVE);
-                let buffer = &mut self.buffer;
-                self.engine
-                    .advance(access, t_next, |lane, t, o| buffer.push((t, lane, o)));
+            while self.buffer.is_empty() && !self.all_stuck() {
+                let t_next = self.next_horizon((self.n_steps - self.emitted).clamp(64, FS_WINDOW));
+                for_each_walker(self.slices.len(), &mut self.slices, |_, slice| {
+                    let (base, events) = (slice.base, &mut slice.events);
+                    slice.engine.advance(access, t_next, |lane, t, o| {
+                        events.push((t, base + lane, o))
+                    });
+                });
+                for slice in &mut self.slices {
+                    // One slice hands its events over without a copy.
+                    if self.buffer.is_empty() {
+                        std::mem::swap(&mut self.buffer, &mut slice.events);
+                    } else {
+                        self.buffer.append(&mut slice.events);
+                    }
+                }
                 self.t_hi = t_next;
             }
             if self.buffer.is_empty() {
-                // Every lane stuck: the run ends short of quota,
-                // spending only what was actually emitted (the pool's
-                // `merged.len() < n_steps` endgame).
+                // Every walker stuck: the run ends short of quota,
+                // spending only what was actually emitted.
                 budget.force_spend(self.pending_spend(step_cost));
                 return true;
             }
@@ -438,17 +504,15 @@ impl FsWindowWalk {
             self.buffer
                 .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
         }
-        let (_, _, outcome) = self.buffer[self.cursor];
+        let (_, walker, outcome) = self.buffer[self.cursor];
         self.cursor += 1;
         self.emitted += 1;
-        if let StepOutcome::Edge(edge) = outcome {
-            sink(edge);
-        }
+        sink(walker, outcome);
         false
     }
 
     pub(crate) fn encode(&self, enc: &mut Encoder) {
-        let (lanes, fires) = self.engine.checkpoint();
+        let (lanes, fires) = self.lanes();
         enc.put_usize(lanes.len());
         for lane in &lanes {
             put_vertex(enc, lane.vertex);
@@ -481,7 +545,12 @@ impl FsWindowWalk {
         enc.put_usize(self.emitted);
     }
 
+    /// Decodes [`FsWindowWalk::encode`] output into a one-slice walk.
+    /// Rejects states the encoder never writes and `step` could not
+    /// run — a non-finite clock is never due, and a window that cannot
+    /// move the horizon never fills, so either would spin forever.
     pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<Self, CheckpointError> {
+        let malformed = |what: &str| Err(CheckpointError::Malformed(what.into()));
         let n_lanes = dec.take_usize()?;
         if n_lanes > MAX_CHECKPOINT_LANES {
             return Err(CheckpointError::Malformed(format!(
@@ -516,8 +585,14 @@ impl FsWindowWalk {
                 }
             });
         }
+        if fires.iter().flatten().any(|t| !t.is_finite()) {
+            return malformed("non-finite walker clock");
+        }
         let t_hi = dec.take_f64()?;
         let volume = dec.take_f64()?;
+        if !(t_hi.is_finite() && t_hi >= 0.0 && volume.is_finite() && volume >= 0.0) {
+            return malformed("invalid window horizon or volume");
+        }
         let generated = dec.take_u64()?;
         let n_buffered = dec.take_usize()?;
         if n_buffered > MAX_CHECKPOINT_BUFFER {
@@ -529,14 +604,21 @@ impl FsWindowWalk {
         for _ in 0..n_buffered {
             let t = dec.take_f64()?;
             let lane = dec.take_usize()?;
+            if lane >= n_lanes {
+                return malformed("buffered event of an unknown walker");
+            }
             buffer.push((t, lane, take_outcome(dec)?));
         }
         let cursor = dec.take_usize()?;
         if cursor > buffer.len() {
-            return Err(CheckpointError::Malformed("buffer cursor past end".into()));
+            return malformed("buffer cursor past end");
         }
-        Ok(FsWindowWalk {
-            engine: FsEventBatch::from_checkpoint(&lanes, fires),
+        let walk = FsWindowWalk {
+            slices: vec![FsSlice {
+                base: 0,
+                engine: FsEventBatch::from_checkpoint(&lanes, fires),
+                events: Vec::new(),
+            }],
             t_hi,
             volume,
             generated,
@@ -544,7 +626,11 @@ impl FsWindowWalk {
             cursor,
             n_steps: dec.take_usize()?,
             emitted: dec.take_usize()?,
-        })
+        };
+        if !walk.all_stuck() && walk.next_horizon(64) <= t_hi {
+            return malformed("window horizon cannot advance");
+        }
+        Ok(walk)
     }
 }
 
@@ -670,5 +756,59 @@ mod tests {
         stepped.sort_by_key(|&(lane, t, _)| (t, lane));
         assert_eq!(jump, stepped);
         assert!(!jump.is_empty());
+    }
+
+    /// A one-lane FS window blob: `fire` is the lane's clock, then the
+    /// window fields, with one buffered event of walker `buffered`.
+    fn window_blob(fire: f64, t_hi: f64, volume: f64, generated: u64, buffered: usize) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.put_usize(1);
+        put_vertex(&mut enc, VertexId::new(0));
+        enc.put_usize(2); // degree
+        enc.put_usize(0); // row
+        for word in [1u64, 2, 3, 4] {
+            enc.put_u64(word);
+        }
+        enc.put_u8(1);
+        enc.put_f64(fire);
+        enc.put_f64(t_hi);
+        enc.put_f64(volume);
+        enc.put_u64(generated);
+        enc.put_usize(1);
+        enc.put_f64(0.5);
+        enc.put_usize(buffered);
+        put_outcome(&mut enc, StepOutcome::Bounced);
+        enc.put_usize(0); // cursor
+        enc.put_usize(100); // n_steps
+        enc.put_usize(0); // emitted
+        enc.into_bytes()
+    }
+
+    #[test]
+    fn decode_rejects_window_states_that_cannot_run() {
+        let decode = |blob: Vec<u8>| FsWindowWalk::decode(&mut Decoder::new(&blob)).map(|_| ());
+        assert_eq!(decode(window_blob(1.0, 0.5, 2.0, 1, 0)), Ok(()));
+        let bad = [
+            ("NaN clock", window_blob(f64::NAN, 0.5, 2.0, 1, 0)),
+            ("infinite clock", window_blob(f64::INFINITY, 0.5, 2.0, 1, 0)),
+            ("NaN horizon", window_blob(1.0, f64::NAN, 2.0, 1, 0)),
+            (
+                "infinite horizon",
+                window_blob(1.0, f64::INFINITY, 2.0, 1, 0),
+            ),
+            ("NaN volume", window_blob(1.0, 0.5, f64::NAN, 0, 0)),
+            (
+                "infinite volume",
+                window_blob(1.0, 0.5, f64::INFINITY, 0, 0),
+            ),
+            ("horizon stuck at 0", window_blob(1.0, 0.0, 2.0, 1, 0)),
+            ("unknown walker", window_blob(1.0, 0.5, 2.0, 1, 1)),
+        ];
+        for (what, blob) in bad {
+            assert!(
+                matches!(decode(blob), Err(CheckpointError::Malformed(_))),
+                "{what} accepted"
+            );
+        }
     }
 }

@@ -9,16 +9,23 @@
 //! is exactly the FS chain — so the walkers never need to communicate.
 //!
 //! This module implements that continuous-time process with a priority
-//! queue of walker clocks. The emitted *edge sequence* is distribution-
-//! identical to [`crate::frontier::FrontierSampler`]; tests verify this
-//! empirically.
+//! queue of walker clocks: walker `i` draws its holding times and steps
+//! from its own stream `stream_seed(seed, i)`, and every event costs
+//! exactly one query and one `walk_step` of budget. The emitted *edge
+//! sequence* is distribution-identical to
+//! [`crate::frontier::FrontierSampler`] (tests verify this
+//! empirically) and bit-identical to the windowed engine that the
+//! chunked runner and [`crate::parallel::ParallelWalkerPool::frontier`]
+//! drive, so it serves as their engine-independent reference.
 
 use crate::budget::{Budget, CostModel};
+use crate::parallel::stream_seed;
 use crate::start::StartPolicy;
-use crate::walk::{self, StepOutcome};
+use crate::walk::{self, Position, StepOutcome};
 use fs_graph::{Arc, GraphAccess};
-use rand::Rng;
-use std::cmp::Ordering;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Distributed FS: `m` uncoordinated walkers with exponential clocks.
@@ -28,36 +35,6 @@ pub struct DistributedFs {
     pub m: usize,
     /// Start-vertex distribution.
     pub start: StartPolicy,
-}
-
-/// Heap entry: next firing time of a walker (min-heap via reversed cmp).
-#[derive(Copy, Clone, Debug)]
-struct Clock {
-    time: f64,
-    walker: usize,
-}
-
-impl PartialEq for Clock {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.walker == other.walker
-    }
-}
-impl Eq for Clock {}
-impl PartialOrd for Clock {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Clock {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse on time for a min-heap; tie-break on walker id for
-        // total order (times are continuous, ties are measure-zero).
-        other
-            .time
-            .partial_cmp(&self.time)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.walker.cmp(&self.walker))
-    }
 }
 
 impl DistributedFs {
@@ -76,62 +53,73 @@ impl DistributedFs {
         self
     }
 
-    /// Runs the process, emitting edges in event-time order, spending one
-    /// `walk_step` of budget per event so the sample count matches
-    /// centralized FS under the same budget.
+    /// [`DistributedFs::sample_edges_seeded`] with a seed drawn from
+    /// `rng`.
     pub fn sample_edges<A: GraphAccess + ?Sized, R: Rng + ?Sized>(
         &self,
         access: &A,
         cost: &CostModel,
         budget: &mut Budget,
         rng: &mut R,
+        sink: impl FnMut(Arc),
+    ) {
+        self.sample_edges_seeded(access, cost, budget, rng.next_u64(), sink)
+    }
+
+    /// Runs the process, emitting edges in event-time order, spending one
+    /// `walk_step` of budget per event so the sample count matches
+    /// centralized FS under the same budget. The starts are drawn from
+    /// a generator seeded with `seed`; walker `i` runs on stream
+    /// `stream_seed(seed, i)`.
+    pub fn sample_edges_seeded<A: GraphAccess + ?Sized>(
+        &self,
+        access: &A,
+        cost: &CostModel,
+        budget: &mut Budget,
+        seed: u64,
         mut sink: impl FnMut(Arc),
     ) {
-        let positions = self.start.draw(access, self.m, cost, budget, rng);
-        if positions.is_empty() {
-            return;
-        }
+        let mut start_rng = SmallRng::seed_from_u64(seed);
+        let starts = self
+            .start
+            .draw(access, self.m, cost, budget, &mut start_rng);
         let step_cost = walk::step_cost(cost, access);
-        let mut positions = positions;
         // Degrees and row handles ride along with positions (start
         // crawls revealed them), so each event issues exactly one
         // combined step query.
-        let mut degrees: Vec<usize> = positions.iter().map(|&v| access.degree(v)).collect();
-        let mut rows: Vec<usize> = positions.iter().map(|&v| access.vertex_row(v)).collect();
-        let mut heap = BinaryHeap::with_capacity(positions.len());
-        for (i, &d) in degrees.iter().enumerate() {
-            if let Some(t) = walk::exp_holding_time(d, rng) {
-                heap.push(Clock { time: t, walker: i });
+        let mut walkers: Vec<(Position, SmallRng)> = starts
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| {
+                let rng = SmallRng::seed_from_u64(stream_seed(seed, i as u64));
+                (Position::at(access, v), rng)
+            })
+            .collect();
+        // Min-heap of `(time, walker)` clocks. Holding times are
+        // positive and finite, where f64 order is u64 bit order; ties
+        // (measure-zero) go to the lower walker id.
+        let mut heap = BinaryHeap::with_capacity(walkers.len());
+        for (walker, (pos, rng)) in walkers.iter_mut().enumerate() {
+            if let Some(time) = walk::exp_holding_time(pos.d, rng) {
+                heap.push(Reverse((time.to_bits(), walker)));
             }
         }
-        while budget.try_spend(step_cost) {
-            let Some(Clock { time, walker }) = heap.pop() else {
+        // A degree-0 position yields no clock: the walker never fires
+        // again. On faulty backends, a lost reply or a bounce still
+        // rewinds the clock (the walker retries).
+        while let Some(&Reverse((bits, walker))) = heap.peek() {
+            if !budget.try_spend(step_cost) {
                 break;
-            };
-            // A degree-0 position yields no step: the walker's clock
-            // simply never fires again. On faulty backends, a lost reply
-            // or a bounce still rewinds the clock (the walker retries).
-            let stepped = walk::step_known(
-                access,
-                positions[walker],
-                degrees[walker],
-                rows[walker],
-                rng,
-            );
-            if let StepOutcome::Edge(edge) | StepOutcome::Lost(edge) = stepped.outcome {
-                positions[walker] = edge.target;
-                degrees[walker] = stepped.degree_after;
-                rows[walker] = stepped.row_after;
             }
-            if let StepOutcome::Edge(edge) = stepped.outcome {
+            heap.pop();
+            let (pos, rng) = &mut walkers[walker];
+            let outcome = pos.step(access, rng);
+            if let StepOutcome::Edge(edge) = outcome {
                 sink(edge);
             }
-            if !matches!(stepped.outcome, StepOutcome::Isolated) {
-                if let Some(dt) = walk::exp_holding_time(degrees[walker], rng) {
-                    heap.push(Clock {
-                        time: time + dt,
-                        walker,
-                    });
+            if outcome != StepOutcome::Isolated {
+                if let Some(dt) = walk::exp_holding_time(pos.d, rng) {
+                    heap.push(Reverse(((f64::from_bits(bits) + dt).to_bits(), walker)));
                 }
             }
         }

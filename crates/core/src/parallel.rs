@@ -34,12 +34,16 @@
 //! `Exp(deg(v))` time before stepping; the embedded jump chain of the
 //! superposed event stream *is* the FS chain. Holding times and steps of
 //! walker `i` depend only on stream `i`, so walkers generate their event
-//! sequences concurrently; the pool then merges events by `(time, walker
-//! id)` — the order-independent reduction — and takes the first `B − mc`
-//! events. [`ParallelWalkerPool::frontier`] is therefore
+//! sequences concurrently. [`ParallelWalkerPool::frontier`] drives the
+//! same windowed engine as the chunked runner (`FsWindowWalk` in
+//! [`crate::batch`]): each virtual-time window is generated over the
+//! pool's threads, one contiguous slice of walkers each, then merged by
+//! `(time, walker id)` — the order-independent reduction — until
+//! `B − mc` events are out. The pool is therefore
 //! distribution-identical to [`FrontierSampler`] (same chain, different
 //! but equivalent randomness factorization), and bit-identical to
-//! *itself* at every thread count.
+//! [`crate::distributed::DistributedFs`] with the same seed and to
+//! itself at every thread count.
 //!
 //! ## Determinism contract
 //!
@@ -52,39 +56,27 @@
 //! see [`crate::backend`]). Sequential runs of faulty backends stay
 //! deterministic as before.
 //!
-//! One cost of the FS factorization: walkers generate events
-//! *speculatively* up to a virtual-time horizon and the merge truncates
-//! to the budget, so a query-counting backend sees slightly more queries
-//! than retained events (a few percent under the adaptive horizon
-//! schedule, which sizes windows from the measured event rate). For
-//! simulation throughput that overshoot is irrelevant; when the query
-//! count itself is the object of study (crawl-cost experiments), use the
-//! sequential [`FrontierSampler`]/[`crate::distributed::DistributedFs`],
-//! which query exactly once per budget unit.
+//! One cost of the FS factorization: walkers generate each window's
+//! events *speculatively* and the run stops at the budget, so a
+//! query-counting backend sees more queries than retained events — at
+//! most the unused tail of the last window (windows are sized from the
+//! measured event rate for the remaining quota, capped at a few
+//! thousand events). For simulation throughput that overshoot is
+//! irrelevant; when the query count itself is the object of study
+//! (crawl-cost experiments), use the sequential
+//! [`FrontierSampler`]/[`crate::distributed::DistributedFs`], which
+//! query exactly once per budget unit.
 
-use crate::batch::{FsEventBatch, WalkerBatch};
+use crate::batch::{FsWindowWalk, WalkerBatch};
 use crate::budget::{Budget, CostModel};
 use crate::frontier::FrontierSampler;
 use crate::multiple::{MultipleRw, Schedule};
-use crate::walk::StepOutcome;
+use crate::walk::{self, StepOutcome};
 use fs_graph::csr::STEP_PIPELINE_WIDTH;
 use fs_graph::{Arc, GraphAccess, VertexId};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// Initial-horizon headroom of the FS event schedule: the first window
-/// assumes the event rate stays near the starting frontier volume and
-/// adds 5% so a typical run finishes in one window. Kept deliberately
-/// tight — every event past the budget is a speculative backend query
-/// the merge then discards.
-const FS_HORIZON_HEADROOM: f64 = 1.05;
-
-/// Growth headroom of follow-up windows: the deficit is re-estimated
-/// from the *measured* event rate and padded by 10%. (The historical
-/// schedule doubled the horizon instead, which made the final window
-/// overshoot the budget by up to 2× in speculative queries.)
-pub(crate) const FS_GROWTH_HEADROOM: f64 = 1.10;
 
 /// The SplitMix64 golden-ratio increment.
 pub const SPLITMIX_GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -143,28 +135,6 @@ impl PoolRun {
     pub fn sampled_count(&self) -> usize {
         self.edges().count()
     }
-
-    /// Observability summary of the run — walker count, attempted
-    /// steps, reported samples. Pure observation over the recorded
-    /// event stream.
-    pub fn profile(&self) -> PoolRunProfile {
-        PoolRunProfile {
-            walkers: self.starts.len(),
-            attempts: self.steps.len(),
-            sampled: self.sampled_count(),
-        }
-    }
-}
-
-/// Profiling view of a completed [`PoolRun`] (see [`PoolRun::profile`]).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct PoolRunProfile {
-    /// Number of walkers in the run.
-    pub walkers: usize,
-    /// Attempted steps in the canonical event stream.
-    pub attempts: usize,
-    /// Attempts that reported a sample.
-    pub sampled: usize,
 }
 
 /// A deterministic thread pool for multi-walker sampling and independent
@@ -183,7 +153,7 @@ impl Default for ParallelWalkerPool {
 
 impl ParallelWalkerPool {
     /// A pool sized to the machine (`available_parallelism`), stepping
-    /// walkers in lockstep groups of
+    /// MultipleRW walkers in lockstep groups of
     /// [`STEP_PIPELINE_WIDTH`](fs_graph::csr::STEP_PIPELINE_WIDTH).
     pub fn new() -> Self {
         // fs-lint: allow(determinism) — thread count only sizes the pool; reductions are thread-count independent (pinned by the bit-identity tests)
@@ -206,25 +176,16 @@ impl ParallelWalkerPool {
         }
     }
 
-    /// Sets the lockstep group width of the batched stepping engine
-    /// (`1` degenerates to scalar stepping). Results never depend on
-    /// this number — it only controls how many independent walkers'
-    /// memory loads are in flight at once (pinned by the `batch_parity`
-    /// integration test at widths 1/8/16).
+    /// Sets the lockstep group width of [`ParallelWalkerPool::multiple_rw`]
+    /// (`1` degenerates to scalar stepping; FS steps each thread's slice
+    /// of walkers as one batch). Results never depend on this number —
+    /// it only controls how many independent walkers' memory loads are
+    /// in flight at once (pinned by the `batch_parity` integration test
+    /// at widths 1/8/16).
     pub fn with_batch_width(mut self, width: usize) -> Self {
         assert!(width >= 1, "need at least one lane per batch");
         self.batch_width = width;
         self
-    }
-
-    /// The configured thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The configured lockstep group width.
-    pub fn batch_width(&self) -> usize {
-        self.batch_width
     }
 
     /// Runs `chains` independent chain bodies, handing body `i` its index
@@ -311,7 +272,7 @@ impl ParallelWalkerPool {
                 steps: Vec::new(),
             };
         }
-        let step_cost = crate::walk::step_cost(cost, access);
+        let step_cost = walk::step_cost(cost, access);
         let affordable = budget.affordable(step_cost);
         let m = starts.len();
         // Per-walker attempt quotas mirroring the sequential schedules:
@@ -352,7 +313,7 @@ impl ParallelWalkerPool {
             })
             .collect();
         let equal_split = sampler.schedule == Schedule::EqualSplit;
-        self.for_each_walker(&mut groups, |_, grp| {
+        for_each_walker(self.threads, &mut groups, |_, grp| {
             let mut due: Vec<usize> = Vec::with_capacity(grp.traces.len());
             loop {
                 due.clear();
@@ -401,10 +362,13 @@ impl ParallelWalkerPool {
     }
 
     /// Runs [`FrontierSampler`] as `m` concurrent exponential-clock
-    /// walkers (Theorem 5.5; module docs) and returns the first
-    /// `affordable` events of the superposed process in event-time order.
-    /// Bit-identical at every thread count; distribution-identical to the
-    /// sequential [`FrontierSampler`].
+    /// walkers (Theorem 5.5; module docs): draws the starts from a
+    /// generator seeded with `base_seed`, then drives the windowed FS
+    /// engine to the end, returning the first `affordable` events of the
+    /// superposed process in event-time order. Bit-identical at every
+    /// thread count and to [`crate::distributed::DistributedFs`] with
+    /// the same seed; distribution-identical to the sequential
+    /// [`FrontierSampler`].
     pub fn frontier<A: GraphAccess + ?Sized>(
         &self,
         sampler: &FrontierSampler,
@@ -417,127 +381,45 @@ impl ParallelWalkerPool {
         let starts = sampler
             .start
             .draw(access, sampler.m, cost, budget, &mut start_rng);
-        if starts.is_empty() {
-            return PoolRun {
-                starts,
-                steps: Vec::new(),
-            };
-        }
-        let step_cost = crate::walk::step_cost(cost, access);
+        let step_cost = walk::step_cost(cost, access);
+        let mut steps = Vec::new();
         let n_steps = budget.affordable(step_cost);
-
-        // Walkers are packed into lockstep groups ([`FsEventBatch`]);
-        // each group is one work unit generating its lanes' event
-        // streams in batched steps, so up to `batch_width` independent
-        // CSR load chains are in flight per group at any moment.
-        let seeds: Vec<u64> = (0..starts.len())
-            .map(|i| stream_seed(base_seed, i as u64))
-            .collect();
-        struct FsGroup {
-            base: usize,
-            engine: FsEventBatch,
-            events: Vec<(f64, usize, StepOutcome)>,
+        if let Some(mut fs) = FsWindowWalk::new(access, &starts, base_seed, n_steps) {
+            fs.set_threads(self.threads);
+            let mut record = |walker, outcome| steps.push(PoolStep { walker, outcome });
+            while !fs.step(access, budget, step_cost, &mut record) {}
         }
-        let mut groups: Vec<FsGroup> = starts
-            .chunks(self.batch_width)
-            .zip(seeds.chunks(self.batch_width))
-            .enumerate()
-            .map(|(g, (s, sd))| FsGroup {
-                base: g * self.batch_width,
-                engine: FsEventBatch::new(access, s, sd),
-                events: Vec::new(),
-            })
-            .collect();
-
-        // Generate each walker's event stream far enough in virtual time
-        // that the merged prefix holds `n_steps` events. The initial
-        // horizon assumes the event rate stays near the starting frontier
-        // volume Σ deg(start_i); follow-up windows close the remaining
-        // deficit at the *measured* rate. Every event is generated at a
-        // fixed point of its walker's stream, so the output is invariant
-        // to this schedule — only the speculative-query overshoot
-        // changes, and the headroom constants keep it at a few percent
-        // where doubling horizons overshot by up to 2×.
-        let volume: f64 = starts.iter().map(|&v| access.degree(v) as f64).sum();
-        let mut t_hi = if volume > 0.0 {
-            FS_HORIZON_HEADROOM * (n_steps.max(1) as f64) / volume
-        } else {
-            1.0
-        };
-        loop {
-            self.for_each_walker(&mut groups, |_, grp| {
-                let base = grp.base;
-                let events = &mut grp.events;
-                grp.engine
-                    .advance(access, t_hi, |lane, t, o| events.push((t, base + lane, o)));
-            });
-            let total: usize = groups.iter().map(|g| g.events.len()).sum();
-            if total >= n_steps || groups.iter().all(|g| g.engine.all_stuck()) {
-                break;
-            }
-            let rate = if total > 0 {
-                total as f64 / t_hi
-            } else {
-                volume
-            };
-            t_hi += FS_GROWTH_HEADROOM * (n_steps - total) as f64 / rate.max(f64::MIN_POSITIVE);
-        }
-
-        // Order-independent reduction: merge by (event time, walker id).
-        // Ties across walkers are measure-zero but resolved by walker id,
-        // and within a walker event times strictly increase (holding
-        // times are positive), so the key is unique — unstable ordering
-        // is safe, and selecting the budget prefix before sorting keeps
-        // the reduction O(E + B log B) instead of O(E log E).
-        let mut merged: Vec<(f64, usize, StepOutcome)> =
-            groups.into_iter().flat_map(|g| g.events).collect();
-        let key = |a: &(f64, usize, StepOutcome), b: &(f64, usize, StepOutcome)| {
-            a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1))
-        };
-        if merged.len() > n_steps {
-            merged.select_nth_unstable_by(n_steps, key);
-            merged.truncate(n_steps);
-        }
-        merged.sort_unstable_by(key);
-
-        // merged.len() ≤ n_steps = affordable by construction.
-        budget.force_spend(merged.len() as f64 * step_cost);
-        PoolRun {
-            starts,
-            steps: merged
-                .into_iter()
-                .map(|(_, walker, outcome)| PoolStep { walker, outcome })
-                .collect(),
-        }
+        PoolRun { starts, steps }
     }
+}
 
-    /// Applies `body` to every walker slot, spread over the pool's
-    /// threads in contiguous chunks (inline when one thread suffices).
-    /// Empty chunks are never spawned.
-    fn for_each_walker<W, F>(&self, walkers: &mut [W], body: F)
-    where
-        W: Send,
-        F: Fn(usize, &mut W) + Sync,
-    {
-        let workers = self.threads.min(walkers.len());
-        if workers <= 1 {
-            for (i, w) in walkers.iter_mut().enumerate() {
-                body(i, w);
-            }
-            return;
+/// Applies `body` to every walker slot, spread over `threads` threads
+/// in contiguous chunks. The calling thread takes the first chunk
+/// itself (all of them when one thread suffices); empty chunks are
+/// never spawned.
+pub(crate) fn for_each_walker<W, F>(threads: usize, walkers: &mut [W], body: F)
+where
+    W: Send,
+    F: Fn(usize, &mut W) + Sync,
+{
+    let workers = threads.min(walkers.len()).max(1);
+    let chunk = walkers.len().div_ceil(workers).max(1);
+    let run = |c: usize, slice: &mut [W]| {
+        for (j, w) in slice.iter_mut().enumerate() {
+            body(c * chunk + j, w);
         }
-        let chunk = walkers.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (c, slice) in walkers.chunks_mut(chunk).enumerate() {
-                let body = &body;
-                scope.spawn(move || {
-                    for (j, w) in slice.iter_mut().enumerate() {
-                        body(c * chunk + j, w);
-                    }
-                });
-            }
-        });
+    };
+    if workers == 1 {
+        return run(0, walkers);
     }
+    let (first, rest) = walkers.split_at_mut(chunk);
+    std::thread::scope(|scope| {
+        for (c, slice) in rest.chunks_mut(chunk).enumerate() {
+            let run = &run;
+            scope.spawn(move || run(c + 1, slice));
+        }
+        run(0, first);
+    });
 }
 
 #[cfg(test)]

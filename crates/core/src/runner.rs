@@ -23,13 +23,15 @@
 //! advertise: *a job with seed `s` equals the library call with seed
 //! `s`*.
 //!
-//! For Frontier Sampling the reference call is
-//! [`crate::parallel::ParallelWalkerPool::frontier`] with the same seed
-//! (itself bit-identical at every thread count and batch width): the
-//! runner drives the same per-walker exponential-clock streams
-//! ([`crate::batch::FsEventBatch`]) through the same `(time, walker)`
-//! merge, just window-by-window so chunks stay prompt and memory
-//! bounded.
+//! For Frontier Sampling the bit reference is
+//! [`crate::distributed::DistributedFs::sample_edges_seeded`] with the
+//! same seed: the Theorem 5.5 walkers on per-walker streams, merged by
+//! a heap of clocks. The runner reaches the same `(time, walker)`
+//! stream through the windowed engine (`FsWindowWalk` in
+//! [`crate::batch`]), window by window so chunks stay prompt and memory
+//! bounded; [`crate::parallel::ParallelWalkerPool::frontier`] drives
+//! that same engine to the end. [`ChunkedRunner::with_threads`] spreads
+//! each window's generation over threads without moving a bit.
 //!
 //! [`JobEstimator`] pairs the runner with the estimator suite: it
 //! consumes the runner's [`Sample`] stream (edges for the edge
@@ -211,11 +213,14 @@ impl<'a, A: GraphAccess + ?Sized> ChunkedRunner<'a, A> {
     ) -> Self {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut budget = Budget::new(budget_total);
+        let step_cost = walk::step_cost(cost, access);
         let (b, r) = (&mut budget, &mut rng);
         let start = &StartPolicy::Uniform;
         let state = match *spec {
             SamplerSpec::Frontier { m } => {
-                FsWindowWalk::start(access, m, cost, b, r, seed).map(State::Frontier)
+                let starts = start.draw(access, m, cost, b, r);
+                FsWindowWalk::new(access, &starts, seed, b.affordable(step_cost))
+                    .map(State::Frontier)
             }
             SamplerSpec::Single => Position::draw(start, access, cost, b, r)
                 .map(|pos| State::Single(SingleRwWalk(pos))),
@@ -239,11 +244,22 @@ impl<'a, A: GraphAccess + ?Sized> ChunkedRunner<'a, A> {
             spec: spec.clone(),
             rng,
             budget,
-            step_cost: walk::step_cost(cost, access),
+            step_cost,
             state,
             steps_done: 0,
             finished,
         }
+    }
+
+    /// Generates FS windows over `threads` threads (see the pool's
+    /// `frontier`); other samplers ignore it. Changes no emitted bit and
+    /// no checkpoint byte, and is not serialized: a resumed run starts
+    /// on one thread until this is called again.
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        if let State::Frontier(walk) = &mut self.state {
+            walk.set_threads(threads);
+        }
+        self
     }
 
     /// Whether the run is complete.
@@ -337,7 +353,11 @@ impl<'a, A: GraphAccess + ?Sized> ChunkedRunner<'a, A> {
         match &mut self.state {
             State::Drained => true,
             State::Single(walk) => walk.step(access, budget, step_cost, rng, edge),
-            State::Frontier(walk) => walk.step(access, budget, step_cost, edge),
+            State::Frontier(walk) => walk.step(access, budget, step_cost, |_, outcome| {
+                if let Some(e) = outcome.sampled() {
+                    sink(Sample::Edge(e))
+                }
+            }),
             State::Multiple(walk) => walk.step(access, budget, step_cost, rng, edge),
             State::Mhrw(walk) => {
                 walk.step(access, budget, step_cost, rng, |v| sink(Sample::Vertex(v)))

@@ -237,9 +237,9 @@ pub fn step<A: GraphAccess + ?Sized, R: Rng + ?Sized>(
 /// Exponential holding time with rate `d = deg(v)` for the
 /// continuous-time FS factorization (Theorem 5.5); `None` — and no RNG
 /// draw — for isolated vertices (rate 0 → the clock never fires).
-/// Shared by [`crate::distributed::DistributedFs`] and
-/// [`crate::parallel::ParallelWalkerPool`] so the two engines cannot
-/// drift apart in the distribution that makes them equivalent.
+/// Shared by [`crate::distributed::DistributedFs`] and the windowed
+/// engine's [`crate::batch::FsEventBatch`], which draw it at the same
+/// point of each walker's stream — what keeps the two bit-identical.
 #[inline]
 pub(crate) fn exp_holding_time<R: Rng + ?Sized>(d: usize, rng: &mut R) -> Option<f64> {
     if d == 0 {

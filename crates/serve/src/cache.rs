@@ -4,9 +4,8 @@
 //! ## Why caching is sound here
 //!
 //! Every job result in this system is a **pure function** of the store
-//! content, the job spec, and the seed: sequential jobs inherit the
-//! `ChunkedRunner` bit-identity contract, pooled jobs inherit the
-//! thread-count-independent `ParallelWalkerPool` reductions. Ribeiro &
+//! content, the job spec, and the seed: every job inherits the
+//! `ChunkedRunner` bit-identity contract, at any `pool_threads`. Ribeiro &
 //! Towsley's estimators depend only on the budget-`B` sample path, and
 //! the sample path depends only on `(graph, spec, seed)` — so a cached
 //! response is byte-equal to a recomputed one, forever. The cache is an
@@ -24,13 +23,11 @@
 //! * sampler **variant and parameters**, with `alpha` compared by IEEE
 //!   bit pattern (`f64::to_bits`) — the RNG consumes the exact bits;
 //! * `budget` by bit pattern, for the same reason;
-//! * the `seed` and the estimator variant;
-//! * a **pooled flag**: pooled and sequential runs of the same spec are
-//!   proven bit-identical *to their own reference paths*; FS pooled vs
-//!   sequential factorize the event stream differently, so the cache
-//!   conservatively keys them apart rather than assuming cross-path
-//!   equality. (`pool_threads`'s *count* is deliberately excluded: the
-//!   pool is bit-identical at every thread count.)
+//! * the `seed` and the estimator variant.
+//!
+//! `pool_threads` is deliberately excluded: it only spreads FS event
+//! generation over threads, which moves no bit, so a pooled and a
+//! plain job of the same spec share one entry.
 //!
 //! ## Bounds
 //!
@@ -53,7 +50,6 @@ pub struct CacheKey {
     budget_bits: u64,
     seed: u64,
     estimator: u8,
-    pooled: bool,
 }
 
 /// `SamplerSpec` with float parameters canonicalized to bit patterns
@@ -76,7 +72,6 @@ impl CacheKey {
         budget: f64,
         seed: u64,
         estimator: EstimatorSpec,
-        pooled: bool,
     ) -> CacheKey {
         let sampler = match *sampler {
             SamplerSpec::Frontier { m } => SamplerKey::Frontier(m),
@@ -100,7 +95,6 @@ impl CacheKey {
             budget_bits: budget.to_bits(),
             seed,
             estimator,
-            pooled,
         }
     }
 
@@ -305,7 +299,6 @@ mod tests {
             20_000.0,
             seed,
             EstimatorSpec::AverageDegree,
-            false,
         )
     }
 
@@ -327,7 +320,6 @@ mod tests {
             20_000.0,
             7,
             EstimatorSpec::AverageDegree,
-            false,
         );
         cache.insert(base.clone(), result(1));
         let variants = [
@@ -338,7 +330,6 @@ mod tests {
                 20_000.0,
                 7,
                 EstimatorSpec::AverageDegree,
-                false,
             ),
             // different sampler parameter
             CacheKey::new(
@@ -347,7 +338,6 @@ mod tests {
                 20_000.0,
                 7,
                 EstimatorSpec::AverageDegree,
-                false,
             ),
             // different sampler variant with the same parameter
             CacheKey::new(
@@ -356,7 +346,6 @@ mod tests {
                 20_000.0,
                 7,
                 EstimatorSpec::AverageDegree,
-                false,
             ),
             // different budget
             CacheKey::new(
@@ -365,7 +354,6 @@ mod tests {
                 20_001.0,
                 7,
                 EstimatorSpec::AverageDegree,
-                false,
             ),
             // different seed
             CacheKey::new(
@@ -374,7 +362,6 @@ mod tests {
                 20_000.0,
                 8,
                 EstimatorSpec::AverageDegree,
-                false,
             ),
             // different estimator
             CacheKey::new(
@@ -383,16 +370,6 @@ mod tests {
                 20_000.0,
                 7,
                 EstimatorSpec::Clustering,
-                false,
-            ),
-            // pooled execution path
-            CacheKey::new(
-                1,
-                &SamplerSpec::Frontier { m: 16 },
-                20_000.0,
-                7,
-                EstimatorSpec::AverageDegree,
-                true,
             ),
         ];
         for variant in &variants {
@@ -411,7 +388,6 @@ mod tests {
                 1e4,
                 7,
                 EstimatorSpec::AverageDegree,
-                false,
             )
         };
         // 0.0 == -0.0 under IEEE comparison but the RNG path consumes

@@ -12,20 +12,18 @@
 //! [`frontier_sampling::runner::ChunkedRunner`] chunk by chunk; after
 //! every chunk the shared state gets a fresh progress figure and
 //! estimator snapshot (what `GET /v1/jobs/{id}` serves as *partial*
-//! results), and the cancel/shutdown flags are honoured. Pooled jobs
-//! are the one exception to chunk-granular cancellation: the pool's
-//! event-generation phase runs to completion before the (cancellable,
-//! chunked) estimator feed — which is why pooled budgets are capped at
-//! submit, keeping that phase seconds at worst.
+//! results), and the cancel/shutdown flags are honoured. Every job
+//! takes this one path, so every job can be cancelled at a chunk
+//! boundary and checkpointed to the journal.
 //!
 //! ## Determinism
 //!
-//! Sequential jobs inherit the runner's contract: seed `s` ⇒
-//! bit-identical to the library call with seed `s`. Pooled jobs
-//! (`pool_threads`, FS and MultipleRW only) run
-//! [`ParallelWalkerPool::frontier`]/[`ParallelWalkerPool::multiple_rw`],
-//! which are bit-identical at every thread count — so a pooled job's
-//! result is a pure function of `(store content, spec, seed)`, not of
+//! Jobs inherit the runner's contract: seed `s` ⇒ bit-identical to the
+//! library call with seed `s`. `pool_threads` (FS and MultipleRW only)
+//! feeds [`ChunkedRunner::with_threads`], which spreads FS's event
+//! generation over threads without moving a bit; MultipleRW runs its
+//! one sequential stream either way. So a job's result is a pure
+//! function of `(store content, spec, seed)`, not of `pool_threads` or
 //! the server's thread schedule. Pinned end-to-end by the
 //! `determinism` integration test.
 
@@ -34,9 +32,9 @@ use crate::journal::{JobCheckpoint, Journal, Replay};
 use crate::obs::ServeObs;
 use crate::registry::{RegistryError, StoreRegistry};
 use frontier_sampling::runner::{
-    ChunkStatus, ChunkedRunner, EstimateSnapshot, EstimatorSpec, JobEstimator, Sample, SamplerSpec,
+    ChunkStatus, ChunkedRunner, EstimateSnapshot, EstimatorSpec, JobEstimator, SamplerSpec,
 };
-use frontier_sampling::{Budget, CostModel, FrontierSampler, MultipleRw, ParallelWalkerPool};
+use frontier_sampling::CostModel;
 use fs_graph::{CountedAccess, ShardedCounter};
 use fs_obs::FieldValue;
 use fs_store::MmapGraph;
@@ -58,8 +56,9 @@ pub struct JobSpec {
     pub seed: u64,
     /// Which estimate to report.
     pub estimator: EstimatorSpec,
-    /// `Some(t)`: run on the deterministic walker pool with `t`
-    /// threads (FS and MultipleRW only). `None`: sequential.
+    /// `Some(t)`: generate FS events on `t` threads (accepted for FS
+    /// and MultipleRW; the result does not depend on it). `None`: one
+    /// thread.
     pub pool_threads: Option<usize>,
 }
 
@@ -180,7 +179,7 @@ pub struct JobView {
 #[derive(Debug)]
 pub enum SubmitError {
     /// Spec invalid (bad sampler/estimator combination, bad budget,
-    /// pooled execution for an unsupported sampler).
+    /// `pool_threads` for an unsupported sampler).
     Invalid(String),
     /// Store resolution failed.
     Store(RegistryError),
@@ -259,16 +258,11 @@ const RETENTION_SLACK: usize = 1_024;
 /// and `m` beyond the budget buys nothing (each start costs budget).
 const MAX_WALKERS: usize = 1_000_000;
 
-/// Upper bound on `pool_threads` (the pool clamps to `min(t, m)` per
-/// stage, but there is no reason to accept absurd values).
+/// Upper bound on `pool_threads` (FS clamps to `min(t, m)` threads,
+/// but there is no reason to accept absurd values).
 const MAX_POOL_THREADS: usize = 256;
 
-/// Budget cap for pooled jobs — bounds the uninterruptible pool
-/// generation phase so cancellation/shutdown latency stays small (a
-/// 100M-step FS walk completes in seconds on this class of hardware).
-const MAX_POOLED_BUDGET: f64 = 1e8;
-
-/// Sequential jobs write a journal checkpoint every this many chunks
+/// Jobs write a journal checkpoint every this many chunks
 /// (~32k attempts at the default chunk size): frequent enough that a
 /// crash re-does seconds of work, rare enough that serializing walker
 /// state never shows up in the profile.
@@ -396,18 +390,6 @@ impl JobManager {
                     spec.sampler.label()
                 )));
             }
-            // The pool generates its whole event stream before the
-            // chunked (cancellable) feed phase, so the walk phase runs
-            // uninterruptible — bound it so cancellation and shutdown
-            // stay prompt. Sequential jobs cancel at every chunk and
-            // take any budget.
-            if spec.budget > MAX_POOLED_BUDGET {
-                return Err(SubmitError::Invalid(format!(
-                    "pooled jobs are capped at a budget of {MAX_POOLED_BUDGET:.0} \
-                     (the pool's generation phase is not cancellable); \
-                     drop pool_threads for larger budgets"
-                )));
-            }
         }
         // Dry-run the estimator pairing so incompatible combinations
         // fail at submit, not mid-job.
@@ -427,7 +409,6 @@ impl JobManager {
             spec.budget,
             spec.seed,
             spec.estimator,
-            spec.pool_threads.is_some(),
         );
         if let Some(hit) = self.cache.get(&key) {
             if self.inner.lock().expect("manager poisoned").shutdown {
@@ -561,7 +542,13 @@ impl JobManager {
                 // Finished before the crash: re-register the outcome.
                 let replayed_phase = terminal.phase;
                 let replayed_steps = terminal.steps_done;
-                if terminal.phase == JobPhase::Done {
+                // A done pooled MultipleRW record came from the retired
+                // per-walker pool stream, not the sequential stream a
+                // submit of the same spec now computes: keep it out of
+                // the cache.
+                let retired_stream = job.spec.pool_threads.is_some()
+                    && matches!(job.spec.sampler, SamplerSpec::Multiple { .. });
+                if terminal.phase == JobPhase::Done && !retired_stream {
                     if let Some(snapshot) = &terminal.snapshot {
                         self.cache.insert(
                             CacheKey::new(
@@ -570,7 +557,6 @@ impl JobManager {
                                 job.spec.budget,
                                 job.spec.seed,
                                 job.spec.estimator,
-                                job.spec.pool_threads.is_some(),
                             ),
                             CachedResult {
                                 snapshot: snapshot.clone(),
@@ -936,18 +922,28 @@ impl JobManager {
             }
         };
 
-        let pooled = if let Some(threads) = spec.pool_threads {
-            self.run_pooled(shared, graph, threads, &mut estimator)
-        } else {
-            Ok(self.run_sequential(id, shared, graph, &mut estimator))
-        };
-        let cancelled = match pooled {
-            Ok(cancelled) => cancelled,
-            Err(why) => {
+        // The same holds for `pool_threads`: refuse what submit would.
+        match spec.pool_threads {
+            Some(_)
+                if !matches!(
+                    spec.sampler,
+                    SamplerSpec::Frontier { .. } | SamplerSpec::Multiple { .. }
+                ) =>
+            {
+                let why = format!(
+                    "pooled execution supports frontier and multiple samplers, not '{}'",
+                    spec.sampler.label()
+                );
                 self.fail_job(id, shared, why);
                 return;
             }
-        };
+            Some(t) if !(1..=MAX_POOL_THREADS).contains(&t) => {
+                self.fail_job(id, shared, format!("invalid pool_threads = {t}"));
+                return;
+            }
+            _ => {}
+        }
+        let cancelled = self.run_chunks(id, shared, graph, &mut estimator);
 
         let snapshot = estimator.snapshot();
         let mut state = shared.state.lock().expect("job poisoned");
@@ -974,7 +970,6 @@ impl JobManager {
                     spec.budget,
                     spec.seed,
                     spec.estimator,
-                    spec.pool_threads.is_some(),
                 ),
                 CachedResult {
                     snapshot: snapshot.clone(),
@@ -992,7 +987,7 @@ impl JobManager {
         self.touch(shared);
     }
 
-    /// Sequential chunked execution; returns whether cancelled.
+    /// Chunked execution; returns whether cancelled.
     ///
     /// A job carrying a journal checkpoint restarts from it —
     /// bit-identical to never having paused (the runner's resume
@@ -1000,7 +995,7 @@ impl JobManager {
     /// spec drift) is discarded and the job re-runs from scratch,
     /// which determinism makes bit-identical too: recovery never has
     /// a wrong answer, only a slower one.
-    fn run_sequential(
+    fn run_chunks(
         &self,
         id: u64,
         shared: &JobShared,
@@ -1053,6 +1048,9 @@ impl JobManager {
                 spec.seed,
             )
         });
+        if let Some(threads) = spec.pool_threads {
+            runner = runner.with_threads(threads);
+        }
         let mut chunks_since_checkpoint = 0u64;
         let mut busy_us = 0u64;
         let mut chunks = 0u64;
@@ -1122,100 +1120,5 @@ impl JobManager {
         }
         self.observe_terminal(id, JobPhase::Failed, steps_done);
         self.touch(shared);
-    }
-
-    /// Pooled execution (deterministic at any thread count); returns
-    /// whether cancelled, or an error for sampler kinds the pool does
-    /// not support (reachable only through journal replay — submit
-    /// validation rejects them up front).
-    fn run_pooled(
-        &self,
-        shared: &JobShared,
-        graph: &MmapGraph,
-        threads: usize,
-        estimator: &mut JobEstimator,
-    ) -> Result<bool, String> {
-        let spec = &shared.spec;
-        // The generation phase below is uninterruptible (its length is
-        // bounded by the pooled-budget cap at submit); honour a cancel
-        // that arrived while the job was queued.
-        if shared.cancel.load(Ordering::Relaxed) {
-            return Ok(true);
-        }
-        // Same charged-query tap as the sequential path: the pool's
-        // reductions are thread-count independent, and the counter is
-        // write-only from the walk's point of view.
-        let query_counter = Arc::new(ShardedCounter::new());
-        let access = CountedAccess::new(graph, Arc::clone(&query_counter));
-        let pool = ParallelWalkerPool::with_threads(threads);
-        let mut budget = Budget::new(spec.budget);
-        let walk_start = Instant::now();
-        let run = match spec.sampler {
-            SamplerSpec::Frontier { m } => pool.frontier(
-                &FrontierSampler::new(m),
-                &access,
-                &CostModel::unit(),
-                &mut budget,
-                spec.seed,
-            ),
-            SamplerSpec::Multiple { m } => pool.multiple_rw(
-                &MultipleRw::new(m),
-                &access,
-                &CostModel::unit(),
-                &mut budget,
-                spec.seed,
-            ),
-            ref other => {
-                return Err(format!(
-                    "pooled execution supports frontier and multiple samplers, not '{}'",
-                    other.label()
-                ))
-            }
-        };
-        let walk_us = walk_start.elapsed().as_micros() as u64;
-        let queries = query_counter.get();
-        if let Some(obs) = self.obs() {
-            obs.access_queries.add(queries);
-        }
-        let profile_base = JobProfile {
-            chunks: 0,
-            busy_us: walk_us,
-            queries,
-            budget_spent: budget.spent(),
-            budget_total: budget.total(),
-        };
-        let total = run.steps.len().max(1);
-        let mut fed = 0usize;
-        let mut feed_us = 0u64;
-        for (chunk_idx, step_chunk) in run.steps.chunks(self.chunk).enumerate() {
-            if shared.cancel.load(Ordering::Relaxed) {
-                return Ok(true);
-            }
-            let chunk_start = Instant::now();
-            for step in step_chunk {
-                if let Some(edge) = step.outcome.sampled() {
-                    estimator.observe(graph, Sample::Edge(edge));
-                }
-            }
-            let chunk_us = chunk_start.elapsed().as_micros() as u64;
-            feed_us += chunk_us;
-            if let Some(obs) = self.obs() {
-                obs.job_chunks.incr();
-                obs.chunk_latency_us.record(chunk_us);
-            }
-            fed += step_chunk.len();
-            let mut state = shared.state.lock().expect("job poisoned");
-            state.steps_done = fed as u64;
-            state.progress = fed as f64 / total as f64;
-            state.snapshot = Some(estimator.snapshot());
-            state.profile = JobProfile {
-                chunks: chunk_idx as u64 + 1,
-                busy_us: profile_base.busy_us + feed_us,
-                ..profile_base
-            };
-            drop(state);
-            self.touch(shared);
-        }
-        Ok(false)
     }
 }

@@ -36,10 +36,11 @@
 //! ## Determinism guarantee
 //!
 //! A job submitted with seed `s` returns results **bit-identical** to
-//! the equivalent direct library call with seed `s` — sequential
-//! (`ChunkedRunner` contract) and pooled (`ParallelWalkerPool`'s
-//! thread-count-independent reductions). Pinned end-to-end by the
-//! `determinism` integration test.
+//! the equivalent direct library call with seed `s` (the
+//! `ChunkedRunner` contract), whatever its `pool_threads`: every job
+//! runs the chunked runner, and `pool_threads` only spreads FS event
+//! generation over threads. Pinned end-to-end by the `determinism`
+//! integration test.
 //!
 //! ## Quickstart
 //!

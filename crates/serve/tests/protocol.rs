@@ -115,14 +115,6 @@ fn bad_job_specs_are_client_errors() {
             "server limit",
         ),
         (
-            // Pooled budgets are capped: the pool's generation phase is
-            // uninterruptible, so unbounded pooled jobs would make
-            // cancellation/shutdown latency unbounded.
-            "{\"store\":\"ba.fsg\",\"sampler\":\"fs\",\"m\":4,\"budget\":1000000000,\"seed\":1,\"estimator\":\"avg_degree\",\"pool_threads\":2}",
-            400,
-            "capped",
-        ),
-        (
             "{\"store\":\"nope.fsg\",\"sampler\":\"fs\",\"m\":4,\"budget\":10,\"seed\":1,\"estimator\":\"avg_degree\"}",
             404,
             "no store named",
@@ -147,6 +139,48 @@ fn bad_job_specs_are_client_errors() {
             "{body}: error {error:?} missing {fragment:?}"
         );
     }
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn pooled_job_takes_any_budget_and_cancels_promptly() {
+    // A pooled job runs the chunked runner like any other, so it needs
+    // no budget cap: it starts, and a cancel lands at the next chunk.
+    let dir = store_dir("proto_pooled_cancel", 2_000, 4);
+    let server = Server::start(Config::new(&dir)).unwrap();
+    let addr = server.addr();
+    let body = "{\"store\":\"ba.fsg\",\"sampler\":\"fs\",\"m\":4,\"budget\":1000000000,\
+                \"seed\":1,\"estimator\":\"avg_degree\",\"pool_threads\":2}";
+    let (status, text) = request(addr, "POST", "/v1/jobs", Some(body));
+    assert_eq!(status, 202, "{text}");
+    let id = parse(&text).get("id").unwrap().as_u64().unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    loop {
+        let (_, view) = request(addr, "GET", &format!("/v1/jobs/{id}"), None);
+        let phase = parse(&view)
+            .get("phase")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .to_string();
+        if phase == "running" {
+            break;
+        }
+        assert_eq!(phase, "queued", "{view}");
+        assert!(std::time::Instant::now() < deadline, "job never started");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let cancelled_at = std::time::Instant::now();
+    let (status, body) = request(addr, "DELETE", &format!("/v1/jobs/{id}"), None);
+    assert_eq!(status, 200, "{body}");
+    let doc = wait_terminal(addr, id);
+    assert_eq!(doc.get("phase").unwrap().as_str().unwrap(), "cancelled");
+    assert!(
+        cancelled_at.elapsed() < std::time::Duration::from_secs(10),
+        "cancel took {:?}",
+        cancelled_at.elapsed()
+    );
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -191,6 +191,132 @@ fn cache_hit_is_byte_identical_and_counted() {
 }
 
 #[test]
+fn pooled_and_plain_fs_jobs_share_one_cache_entry() {
+    // pool_threads only spreads FS event generation over threads, so a
+    // plain job of a pooled job's spec is answered from its entry.
+    let dir = store_dir("cache_pooled", 1_500, 26);
+    let server = Server::start(Config::new(&dir)).unwrap();
+    let addr = server.addr();
+    let plain = "{\"store\":\"ba.fsg\",\"sampler\":\"fs\",\"m\":16,\"budget\":120000,\
+                 \"seed\":41,\"estimator\":\"degree_dist\"}";
+    let pooled = plain.replace('}', ",\"pool_threads\":4}");
+
+    let pooled_id = submit(addr, &pooled).get("id").unwrap().as_u64().unwrap();
+    let pooled_doc = wait_terminal(addr, pooled_id);
+    assert_eq!(pooled_doc.get("phase").unwrap().as_str(), Some("done"));
+    let (_, pooled_body) = request(addr, "GET", &format!("/v1/jobs/{pooled_id}"), None);
+
+    let hit = submit(addr, plain);
+    let hit_id = hit.get("id").unwrap().as_u64().unwrap();
+    let (_, hit_body) = request(addr, "GET", &format!("/v1/jobs/{hit_id}"), None);
+    assert_eq!(
+        parse(&hit_body).get("cached").unwrap().as_bool(),
+        Some(true)
+    );
+    assert_eq!(
+        estimate_bytes(&pooled_body),
+        estimate_bytes(&hit_body),
+        "plain twin of a pooled FS job must get its exact estimate"
+    );
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn replayed_pooled_multiple_rw_result_stays_out_of_the_cache() {
+    // A journal written before pooled MultipleRW joined the sequential
+    // stream holds a done record with the old per-walker pool's
+    // estimate. Replay must not serve it to a plain submit of the same
+    // spec, which now computes the sequential stream.
+    use frontier_sampling::runner::{
+        ChunkStatus, ChunkedRunner, EstimatorSpec, JobEstimator, Sample, SamplerSpec,
+    };
+    use frontier_sampling::{Budget, CostModel, MultipleRw, ParallelWalkerPool};
+    use fs_serve::journal::{DurabilityStats, Journal};
+    use fs_serve::{JobPhase, JobSpec};
+
+    let dir = store_dir("replay_pooled_mrw", 2_000, 27);
+    let store_path = dir.join("ba.fsg");
+    let graph = fs_store::MmapGraph::open(&store_path).unwrap();
+    let digest = fs_store::file_digest(&store_path).unwrap();
+    let (budget, seed) = (30_000.0, 31u64);
+    let sampler = SamplerSpec::Multiple { m: 8 };
+    let estimator = EstimatorSpec::AverageDegree;
+
+    let mut pooled_budget = Budget::new(budget);
+    let run = ParallelWalkerPool::with_threads(2).multiple_rw(
+        &MultipleRw::new(8),
+        &graph,
+        &CostModel::unit(),
+        &mut pooled_budget,
+        seed,
+    );
+    let mut est = JobEstimator::new(estimator, &sampler).unwrap();
+    for edge in run.edges() {
+        est.observe(&graph, Sample::Edge(edge));
+    }
+    let retired = est.snapshot();
+
+    let mut est = JobEstimator::new(estimator, &sampler).unwrap();
+    let mut runner = ChunkedRunner::new(&sampler, &graph, &CostModel::unit(), budget, seed);
+    while runner.run_chunk(usize::MAX, |s| est.observe(&graph, s)) == ChunkStatus::InProgress {}
+    let sequential = est.snapshot();
+    assert_ne!(retired, sequential, "the two streams must differ");
+
+    {
+        let (journal, _) = Journal::open(
+            &dir.join("journal"),
+            std::sync::Arc::new(DurabilityStats::default()),
+        )
+        .unwrap();
+        let spec = JobSpec {
+            store: "ba.fsg".into(),
+            sampler: sampler.clone(),
+            budget,
+            seed,
+            estimator,
+            pool_threads: Some(4),
+        };
+        journal.submit(5, &spec, digest);
+        journal.terminal(
+            5,
+            JobPhase::Done,
+            None,
+            run.steps.len() as u64,
+            Some(&retired),
+        );
+    }
+    let mut config = Config::new(&dir);
+    config.journal_dir = Some(dir.join("journal"));
+    let server = Server::start(config).unwrap();
+    let addr = server.addr();
+    wait_ready(addr);
+
+    let plain = format!(
+        "{{\"store\":\"ba.fsg\",\"sampler\":\"multiple\",\"m\":8,\"budget\":{budget},\
+         \"seed\":{seed},\"estimator\":\"avg_degree\"}}"
+    );
+    let id = submit(addr, &plain).get("id").unwrap().as_u64().unwrap();
+    let doc = wait_terminal(addr, id);
+    assert_eq!(doc.get("phase").unwrap().as_str(), Some("done"));
+    assert_eq!(doc.get("cached").unwrap().as_bool(), Some(false));
+    let wire = doc.get("estimate").unwrap();
+    assert_eq!(
+        wire.get("num_observed").unwrap().as_u64(),
+        Some(sequential.num_observed)
+    );
+    assert_eq!(
+        wire.get("scalar")
+            .and_then(|v| v.as_f64())
+            .map(f64::to_bits),
+        sequential.scalar.map(f64::to_bits),
+        "plain MultipleRW must equal the sequential library call"
+    );
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn store_eviction_does_not_unmap_streaming_job() {
     use rand::SeedableRng;
     let dir = store_dir("evict_pin", 2_000, 24);
