@@ -31,15 +31,14 @@
 //! pairs, advanced in lockstep up to a virtual-time horizon.
 //! `FsWindowWalk` merges those streams window by window in
 //! `(time, walker)` order. It is the one windowed FS engine: the
-//! chunked runner and the pool's `frontier` both drive it, the pool's
-//! threads splitting each window's generation between them.
+//! chunked runner and the pool's `frontier` both drive it.
 
 use crate::budget::Budget;
 use crate::checkpoint::{
     put_vertex, take_vertex, CheckpointError, Decoder, Encoder, MAX_CHECKPOINT_BUFFER,
     MAX_CHECKPOINT_LANES,
 };
-use crate::parallel::{for_each_walker, stream_seed};
+use crate::parallel::stream_seed;
 use crate::walk::{self, StepOutcome, Stepped};
 use fs_graph::{Arc, GraphAccess, StepSlot, VertexId};
 use rand::rngs::SmallRng;
@@ -265,6 +264,12 @@ impl FsEventBatch {
         self.next_fire.iter().all(Option::is_none)
     }
 
+    /// Time of the earliest pending event; `None` once every lane is
+    /// stuck.
+    pub(crate) fn next_event_time(&self) -> Option<f64> {
+        self.next_fire.iter().flatten().copied().reduce(f64::min)
+    }
+
     /// Current aggregate event rate: the summed degree of all live lanes
     /// (each lane fires at rate `deg`). Horizon schedulers use this to
     /// size windows so speculative overshoot stays small.
@@ -328,18 +333,13 @@ const FS_WINDOW: usize = 4096;
 /// the pad stays tight.
 const FS_WINDOW_HEADROOM: f64 = 1.10;
 
-/// A window's `(time, walker, outcome)` events.
-type Events = Vec<(f64, usize, StepOutcome)>;
-
-/// One thread's share of the walkers: a contiguous run of lanes.
-#[derive(Debug)]
-struct FsSlice {
-    /// Walker id of lane 0.
-    base: usize,
-    engine: FsEventBatch,
-    /// This slice's events of the window being generated.
-    events: Events,
-}
+/// Largest walker clock or window horizon a checkpoint may hold. A
+/// walker's clock grows by a mean holding time `1/deg <= 1` per step,
+/// so an honest run needs about 2^40 steps of one walker to get here.
+/// Past it the clock's resolution (2^-12 and coarser) nears the holding
+/// times of high-degree vertices, so `t + dt` can round back to `t` and
+/// a walker's clock stop moving inside a window.
+const MAX_FS_CLOCK: f64 = (1u64 << 40) as f64;
 
 /// Frontier Sampling as a resumable step machine: the one windowed FS
 /// engine, driven by [`crate::runner::ChunkedRunner`] (chunk by chunk)
@@ -349,15 +349,9 @@ struct FsSlice {
 /// window-by-window in virtual time (windows partition the time axis,
 /// so the global `(time, walker)` order holds across windows) and
 /// buffered sorted; memory stays `O(window + m)`.
-///
-/// Each window is generated over `min(threads, m)` contiguous slices of
-/// the walkers, one per thread. Window sizing never looks at the thread
-/// count and the sorted window is a pure function of the walkers'
-/// streams, so the emitted stream and the checkpoint bytes are the same
-/// at every thread count.
 #[derive(Debug)]
 pub(crate) struct FsWindowWalk {
-    slices: Vec<FsSlice>,
+    engine: FsEventBatch,
     /// Virtual-time high edge of the last generated window.
     t_hi: f64,
     /// Starting frontier volume `Σ deg(start_i)` — the event-rate
@@ -366,7 +360,7 @@ pub(crate) struct FsWindowWalk {
     /// Events generated so far (measured-rate numerator).
     generated: u64,
     /// Current window's events, sorted by `(time, walker)`.
-    buffer: Events,
+    buffer: Vec<(f64, usize, StepOutcome)>,
     /// Next unemitted event in `buffer`.
     cursor: usize,
     /// Fixed step quota computed at start (Algorithm 1's `B − mc`).
@@ -392,11 +386,7 @@ impl FsWindowWalk {
             .collect();
         let volume = starts.iter().map(|&v| access.degree(v) as f64).sum();
         Some(FsWindowWalk {
-            slices: vec![FsSlice {
-                base: 0,
-                engine: FsEventBatch::new(access, starts, &seeds),
-                events: Vec::new(),
-            }],
+            engine: FsEventBatch::new(access, starts, &seeds),
             t_hi: 0.0,
             volume,
             generated: 0,
@@ -407,48 +397,18 @@ impl FsWindowWalk {
         })
     }
 
-    /// Regroups the walkers into `min(threads, m)` contiguous slices,
-    /// each generated on its own thread. Changes no emitted bit.
-    pub(crate) fn set_threads(&mut self, threads: usize) {
-        assert!(threads >= 1, "need at least one thread");
-        let (lanes, fires) = self.lanes();
-        let chunk = lanes.len().div_ceil(threads).max(1);
-        self.slices = lanes
-            .chunks(chunk)
-            .zip(fires.chunks(chunk))
-            .enumerate()
-            .map(|(i, (lanes, fires))| FsSlice {
-                base: i * chunk,
-                engine: FsEventBatch::from_checkpoint(lanes, fires.to_vec()),
-                events: Vec::new(),
-            })
-            .collect();
-    }
-
-    /// Every walker's state and pending clock, in walker order.
-    fn lanes(&self) -> (Vec<LaneState>, Vec<Option<f64>>) {
-        let (mut lanes, mut fires) = (Vec::new(), Vec::new());
-        for slice in &self.slices {
-            let (l, f) = slice.engine.checkpoint();
-            lanes.extend(l);
-            fires.extend(f);
-        }
-        (lanes, fires)
-    }
-
-    fn all_stuck(&self) -> bool {
-        self.slices.iter().all(|s| s.engine.all_stuck())
-    }
-
     /// High edge of the next window: `target` events at the measured
-    /// rate (the starting volume until anything has fired), padded.
-    fn next_horizon(&self, target: usize) -> f64 {
+    /// rate (the starting volume until anything has fired), padded, and
+    /// never short of the earliest pending clock, so every window of a
+    /// live walk holds at least one event.
+    fn next_horizon(&self, target: usize, earliest: f64) -> f64 {
         let rate = if self.generated > 0 {
             self.generated as f64 / self.t_hi
         } else {
             self.volume
         };
-        self.t_hi + FS_WINDOW_HEADROOM * target as f64 / rate.max(f64::MIN_POSITIVE)
+        let sized = self.t_hi + FS_WINDOW_HEADROOM * target as f64 / rate.max(f64::MIN_POSITIVE);
+        sized.max(earliest)
     }
 
     /// Budget the events emitted so far will be charged at completion.
@@ -476,30 +436,18 @@ impl FsWindowWalk {
         if self.cursor >= self.buffer.len() {
             self.buffer.clear();
             self.cursor = 0;
-            while self.buffer.is_empty() && !self.all_stuck() {
-                let t_next = self.next_horizon((self.n_steps - self.emitted).clamp(64, FS_WINDOW));
-                for_each_walker(self.slices.len(), &mut self.slices, |_, slice| {
-                    let (base, events) = (slice.base, &mut slice.events);
-                    slice.engine.advance(access, t_next, |lane, t, o| {
-                        events.push((t, base + lane, o))
-                    });
-                });
-                for slice in &mut self.slices {
-                    // One slice hands its events over without a copy.
-                    if self.buffer.is_empty() {
-                        std::mem::swap(&mut self.buffer, &mut slice.events);
-                    } else {
-                        self.buffer.append(&mut slice.events);
-                    }
-                }
-                self.t_hi = t_next;
-            }
-            if self.buffer.is_empty() {
+            let Some(earliest) = self.engine.next_event_time() else {
                 // Every walker stuck: the run ends short of quota,
                 // spending only what was actually emitted.
                 budget.force_spend(self.pending_spend(step_cost));
                 return true;
-            }
+            };
+            let target = (self.n_steps - self.emitted).clamp(64, FS_WINDOW);
+            let t_next = self.next_horizon(target, earliest);
+            let buffer = &mut self.buffer;
+            self.engine
+                .advance(access, t_next, |lane, t, o| buffer.push((t, lane, o)));
+            self.t_hi = t_next;
             self.generated += self.buffer.len() as u64;
             self.buffer
                 .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
@@ -512,7 +460,7 @@ impl FsWindowWalk {
     }
 
     pub(crate) fn encode(&self, enc: &mut Encoder) {
-        let (lanes, fires) = self.lanes();
+        let (lanes, fires) = self.engine.checkpoint();
         enc.put_usize(lanes.len());
         for lane in &lanes {
             put_vertex(enc, lane.vertex);
@@ -545,12 +493,13 @@ impl FsWindowWalk {
         enc.put_usize(self.emitted);
     }
 
-    /// Decodes [`FsWindowWalk::encode`] output into a one-slice walk.
-    /// Rejects states the encoder never writes and `step` could not
-    /// run — a non-finite clock is never due, and a window that cannot
-    /// move the horizon never fills, so either would spin forever.
+    /// Decodes [`FsWindowWalk::encode`] output. Rejects clocks and
+    /// horizons the encoder never writes and `step` could not run: a
+    /// NaN clock is never due, and a clock past [`MAX_FS_CLOCK`] may
+    /// stop moving, so either could keep a window filling forever.
     pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<Self, CheckpointError> {
         let malformed = |what: &str| Err(CheckpointError::Malformed(what.into()));
+        let valid_time = |t: f64| (0.0..=MAX_FS_CLOCK).contains(&t);
         let n_lanes = dec.take_usize()?;
         if n_lanes > MAX_CHECKPOINT_LANES {
             return Err(CheckpointError::Malformed(format!(
@@ -585,12 +534,12 @@ impl FsWindowWalk {
                 }
             });
         }
-        if fires.iter().flatten().any(|t| !t.is_finite()) {
-            return malformed("non-finite walker clock");
+        if !fires.iter().flatten().all(|&t| valid_time(t)) {
+            return malformed("walker clock out of range");
         }
         let t_hi = dec.take_f64()?;
         let volume = dec.take_f64()?;
-        if !(t_hi.is_finite() && t_hi >= 0.0 && volume.is_finite() && volume >= 0.0) {
+        if !(valid_time(t_hi) && volume.is_finite() && volume >= 0.0) {
             return malformed("invalid window horizon or volume");
         }
         let generated = dec.take_u64()?;
@@ -613,12 +562,8 @@ impl FsWindowWalk {
         if cursor > buffer.len() {
             return malformed("buffer cursor past end");
         }
-        let walk = FsWindowWalk {
-            slices: vec![FsSlice {
-                base: 0,
-                engine: FsEventBatch::from_checkpoint(&lanes, fires),
-                events: Vec::new(),
-            }],
+        Ok(FsWindowWalk {
+            engine: FsEventBatch::from_checkpoint(&lanes, fires),
             t_hi,
             volume,
             generated,
@@ -626,11 +571,7 @@ impl FsWindowWalk {
             cursor,
             n_steps: dec.take_usize()?,
             emitted: dec.take_usize()?,
-        };
-        if !walk.all_stuck() && walk.next_horizon(64) <= t_hi {
-            return malformed("window horizon cannot advance");
-        }
-        Ok(walk)
+        })
     }
 }
 
@@ -791,6 +732,8 @@ mod tests {
         let bad = [
             ("NaN clock", window_blob(f64::NAN, 0.5, 2.0, 1, 0)),
             ("infinite clock", window_blob(f64::INFINITY, 0.5, 2.0, 1, 0)),
+            ("far clock", window_blob(1e300, 1.0, 2.0, 1 << 50, 0)),
+            ("negative clock", window_blob(-1.0, 0.5, 2.0, 1, 0)),
             ("NaN horizon", window_blob(1.0, f64::NAN, 2.0, 1, 0)),
             (
                 "infinite horizon",
@@ -801,7 +744,6 @@ mod tests {
                 "infinite volume",
                 window_blob(1.0, 0.5, f64::INFINITY, 0, 0),
             ),
-            ("horizon stuck at 0", window_blob(1.0, 0.0, 2.0, 1, 0)),
             ("unknown walker", window_blob(1.0, 0.5, 2.0, 1, 1)),
         ];
         for (what, blob) in bad {
@@ -809,6 +751,24 @@ mod tests {
                 matches!(decode(blob), Err(CheckpointError::Malformed(_))),
                 "{what} accepted"
             );
+        }
+    }
+
+    #[test]
+    fn windows_reach_a_distant_clock_in_one_refill() {
+        // A measured rate that sizes every window far short of the next
+        // clock (2^50 events by t = 1, then a walker due at 1e9), or a
+        // horizon at 0 with events already counted: each refill must
+        // still reach the earliest clock, so the run ends.
+        let g = graph_from_undirected_pairs(3, [(0, 1), (0, 2)]);
+        for (fire, t_hi, generated) in [(1e9, 1.0, 1 << 50), (1.0, 0.0, 1)] {
+            let blob = window_blob(fire, t_hi, 2.0, generated, 0);
+            let mut walk = FsWindowWalk::decode(&mut Decoder::new(&blob)).expect("valid blob");
+            let mut budget = Budget::new(1e6);
+            let mut emitted = 0;
+            let done = (0..=100).any(|_| walk.step(&g, &mut budget, 1.0, |_, _| emitted += 1));
+            assert!(done, "fire {fire}: run did not end");
+            assert_eq!(emitted, 100, "fire {fire}");
         }
     }
 }

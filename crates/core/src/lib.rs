@@ -47,9 +47,9 @@
 //!   and diagnostics — across threads on deterministic per-walker
 //!   SplitMix-derived RNG streams with an order-independent reduction,
 //!   so results are bit-identical for 1, 2, or N threads. FS has one
-//!   windowed event engine ([`batch`]): the pool, the chunked runner
-//!   ([`runner`]) and so the server all drive it, and [`DistributedFs`]
-//!   is its bit-exact heap-based reference.
+//!   windowed event engine ([`batch`]), run on the calling thread: the
+//!   pool, the chunked runner ([`runner`]) and so the server all drive
+//!   it, and [`DistributedFs`] is its bit-exact heap-based reference.
 //!
 //! ## Quickstart
 //!

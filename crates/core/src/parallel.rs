@@ -25,7 +25,7 @@
 //!    for independent walkers, a merge by continuous event time for FS —
 //!    so the output is bit-identical for 1, 2, or N threads.
 //!
-//! ## How FS parallelizes at all
+//! ## FS as independent walkers
 //!
 //! Algorithm 1 looks inherently sequential: every step selects a walker
 //! degree-proportionally from the *shared* frontier. Theorem 5.5 (see
@@ -34,16 +34,16 @@
 //! `Exp(deg(v))` time before stepping; the embedded jump chain of the
 //! superposed event stream *is* the FS chain. Holding times and steps of
 //! walker `i` depend only on stream `i`, so walkers generate their event
-//! sequences concurrently. [`ParallelWalkerPool::frontier`] drives the
+//! sequences independently. [`ParallelWalkerPool::frontier`] drives the
 //! same windowed engine as the chunked runner (`FsWindowWalk` in
-//! [`crate::batch`]): each virtual-time window is generated over the
-//! pool's threads, one contiguous slice of walkers each, then merged by
-//! `(time, walker id)` — the order-independent reduction — until
-//! `B − mc` events are out. The pool is therefore
-//! distribution-identical to [`FrontierSampler`] (same chain, different
-//! but equivalent randomness factorization), and bit-identical to
-//! [`crate::distributed::DistributedFs`] with the same seed and to
-//! itself at every thread count.
+//! [`crate::batch`]) on the calling thread: each virtual-time window's
+//! events are generated in one lockstep batch and merged by `(time,
+//! walker id)` until `B − mc` events are out. (A window holds a few
+//! thousand events; splitting one over threads measured no faster.) The pool's FS is
+//! therefore distribution-identical to [`FrontierSampler`] (same chain,
+//! different but equivalent randomness factorization), and
+//! bit-identical to [`crate::distributed::DistributedFs`] with the same
+//! seed at every thread count.
 //!
 //! ## Determinism contract
 //!
@@ -177,8 +177,8 @@ impl ParallelWalkerPool {
     }
 
     /// Sets the lockstep group width of [`ParallelWalkerPool::multiple_rw`]
-    /// (`1` degenerates to scalar stepping; FS steps each thread's slice
-    /// of walkers as one batch). Results never depend on this number —
+    /// (`1` degenerates to scalar stepping; FS steps all its walkers as
+    /// one batch). Results never depend on this number —
     /// it only controls how many independent walkers' memory loads are
     /// in flight at once (pinned by the `batch_parity` integration test
     /// at widths 1/8/16).
@@ -313,7 +313,7 @@ impl ParallelWalkerPool {
             })
             .collect();
         let equal_split = sampler.schedule == Schedule::EqualSplit;
-        for_each_walker(self.threads, &mut groups, |_, grp| {
+        self.for_each_walker(&mut groups, |_, grp| {
             let mut due: Vec<usize> = Vec::with_capacity(grp.traces.len());
             loop {
                 due.clear();
@@ -364,11 +364,11 @@ impl ParallelWalkerPool {
     /// Runs [`FrontierSampler`] as `m` concurrent exponential-clock
     /// walkers (Theorem 5.5; module docs): draws the starts from a
     /// generator seeded with `base_seed`, then drives the windowed FS
-    /// engine to the end, returning the first `affordable` events of the
-    /// superposed process in event-time order. Bit-identical at every
-    /// thread count and to [`crate::distributed::DistributedFs`] with
-    /// the same seed; distribution-identical to the sequential
-    /// [`FrontierSampler`].
+    /// engine to the end on the calling thread, returning the first
+    /// `affordable` events of the superposed process in event-time
+    /// order. Bit-identical at every thread count and to
+    /// [`crate::distributed::DistributedFs`] with the same seed;
+    /// distribution-identical to the sequential [`FrontierSampler`].
     pub fn frontier<A: GraphAccess + ?Sized>(
         &self,
         sampler: &FrontierSampler,
@@ -385,41 +385,39 @@ impl ParallelWalkerPool {
         let mut steps = Vec::new();
         let n_steps = budget.affordable(step_cost);
         if let Some(mut fs) = FsWindowWalk::new(access, &starts, base_seed, n_steps) {
-            fs.set_threads(self.threads);
             let mut record = |walker, outcome| steps.push(PoolStep { walker, outcome });
             while !fs.step(access, budget, step_cost, &mut record) {}
         }
         PoolRun { starts, steps }
     }
-}
 
-/// Applies `body` to every walker slot, spread over `threads` threads
-/// in contiguous chunks. The calling thread takes the first chunk
-/// itself (all of them when one thread suffices); empty chunks are
-/// never spawned.
-pub(crate) fn for_each_walker<W, F>(threads: usize, walkers: &mut [W], body: F)
-where
-    W: Send,
-    F: Fn(usize, &mut W) + Sync,
-{
-    let workers = threads.min(walkers.len()).max(1);
-    let chunk = walkers.len().div_ceil(workers).max(1);
-    let run = |c: usize, slice: &mut [W]| {
-        for (j, w) in slice.iter_mut().enumerate() {
-            body(c * chunk + j, w);
+    /// Applies `body` to every walker slot, spread over the pool's
+    /// threads in contiguous chunks (inline when one thread suffices).
+    /// Empty chunks are never spawned.
+    fn for_each_walker<W, F>(&self, walkers: &mut [W], body: F)
+    where
+        W: Send,
+        F: Fn(usize, &mut W) + Sync,
+    {
+        let workers = self.threads.min(walkers.len());
+        if workers <= 1 {
+            for (i, w) in walkers.iter_mut().enumerate() {
+                body(i, w);
+            }
+            return;
         }
-    };
-    if workers == 1 {
-        return run(0, walkers);
+        let chunk = walkers.len().div_ceil(workers);
+        std::thread::scope(|scope| {
+            for (c, slice) in walkers.chunks_mut(chunk).enumerate() {
+                let body = &body;
+                scope.spawn(move || {
+                    for (j, w) in slice.iter_mut().enumerate() {
+                        body(c * chunk + j, w);
+                    }
+                });
+            }
+        });
     }
-    let (first, rest) = walkers.split_at_mut(chunk);
-    std::thread::scope(|scope| {
-        for (c, slice) in rest.chunks_mut(chunk).enumerate() {
-            let run = &run;
-            scope.spawn(move || run(c + 1, slice));
-        }
-        run(0, first);
-    });
 }
 
 #[cfg(test)]

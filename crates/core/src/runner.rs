@@ -30,8 +30,7 @@
 //! stream through the windowed engine (`FsWindowWalk` in
 //! [`crate::batch`]), window by window so chunks stay prompt and memory
 //! bounded; [`crate::parallel::ParallelWalkerPool::frontier`] drives
-//! that same engine to the end. [`ChunkedRunner::with_threads`] spreads
-//! each window's generation over threads without moving a bit.
+//! that same engine to the end.
 //!
 //! [`JobEstimator`] pairs the runner with the estimator suite: it
 //! consumes the runner's [`Sample`] stream (edges for the edge
@@ -249,17 +248,6 @@ impl<'a, A: GraphAccess + ?Sized> ChunkedRunner<'a, A> {
             steps_done: 0,
             finished,
         }
-    }
-
-    /// Generates FS windows over `threads` threads (see the pool's
-    /// `frontier`); other samplers ignore it. Changes no emitted bit and
-    /// no checkpoint byte, and is not serialized: a resumed run starts
-    /// on one thread until this is called again.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        if let State::Frontier(walk) = &mut self.state {
-            walk.set_threads(threads);
-        }
-        self
     }
 
     /// Whether the run is complete.

@@ -2,9 +2,8 @@
 //! `DistributedFs::sample_edges_seeded` (the engine-independent bit
 //! reference), the chunked runner and the pool's `frontier` (both
 //! driving the windowed engine) must emit the same sample stream and
-//! spend the same budget for the same seed, at every thread count. The
-//! runner's FS checkpoint must not depend on the thread count either,
-//! and a checkpoint taken at one thread count must resume at another.
+//! spend the same budget for the same seed, the pool at every thread
+//! count.
 
 use frontier_sampling::runner::{ChunkStatus, ChunkedRunner, Sample, SamplerSpec};
 use frontier_sampling::{Budget, CostModel, DistributedFs, FrontierSampler, ParallelWalkerPool};
@@ -38,10 +37,9 @@ fn distributed(g: &Graph, m: usize, seed: u64) -> (Vec<Sample>, f64) {
     (out, budget.spent())
 }
 
-fn runner(g: &Graph, m: usize, seed: u64, threads: usize) -> (Vec<Sample>, f64) {
+fn runner(g: &Graph, m: usize, seed: u64) -> (Vec<Sample>, f64) {
     let spec = SamplerSpec::Frontier { m };
-    let mut run =
-        ChunkedRunner::new(&spec, g, &CostModel::unit(), BUDGET, seed).with_threads(threads);
+    let mut run = ChunkedRunner::new(&spec, g, &CostModel::unit(), BUDGET, seed);
     let mut out = Vec::new();
     while run.run_chunk(64, |s| out.push(s)) == ChunkStatus::InProgress {}
     (out, run.budget_spent())
@@ -66,56 +64,14 @@ fn distributed_runner_and_pool_emit_one_stream() {
             let seed = 0xD15 + m as u64;
             let reference = distributed(&g, m, seed);
             assert!(!reference.0.is_empty(), "{name} m={m}: empty reference");
+            assert_eq!(runner(&g, m, seed), reference, "{name} m={m}: runner");
             for threads in [1usize, 2] {
-                assert_eq!(
-                    runner(&g, m, seed, threads),
-                    reference,
-                    "{name} m={m}: runner at {threads} threads"
-                );
                 assert_eq!(
                     pool(&g, m, seed, threads),
                     reference,
                     "{name} m={m}: pool at {threads} threads"
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn fs_checkpoint_bytes_and_resume_ignore_the_thread_count() {
-    let g = ba_fixture();
-    for m in [6usize, 40] {
-        let spec = SamplerSpec::Frontier { m };
-        let seed = 0xC4EC + m as u64;
-        let (expect, expect_spent) = runner(&g, m, seed, 1);
-        let mut blobs = Vec::new();
-        let mut heads = Vec::new();
-        for threads in [1usize, 2, 3] {
-            let mut run = ChunkedRunner::new(&spec, &g, &CostModel::unit(), BUDGET, seed)
-                .with_threads(threads);
-            let mut head = Vec::new();
-            for _ in 0..3 {
-                assert_eq!(run.run_chunk(64, |s| head.push(s)), ChunkStatus::InProgress);
-            }
-            blobs.push(run.serialize());
-            heads.push(head);
-        }
-        assert!(
-            blobs.iter().all(|b| *b == blobs[0]),
-            "m={m}: FSRC bytes depend on the thread count"
-        );
-        assert!(heads.iter().all(|h| *h == heads[0]));
-        // Resume the one blob at every thread count: the continuation
-        // must finish the uninterrupted stream bit for bit.
-        for threads in [1usize, 2, 3] {
-            let mut run = ChunkedRunner::resume(&spec, &g, &blobs[0])
-                .expect("resume")
-                .with_threads(threads);
-            let mut got = heads[0].clone();
-            while run.run_chunk(64, |s| got.push(s)) == ChunkStatus::InProgress {}
-            assert_eq!(got, expect, "m={m}: resumed at {threads} threads");
-            assert_eq!(run.budget_spent(), expect_spent);
         }
     }
 }

@@ -25,9 +25,9 @@
 //! * `budget` by bit pattern, for the same reason;
 //! * the `seed` and the estimator variant.
 //!
-//! `pool_threads` is deliberately excluded: it only spreads FS event
-//! generation over threads, which moves no bit, so a pooled and a
-//! plain job of the same spec share one entry.
+//! `pool_threads` is deliberately excluded: it changes nothing about
+//! the run, so a pooled and a plain job of the same spec share one
+//! entry.
 //!
 //! ## Bounds
 //!

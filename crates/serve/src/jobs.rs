@@ -20,9 +20,8 @@
 //!
 //! Jobs inherit the runner's contract: seed `s` ⇒ bit-identical to the
 //! library call with seed `s`. `pool_threads` (FS and MultipleRW only)
-//! feeds [`ChunkedRunner::with_threads`], which spreads FS's event
-//! generation over threads without moving a bit; MultipleRW runs its
-//! one sequential stream either way. So a job's result is a pure
+//! is validated and kept in the journal, but every job runs its one
+//! sequential stream whatever it says. So a job's result is a pure
 //! function of `(store content, spec, seed)`, not of `pool_threads` or
 //! the server's thread schedule. Pinned end-to-end by the
 //! `determinism` integration test.
@@ -56,9 +55,9 @@ pub struct JobSpec {
     pub seed: u64,
     /// Which estimate to report.
     pub estimator: EstimatorSpec,
-    /// `Some(t)`: generate FS events on `t` threads (accepted for FS
-    /// and MultipleRW; the result does not depend on it). `None`: one
-    /// thread.
+    /// `Some(t)`: the client's thread request (accepted for FS and
+    /// MultipleRW, validated, and otherwise unused; the result does not
+    /// depend on it).
     pub pool_threads: Option<usize>,
 }
 
@@ -258,8 +257,8 @@ const RETENTION_SLACK: usize = 1_024;
 /// and `m` beyond the budget buys nothing (each start costs budget).
 const MAX_WALKERS: usize = 1_000_000;
 
-/// Upper bound on `pool_threads` (FS clamps to `min(t, m)` threads,
-/// but there is no reason to accept absurd values).
+/// Upper bound on `pool_threads` (the value is unused, but there is no
+/// reason to accept absurd values).
 const MAX_POOL_THREADS: usize = 256;
 
 /// Jobs write a journal checkpoint every this many chunks
@@ -542,10 +541,12 @@ impl JobManager {
                 // Finished before the crash: re-register the outcome.
                 let replayed_phase = terminal.phase;
                 let replayed_steps = terminal.steps_done;
-                // A done pooled MultipleRW record came from the retired
-                // per-walker pool stream, not the sequential stream a
-                // submit of the same spec now computes: keep it out of
-                // the cache.
+                // A done pooled MultipleRW record may come from the
+                // retired per-walker pool stream, not the sequential
+                // stream a submit of the same spec now computes. The
+                // journal cannot tell such records from ones this build
+                // wrote, so every one stays out of the cache on replay
+                // (a resubmit recomputes; the live run still caches).
                 let retired_stream = job.spec.pool_threads.is_some()
                     && matches!(job.spec.sampler, SamplerSpec::Multiple { .. });
                 if terminal.phase == JobPhase::Done && !retired_stream {
@@ -922,26 +923,20 @@ impl JobManager {
             }
         };
 
-        // The same holds for `pool_threads`: refuse what submit would.
-        match spec.pool_threads {
-            Some(_)
-                if !matches!(
-                    spec.sampler,
-                    SamplerSpec::Frontier { .. } | SamplerSpec::Multiple { .. }
-                ) =>
-            {
-                let why = format!(
-                    "pooled execution supports frontier and multiple samplers, not '{}'",
-                    spec.sampler.label()
-                );
-                self.fail_job(id, shared, why);
-                return;
-            }
-            Some(t) if !(1..=MAX_POOL_THREADS).contains(&t) => {
-                self.fail_job(id, shared, format!("invalid pool_threads = {t}"));
-                return;
-            }
-            _ => {}
+        // The same holds for `pool_threads`: refuse the samplers submit
+        // would.
+        if spec.pool_threads.is_some()
+            && !matches!(
+                spec.sampler,
+                SamplerSpec::Frontier { .. } | SamplerSpec::Multiple { .. }
+            )
+        {
+            let why = format!(
+                "pooled execution supports frontier and multiple samplers, not '{}'",
+                spec.sampler.label()
+            );
+            self.fail_job(id, shared, why);
+            return;
         }
         let cancelled = self.run_chunks(id, shared, graph, &mut estimator);
 
@@ -1048,9 +1043,6 @@ impl JobManager {
                 spec.seed,
             )
         });
-        if let Some(threads) = spec.pool_threads {
-            runner = runner.with_threads(threads);
-        }
         let mut chunks_since_checkpoint = 0u64;
         let mut busy_us = 0u64;
         let mut chunks = 0u64;

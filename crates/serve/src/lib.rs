@@ -38,8 +38,8 @@
 //! A job submitted with seed `s` returns results **bit-identical** to
 //! the equivalent direct library call with seed `s` (the
 //! `ChunkedRunner` contract), whatever its `pool_threads`: every job
-//! runs the chunked runner, and `pool_threads` only spreads FS event
-//! generation over threads. Pinned end-to-end by the `determinism`
+//! runs the chunked runner, and `pool_threads` is validated but
+//! changes nothing about the run. Pinned end-to-end by the `determinism`
 //! integration test.
 //!
 //! ## Quickstart
