@@ -113,6 +113,106 @@ const CASES: &[Case] = &[
         input: "n 1\ne 0 0\ng 3 1\n",
         expect: Err((3, "declared 1 vertices but records reference vertex 3")),
     },
+    // Lines next to the plain `[e ]<digits> <digits>` shape: ids with
+    // a sign or leading zeros, glued or tab-separated tags, oversized
+    // ids, and whitespace that only `str::trim` (not ASCII splitting)
+    // knows. No accepted case names an id near `u32::MAX`: both loaders
+    // would allocate a 2^32-entry table.
+    Case {
+        name: "signed bare source is an unknown tag",
+        input: "+1 2\n",
+        expect: Err((1, "unknown record tag '+1'")),
+    },
+    Case {
+        name: "signed id after the e tag parses",
+        input: "e +1 2\n",
+        expect: Ok(()),
+    },
+    Case {
+        name: "leading zeros",
+        input: "00 01\ne 002 0003\n",
+        expect: Ok(()),
+    },
+    Case {
+        name: "tag glued to the source",
+        input: "e 1 2\ne0 1\n",
+        expect: Err((2, "unknown record tag 'e0'")),
+    },
+    Case {
+        name: "tab after the e tag",
+        input: "e\t0\t1\n",
+        expect: Ok(()),
+    },
+    Case {
+        name: "eleven-digit id",
+        input: "0 1\n12345678901 1\n",
+        expect: Err((2, "overflows u32 ids")),
+    },
+    Case {
+        name: "eleven-digit id with leading zeros",
+        input: "00000000001 2\n",
+        expect: Ok(()),
+    },
+    Case {
+        name: "twenty-one-digit id",
+        input: "e 0 123456789012345678901\n",
+        expect: Err((1, "number too large")),
+    },
+    Case {
+        name: "leading vertical tab",
+        input: "\x0b0 1\n",
+        expect: Ok(()),
+    },
+    Case {
+        name: "leading form feed",
+        input: "\x0ce 0 1\n",
+        expect: Ok(()),
+    },
+    Case {
+        name: "vertical tab is not a separator",
+        input: "0 1\n0\x0b1\n",
+        expect: Err((2, "unknown record tag")),
+    },
+    Case {
+        name: "form feed separates ids",
+        input: "0\x0c1\ne 1\x0c2\n",
+        expect: Ok(()),
+    },
+    Case {
+        name: "leading and trailing no-break space",
+        input: "\u{a0}0 1\n1 2\u{a0}\n",
+        expect: Ok(()),
+    },
+    Case {
+        name: "no-break space inside a record",
+        input: "0\u{a0}1\n",
+        expect: Err((1, "unknown record tag")),
+    },
+    Case {
+        name: "lone carriage returns",
+        input: "0 1\r1 2\n\r\ne 2 3\r\r\n",
+        expect: Ok(()),
+    },
+    Case {
+        name: "carriage return glued to the target",
+        input: "0 1\r\n2 3x\r\n",
+        expect: Err((2, "bad target")),
+    },
+    Case {
+        name: "last line without a newline",
+        input: "n 4\n0 1\n2 3",
+        expect: Ok(()),
+    },
+    Case {
+        name: "error on a last line without a newline",
+        input: "0 1\n2",
+        expect: Err((2, "missing target")),
+    },
+    Case {
+        name: "non-ascii trailing field is ignored",
+        input: "0 1 caf\u{e9}\ne 1 2 \u{2014}\n",
+        expect: Ok(()),
+    },
 ];
 
 fn tmp_dir() -> PathBuf {

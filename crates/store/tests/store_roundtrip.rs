@@ -432,3 +432,57 @@ fn hugepage_require_mode_is_honest() {
         Err(other) => panic!("unexpected error kind: {other}"),
     }
 }
+
+/// `file_digest` and whole-file FNV-1a of generated stores, captured
+/// from the two-pass spooled ingester. Every conversion path must keep
+/// reproducing them byte for byte.
+const PINNED_STORES: &[(&str, u64, u64)] = &[
+    ("ba_50k_m4_seed7", 6945547762255522929, 16137903026803088237),
+    ("gab_0.05", 5387831508788395164, 4634629596625889266),
+];
+
+/// CI's `mkgraph --vertices 50000 --ba-m 4 --seed 7` graph and a 5%
+/// G_AB, written as text edge lists.
+fn pinned_store_graph(name: &str) -> Graph {
+    match name {
+        "ba_50k_m4_seed7" => fs_gen::barabasi_albert(50_000, 4, &mut SmallRng::seed_from_u64(7)),
+        "gab_0.05" => fs_gen::datasets::gab(0.05, &mut SmallRng::seed_from_u64(0x0067_6162)),
+        other => unreachable!("no pinned graph {other}"),
+    }
+}
+
+#[test]
+fn ingested_stores_match_pinned_digests() {
+    for &(name, digest, whole) in PINNED_STORES {
+        let g = pinned_store_graph(name);
+        let text_path = TempPath::new("pinned_in");
+        fs_graph::io::save_edge_list(&g, &text_path.0).unwrap();
+        drop(g);
+        // The default budget, then 1 MiB, which splits either graph's
+        // arcs over several buckets.
+        for budget in [IngestOptions::default().memory_budget_bytes, 1 << 20] {
+            let out = TempPath::new("pinned_out");
+            let report = ingest_edge_list(
+                &text_path.0,
+                &out.0,
+                &IngestOptions {
+                    memory_budget_bytes: budget,
+                },
+            )
+            .unwrap();
+            if budget == 1 << 20 {
+                assert!(report.buckets > 1, "[{name}] 1 MiB must force buckets");
+            }
+            let bytes = std::fs::read(&out.0).unwrap();
+            assert_eq!(
+                (
+                    file_digest(&out.0).unwrap(),
+                    fs_store::format::fnv1a(&bytes)
+                ),
+                (digest, whole),
+                "[{name}] store bytes moved at budget {budget} ({} bytes)",
+                bytes.len()
+            );
+        }
+    }
+}
