@@ -59,8 +59,8 @@ impl From<io::Error> for IoError {
 }
 
 /// One parsed line of the edge-list dialect — the **single home** of
-/// the text grammar. Both [`read_edge_list`] and `fs-store`'s streaming
-/// ingestion consume this parser, which is what guarantees the two
+/// the text grammar. Both [`read_edge_list`] and `fs-store`'s ingestion
+/// read through [`EdgeListScanner`], which is what guarantees the two
 /// conversion paths accept identical inputs and load identical graphs
 /// (`fs-store` pins the resulting files byte-for-byte).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,6 +159,118 @@ pub fn parse_edge_list_line(line: &str, lineno: usize) -> Result<EdgeListRecord,
     }
 }
 
+/// Streams the records of an edge list from bytes. A plain edge line —
+/// `[e<sep>]<digits><sep><digits>`, optionally followed by a separator
+/// or `\r` and more ASCII, where `<sep>` is a run of spaces and tabs and
+/// each id has at most 10 digits and fits `u32` — is parsed in place in
+/// the reader's buffer. Every other line is copied to one reused buffer
+/// and goes through [`parse_edge_list_line`], so the grammar, the error
+/// messages and the line numbers are those of one parser; a line that
+/// is not UTF-8 is a line-numbered error.
+pub struct EdgeListScanner<R> {
+    reader: R,
+    line: Vec<u8>,
+    lineno: usize,
+}
+
+impl<R: BufRead> EdgeListScanner<R> {
+    /// Scans `reader` from its current position.
+    pub fn new(reader: R) -> Self {
+        EdgeListScanner {
+            reader,
+            line: Vec::new(),
+            lineno: 0,
+        }
+    }
+
+    /// Lines read so far.
+    pub fn lines(&self) -> usize {
+        self.lineno
+    }
+
+    /// The next record with its 1-based line number, or `None` at the
+    /// end of the input. Lines end at `\n`, as for [`BufRead::lines`].
+    pub fn next_record(&mut self) -> Result<Option<(EdgeListRecord, usize)>, IoError> {
+        let buf = self.reader.fill_buf()?;
+        if buf.is_empty() {
+            return Ok(None);
+        }
+        self.lineno += 1;
+        if let Some((u, v, len)) = plain_edge(buf) {
+            self.reader.consume(len);
+            return Ok(Some((EdgeListRecord::Edge(u, v), self.lineno)));
+        }
+        self.line.clear();
+        self.reader.read_until(b'\n', &mut self.line)?;
+        let mut bytes = self.line.as_slice();
+        if let Some(rest) = bytes.strip_suffix(b"\n") {
+            bytes = rest.strip_suffix(b"\r").unwrap_or(rest);
+        }
+        let text = std::str::from_utf8(bytes).map_err(|_| IoError::Parse {
+            line: self.lineno,
+            message: "invalid UTF-8".into(),
+        })?;
+        Ok(Some((
+            parse_edge_list_line(text, self.lineno)?,
+            self.lineno,
+        )))
+    }
+}
+
+/// The ids of the plain edge line (see [`EdgeListScanner`]) at the
+/// start of `buf`, and its length through the `\n`; `None` if the line
+/// is not plain or its `\n` is not in `buf`. `None` only sends the line
+/// to [`parse_edge_list_line`], which agrees with this on every plain
+/// line.
+fn plain_edge(buf: &[u8]) -> Option<(u32, u32, usize)> {
+    let seps = |mut at: usize| {
+        while matches!(buf.get(at), Some(b' ' | b'\t')) {
+            at += 1;
+        }
+        at
+    };
+    let id = |start: usize| -> Option<(u32, usize)> {
+        let mut value = 0u64;
+        let mut at = start;
+        while let Some(digit) = buf
+            .get(at)
+            .map(|b| b.wrapping_sub(b'0'))
+            .filter(|&d| d < 10)
+        {
+            if at - start == 10 {
+                return None;
+            }
+            value = value * 10 + u64::from(digit);
+            at += 1;
+        }
+        if at == start {
+            return None;
+        }
+        Some((u32::try_from(value).ok()?, at))
+    };
+    let mut at = 0;
+    if buf.first() == Some(&b'e') {
+        at = seps(1);
+        if at == 1 {
+            return None;
+        }
+    }
+    let (u, end) = id(at)?;
+    at = seps(end);
+    if at == end {
+        return None;
+    }
+    let (v, end) = id(at)?;
+    match buf.get(end)? {
+        b'\n' => Some((u, v, end + 1)),
+        b' ' | b'\t' | b'\r' => {
+            let newline = end + buf[end..].iter().position(|&b| b == b'\n')?;
+            buf[end..newline].is_ascii().then_some((u, v, newline + 1))
+        }
+        _ => None,
+    }
+}
+
 /// Writes `graph` to `writer` in the edge-list format.
 pub fn write_edge_list<W: Write>(graph: &Graph, writer: W) -> io::Result<()> {
     let mut w = BufWriter::new(writer);
@@ -179,7 +291,7 @@ pub fn write_edge_list<W: Write>(graph: &Graph, writer: W) -> io::Result<()> {
 /// [`parse_edge_list_line`], including SNAP-style bare `src dst` pairs
 /// with an inferred vertex count).
 pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, IoError> {
-    let r = BufReader::new(reader);
+    let mut scanner = EdgeListScanner::new(BufReader::new(reader));
     let mut declared: Option<usize> = None;
     let mut pending_edges: Vec<(u32, u32)> = Vec::new();
     let mut pending_groups: Vec<(u32, u32)> = Vec::new();
@@ -190,22 +302,22 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, IoError> {
     // (pinned by the store crate's dialect-parity test).
     let mut max_line: usize = 0;
 
-    for (idx, line) in r.lines().enumerate() {
-        match parse_edge_list_line(&line?, idx + 1)? {
+    while let Some((record, lineno)) = scanner.next_record()? {
+        match record {
             EdgeListRecord::Blank => {}
             EdgeListRecord::Vertices(n) => declared = Some(n),
             EdgeListRecord::Edge(u, v) => {
                 let hi = u.max(v) as usize + 1;
                 if hi > max_seen {
                     max_seen = hi;
-                    max_line = idx + 1;
+                    max_line = lineno;
                 }
                 pending_edges.push((u, v));
             }
             EdgeListRecord::Group(v, g) => {
                 if v as usize + 1 > max_seen {
                     max_seen = v as usize + 1;
-                    max_line = idx + 1;
+                    max_line = lineno;
                 }
                 pending_groups.push((v, g));
             }
@@ -450,6 +562,54 @@ mod tests {
             parse_edge_list_line("e 4294967295 0", 1).unwrap(),
             EdgeListRecord::Edge(u32::MAX, 0)
         );
+    }
+
+    #[test]
+    fn plain_edges_parse_as_the_line_parser_does() {
+        // Every line of up to five pieces: whatever the fast path takes,
+        // `parse_edge_list_line` must read as the same edge, and the
+        // fast path must end the line at its newline.
+        let pieces = [
+            "e",
+            "0",
+            "17",
+            "007",
+            "4294967295",
+            "4294967296",
+            "12345678901",
+            "+1",
+            " ",
+            "\t",
+            "\r",
+            "x",
+            "\x0b",
+            "\x0c",
+            "\u{a0}",
+        ];
+        let mut lines = vec![String::new()];
+        for _ in 0..5 {
+            let longer: Vec<String> = lines
+                .iter()
+                .flat_map(|l| pieces.iter().map(move |p| format!("{l}{p}")))
+                .collect();
+            lines.extend(longer);
+        }
+        let mut plain = 0;
+        for line in &lines {
+            let with_newline = format!("{line}\n");
+            if let Some((u, v, len)) = plain_edge(with_newline.as_bytes()) {
+                plain += 1;
+                assert_eq!(len, with_newline.len(), "{line:?}");
+                assert_eq!(
+                    parse_edge_list_line(line, 1).unwrap(),
+                    EdgeListRecord::Edge(u, v),
+                    "{line:?}"
+                );
+            }
+            // A line cut short of its newline is never taken.
+            assert_eq!(plain_edge(line.as_bytes()), None, "{line:?}");
+        }
+        assert!(plain > 1000, "only {plain} plain lines");
     }
 
     #[test]

@@ -7,11 +7,13 @@
 //! graphstore map     <FILE.fsg> [--hugepages off|try|require]
 //! ```
 //!
-//! `convert` defaults to the external-memory streaming pipeline
-//! (bounded RAM; dense vertex ids, same dialect as the text loader).
-//! `--in-memory` routes through the `GraphBuilder` instead (faster for
-//! small graphs, RAM-bound), and `--snap` additionally compacts sparse
-//! SNAP/KONECT vertex ids to a dense range in first-appearance order.
+//! `convert` defaults to the ingest pipeline (bounded RAM; dense vertex
+//! ids, same dialect as the text loader): it reads the input once when
+//! its arcs fit `--budget-mb` (default 256) and spools them through
+//! vertex-range buckets on a second read when they do not.
+//! `--in-memory` routes through the `GraphBuilder` instead (RAM-bound),
+//! and `--snap` additionally compacts sparse SNAP/KONECT vertex ids to
+//! a dense range in first-appearance order.
 //! `inspect` prints the validated header and section table; `verify`
 //! additionally checks every payload checksum and the deep structural
 //! invariants, exiting non-zero on any failure. `map` opens the store
@@ -176,12 +178,15 @@ fn convert(args: &[String]) {
             None => IngestOptions::default(),
         };
         let report = ingest_edge_list(&input, &output, &opts).unwrap_or_else(|e| fail(e));
+        let path = if report.buckets == 1 {
+            "one pass".to_string()
+        } else {
+            format!("two passes, {} spooled buckets", report.buckets)
+        };
         println!(
-            "converted {} -> {} (streaming, {} bucket{}): {} vertices, {} arcs, {} original edges in {:.2?}",
+            "converted {} -> {} ({path}): {} vertices, {} arcs, {} original edges in {:.2?}",
             input.display(),
             output.display(),
-            report.buckets,
-            if report.buckets == 1 { "" } else { "s" },
             report.num_vertices,
             report.num_arcs,
             report.num_original_edges,

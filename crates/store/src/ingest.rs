@@ -1,28 +1,31 @@
-//! External-memory ingestion: streaming text edge lists into store
-//! files with bounded memory.
+//! Ingestion: text edge lists into store files, reading the input once
+//! when its arcs fit the memory budget.
 //!
-//! The in-memory path (`read_edge_list` → `GraphBuilder` →
-//! [`crate::write_store`]) holds every raw edge, the sorted arc list,
-//! and the adjacency vectors at once — several `Vec<(u, v)>`-sized
-//! intermediates that cap conversion at RAM scale. This pipeline keeps
-//! only `O(V)` state resident (per-vertex counters, offsets, degree
-//! tables) plus one bucket of arcs at a time, spooling everything
-//! `O(E)`-sized through temp files:
+//! The builder path (`read_edge_list` → `GraphBuilder` →
+//! [`crate::write_store`]) holds the raw edges, a sorted arc list and
+//! the adjacency at once. This pipeline places arcs by counting:
 //!
-//! 1. **Count pass** — stream the text once; validate every line (line
-//!    numbers in errors), count the two arc records each edge will
-//!    produce per owner vertex, learn `|V|`, and collect the (small)
-//!    group-label records.
-//! 2. **Distribution pass** — stream the text again, appending each
-//!    closure arc record `(owner, target, original?)` to the spool file
-//!    of the bucket owning its source vertex. Buckets are contiguous
-//!    vertex ranges sized so one bucket's records fit the memory
-//!    budget — a bucketed counting sort by owner.
-//! 3. **Build pass** — per bucket, in vertex order: load, sort by
-//!    `(owner, target, !original)`, deduplicate keeping the
-//!    original-flagged copy (exactly `GraphBuilder::build`'s rule), and
-//!    append the CSR targets and flag bits to their section spools
-//!    while accumulating offsets, degree tables and checksums.
+//! 1. **Count pass** — scan the text once through the shared
+//!    [`EdgeListScanner`] (one grammar with `read_edge_list`, line
+//!    numbers in errors); count the arcs each vertex will own, learn
+//!    `|V|`, collect the (small) group records, and buffer each edge's
+//!    `(u, v)` pair while the pairs and the arc slots they will take
+//!    (16 bytes per edge line) fit the budget.
+//! 2. **Placement** — prefix sums of the counts give each row its slots
+//!    in one `u32` array. Each original arc goes to its owner's left
+//!    cursor, each reverse copy to its target's right cursor.
+//! 3. **Row build** — per row, sort the two halves and merge them,
+//!    dropping repeated targets: a target found in the original half
+//!    keeps its flag, which is exactly `GraphBuilder::build`'s
+//!    `(u, v, !original)` rule. The merged rows are the CSR targets;
+//!    offsets, flag bits and degree tables fill in as rows close.
+//!
+//! An input whose pairs would pass the budget drops its buffer and is
+//! read a second time instead: each edge's pair is spooled to the
+//! buckets (contiguous vertex ranges of at most budget / 8 arc slots)
+//! of its two endpoints, and each bucket is placed and built as above,
+//! its targets and flag words streaming to section spools. Then only
+//! `O(V)` tables and one bucket's slots are resident.
 //!
 //! The output is **byte-identical** to `write_store(read_edge_list(..))`
 //! on the same input (pinned by tests): same dedup rules, same section
@@ -31,17 +34,17 @@
 
 use crate::format::{Fnv1a, SectionId, StoreError, StoreKind};
 use crate::writer::{assemble, u32_bytes, u64_bytes, HeaderFields, SectionData};
-use fs_graph::io::{parse_edge_list_line, EdgeListRecord as Record};
+use fs_graph::io::{EdgeListRecord as Record, EdgeListScanner, IoError};
 use fs_graph::VertexGroups;
 use std::fs::File;
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Tuning knobs for [`ingest_edge_list`].
 #[derive(Clone, Debug)]
 pub struct IngestOptions {
-    /// Approximate cap on resident bytes for the per-bucket arc sort
-    /// (the `O(V)` tables are always resident on top of this). Default
+    /// Approximate cap on resident bytes for the arcs being placed (the
+    /// `O(V)` tables are always resident on top of this). Default
     /// 256 MiB.
     pub memory_budget_bytes: usize,
 }
@@ -49,8 +52,9 @@ pub struct IngestOptions {
 impl Default for IngestOptions {
     fn default() -> Self {
         IngestOptions {
-            // 24 bytes of peak cost per record (12 decoded + spool
-            // buffers) → ~10M arcs per bucket at the default.
+            // 16 bytes per edge line read once (an 8-byte buffered pair
+            // and two 4-byte arc slots) → ~16M edge lines in one pass;
+            // above that, buckets of ~32M arc slots.
             memory_budget_bytes: 256 << 20,
         }
     }
@@ -69,10 +73,38 @@ pub struct IngestReport {
     pub num_groups: usize,
     /// Total (vertex, group) memberships.
     pub num_memberships: usize,
-    /// Buckets the distribution pass used.
+    /// Vertex-range buckets the rows were built in: 1 when the arcs fit
+    /// the budget and the input was read once; more when it was read
+    /// twice, through spooled buckets.
     pub buckets: usize,
-    /// Input lines read (per pass).
+    /// Lines of the input (a second read sees the same lines).
     pub lines: usize,
+}
+
+/// Resident bytes per buffered edge line: its `(u, v)` pair plus the
+/// two `u32` slots its arcs take.
+const EDGE_COST: usize = 16;
+
+/// Resident bytes per arc slot of a spooled bucket: half an edge line's,
+/// so a bucket costs what the one-pass path would.
+const ARC_COST: usize = EDGE_COST / 2;
+
+/// Spooled pair record: `u32` source + `u32` target, little-endian.
+const PAIR_LEN: usize = 8;
+
+/// Least capacity, in bytes, of the edge-sized buffers (the pair buffer
+/// and the arc slots). glibc serves a request above its mmap threshold
+/// from a private mapping and unmaps it on free, and it raises that
+/// threshold, up to 32 MiB, as mapped chunks are freed. A smaller
+/// buffer can come from the heap, whose freed pages stay resident
+/// under the peak of whatever the process does next (a server's, say);
+/// one reserved above 32 MiB is always mapped. Untouched pages are
+/// never resident, so a small input pays only address space.
+const EDGE_BUFFER_FLOOR: usize = (32 << 20) + (64 << 10);
+
+/// An empty edge-sized buffer with room for `len` values.
+fn edge_buffer<T>(len: usize) -> Vec<T> {
+    Vec::with_capacity(len.max(EDGE_BUFFER_FLOOR / std::mem::size_of::<T>()))
 }
 
 fn line_err<T>(line: usize, message: impl std::fmt::Display) -> Result<T, StoreError> {
@@ -81,24 +113,172 @@ fn line_err<T>(line: usize, message: impl std::fmt::Display) -> Result<T, StoreE
     )))
 }
 
-/// Streams the records of `input` through the **shared** edge-list
-/// parser ([`fs_graph::io::parse_edge_list_line`] — one grammar for the
-/// in-memory and streaming paths, so they cannot drift), handing each
-/// to `sink`.
-fn scan(
-    input: &Path,
-    mut sink: impl FnMut(Record, usize) -> Result<(), StoreError>,
-) -> Result<usize, StoreError> {
-    let reader = BufReader::with_capacity(1 << 20, File::open(input)?);
-    let mut lines = 0usize;
-    for (idx, line) in reader.lines().enumerate() {
-        let lineno = idx + 1;
-        lines = lineno;
-        let record =
-            parse_edge_list_line(&line?, lineno).map_err(|e| StoreError::Format(e.to_string()))?;
-        sink(record, lineno)?;
+fn scan_err(e: IoError) -> StoreError {
+    match e {
+        IoError::Io(e) => StoreError::Io(e),
+        parse => StoreError::Format(parse.to_string()),
     }
-    Ok(lines)
+}
+
+fn open_scanner(input: &Path) -> Result<EdgeListScanner<BufReader<File>>, StoreError> {
+    Ok(EdgeListScanner::new(BufReader::with_capacity(
+        1 << 20,
+        File::open(input)?,
+    )))
+}
+
+fn changed_between_passes<T>() -> Result<T, StoreError> {
+    Err(StoreError::Format("input changed between passes".into()))
+}
+
+/// The arcs of the vertex range `lo..lo + rows`, placed by counting.
+/// Row `r` owns slots `bounds[r]..bounds[r + 1]`: its original arcs
+/// fill them from the left, the reverse copies of arcs into it from
+/// the right, and the two cursors meet once the row is complete.
+struct Rows {
+    lo: u32,
+    bounds: Vec<usize>,
+    left: Vec<usize>,
+    right: Vec<usize>,
+    slots: Vec<u32>,
+}
+
+impl Rows {
+    /// Empty rows for the vertices from `lo` on, `counts` giving the
+    /// arcs each will own.
+    fn new(lo: usize, counts: &[u32]) -> Rows {
+        let mut bounds = Vec::with_capacity(counts.len() + 1);
+        let mut total = 0usize;
+        bounds.push(0);
+        for &c in counts {
+            total += c as usize;
+            bounds.push(total);
+        }
+        let mut slots = edge_buffer(total);
+        slots.resize(total, 0);
+        Rows {
+            lo: lo as u32,
+            left: bounds[..counts.len()].to_vec(),
+            right: bounds[1..].to_vec(),
+            bounds,
+            slots,
+        }
+    }
+
+    /// Places the original arc `u → v` in `u`'s row and its reverse copy
+    /// in `v`'s, for whichever of the two rows this range holds.
+    fn place(&mut self, u: u32, v: u32) -> Result<(), StoreError> {
+        let rows = self.left.len();
+        let ru = u.wrapping_sub(self.lo) as usize;
+        if ru < rows {
+            let at = self.left[ru];
+            if at == self.right[ru] {
+                return changed_between_passes();
+            }
+            self.slots[at] = v;
+            self.left[ru] = at + 1;
+        }
+        let rv = v.wrapping_sub(self.lo) as usize;
+        if rv < rows {
+            let at = self.right[rv];
+            if at == self.left[rv] {
+                return changed_between_passes();
+            }
+            self.slots[at - 1] = u;
+            self.right[rv] = at - 1;
+        }
+        Ok(())
+    }
+
+    /// Sorts each row's two halves and merges them, dropping repeated
+    /// targets with the original-flagged copy kept, and closes the rows
+    /// in `csr`. Returns the merged targets.
+    fn build(mut self, csr: &mut CsrTables) -> Result<Vec<u32>, StoreError> {
+        let mut row = Vec::new();
+        let mut kept = 0;
+        for r in 0..self.left.len() {
+            let (start, mid, end) = (self.bounds[r], self.left[r], self.bounds[r + 1]);
+            if mid != self.right[r] {
+                return changed_between_passes();
+            }
+            // Merged rows move to the front of `slots`; a copy keeps
+            // that from overwriting the row's unread half.
+            row.clear();
+            row.extend_from_slice(&self.slots[start..end]);
+            let (orig, rev) = row.split_at_mut(mid - start);
+            orig.sort_unstable();
+            rev.sort_unstable();
+            let owner = self.lo as usize + r;
+            let (mut i, mut j) = (0, 0);
+            let mut last = None;
+            while i < orig.len() || j < rev.len() {
+                let original = j == rev.len() || (i < orig.len() && orig[i] <= rev[j]);
+                let target = if original {
+                    i += 1;
+                    orig[i - 1]
+                } else {
+                    j += 1;
+                    rev[j - 1]
+                };
+                if last != Some(target) {
+                    last = Some(target);
+                    self.slots[kept] = target;
+                    kept += 1;
+                    csr.push_arc(owner, target, original);
+                }
+            }
+            csr.offsets.push(csr.num_arcs);
+        }
+        self.slots.truncate(kept);
+        Ok(self.slots)
+    }
+}
+
+/// The CSR tables, filled row by row in vertex order. `flags` holds the
+/// flag words not yet spooled; its last word is partial unless the arc
+/// count is a multiple of 64.
+struct CsrTables {
+    offsets: Vec<u64>,
+    in_deg: Vec<u32>,
+    out_deg: Vec<u32>,
+    flags: Vec<u64>,
+    num_arcs: u64,
+    num_original_edges: usize,
+}
+
+impl CsrTables {
+    fn new(n: usize) -> CsrTables {
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        CsrTables {
+            offsets,
+            in_deg: vec![0; n],
+            out_deg: vec![0; n],
+            flags: Vec::new(),
+            num_arcs: 0,
+            num_original_edges: 0,
+        }
+    }
+
+    fn push_arc(&mut self, owner: usize, target: u32, original: bool) {
+        let bit = self.num_arcs % 64;
+        if bit == 0 {
+            self.flags.push(0);
+        }
+        if original {
+            *self.flags.last_mut().expect("a word was pushed") |= 1 << bit;
+            self.out_deg[owner] += 1;
+            self.in_deg[target as usize] += 1;
+            self.num_original_edges += 1;
+        }
+        self.num_arcs += 1;
+    }
+
+    /// Moves the complete flag words to `spool`.
+    fn spool_flags(&mut self, spool: &mut Spool) -> Result<(), StoreError> {
+        let complete = (self.num_arcs / 64) as usize - (spool.len / 8) as usize;
+        spool.write(&u64_bytes(self.flags.drain(..complete)))
+    }
 }
 
 /// A section spool: payload bytes streamed to a temp file with the
@@ -145,37 +325,6 @@ impl Spool {
     }
 }
 
-/// Packs arc-flag bits into spooled u64 words across bucket boundaries.
-struct BitSpool {
-    spool: Spool,
-    word: u64,
-    fill: u32,
-}
-
-impl BitSpool {
-    fn push(&mut self, bit: bool) -> Result<(), StoreError> {
-        if bit {
-            self.word |= 1u64 << self.fill;
-        }
-        self.fill += 1;
-        if self.fill == 64 {
-            let w = self.word;
-            self.word = 0;
-            self.fill = 0;
-            self.spool.write(&w.to_le_bytes())?;
-        }
-        Ok(())
-    }
-
-    fn finish(mut self) -> Result<SectionData, StoreError> {
-        if self.fill > 0 {
-            let w = self.word;
-            self.spool.write(&w.to_le_bytes())?;
-        }
-        self.spool.into_section()
-    }
-}
-
 /// Removes the ingestion temp directory on scope exit (success or
 /// error), leaving only the output store behind.
 struct TempDirGuard(PathBuf);
@@ -186,11 +335,9 @@ impl Drop for TempDirGuard {
     }
 }
 
-const RECORD_LEN: usize = 9; // u32 owner + u32 target + u8 original
-
 /// Converts the text edge list at `input` into a graph store at
-/// `output` using bounded memory (see the module docs for the
-/// three-pass pipeline). Accepts the same dialect as
+/// `output`, reading the input once when its arcs fit the budget (see
+/// the module docs). Accepts the same dialect as
 /// `fs_graph::io::read_edge_list`, including SNAP-style bare pairs and
 /// `g` group records; ids are used as-is (dense convention).
 pub fn ingest_edge_list(
@@ -208,10 +355,13 @@ pub fn ingest_edge_list(
                                  // declared-too-small error points there, exactly like the in-memory
                                  // `read_edge_list` (pinned by the dialect-parity test).
     let mut max_line: usize = 0;
-    let mut counts: Vec<u64> = Vec::new(); // arc records per owner
+    let mut counts: Vec<u32> = Vec::new(); // arcs per owner
     let mut group_records: Vec<(u32, u32)> = Vec::new();
-    let mut total_records: u64 = 0;
-    let lines = scan(input, |record, lineno| {
+    let mut total_arcs: u64 = 0;
+    let max_pairs = opts.memory_budget_bytes / EDGE_COST;
+    let mut pairs: Option<Vec<(u32, u32)>> = Some(edge_buffer(0));
+    let mut scanner = open_scanner(input)?;
+    while let Some((record, lineno)) = scanner.next_record().map_err(scan_err)? {
         match record {
             Record::Blank => {}
             Record::Vertices(n) => declared = Some(n),
@@ -227,9 +377,21 @@ pub fn ingest_edge_list(
                     if counts.len() <= hi {
                         counts.resize(hi + 1, 0);
                     }
-                    counts[u as usize] += 1;
-                    counts[v as usize] += 1;
-                    total_records += 2;
+                    for w in [u, v] {
+                        let c = &mut counts[w as usize];
+                        match c.checked_add(1) {
+                            Some(next) => *c = next,
+                            None => {
+                                return line_err(lineno, format!("vertex {w} has over {c} arcs"))
+                            }
+                        }
+                    }
+                    total_arcs += 2;
+                    match &mut pairs {
+                        Some(buf) if buf.len() < max_pairs => buf.push((u, v)),
+                        Some(_) => pairs = None,
+                        None => {}
+                    }
                 }
             }
             Record::Group(v, g) => {
@@ -240,8 +402,9 @@ pub fn ingest_edge_list(
                 group_records.push((v, g));
             }
         }
-        Ok(())
-    })?;
+    }
+    let lines = scanner.lines();
+    drop(scanner);
     let n = match declared {
         Some(d) => {
             if d < max_seen {
@@ -259,128 +422,36 @@ pub fn ingest_edge_list(
     };
     counts.resize(n, 0);
 
-    // ---- Bucket plan: contiguous vertex ranges under the budget. ---
-    let budget_records =
-        ((opts.memory_budget_bytes / 24).max(1) as u64).max(total_records.div_ceil(1024)); // cap the spool-file count
-    let mut starts: Vec<u32> = vec![0];
-    let mut acc = 0u64;
-    for (v, &c) in counts.iter().enumerate() {
-        if acc + c > budget_records && acc > 0 {
-            starts.push(v as u32);
-            acc = 0;
-        }
-        acc += c;
-    }
-    let buckets = starts.len();
-
-    // Full-name + pid suffix: outputs differing only in extension (or
-    // two concurrent ingests) must not share — and mutually delete —
-    // one spool directory.
-    let tmp_dir =
-        crate::writer::sibling_path(output, &format!(".ingest-tmp.{}", std::process::id()));
-    std::fs::create_dir_all(&tmp_dir)?;
-    let _guard = TempDirGuard(tmp_dir.clone());
-
-    // ---- Pass 2: distribute arc records to their owner's bucket. ---
-    {
-        let mut writers: Vec<BufWriter<File>> = (0..buckets)
-            .map(|b| {
-                File::create(tmp_dir.join(format!("bucket-{b}")))
-                    .map(|f| BufWriter::with_capacity(1 << 18, f))
-            })
-            .collect::<Result<_, _>>()?;
-        let bucket_of = |v: u32| -> usize { starts.partition_point(|&s| s <= v) - 1 };
-        let mut emit = |owner: u32, target: u32, original: bool| -> Result<(), StoreError> {
-            let mut rec = [0u8; RECORD_LEN];
-            rec[0..4].copy_from_slice(&owner.to_le_bytes());
-            rec[4..8].copy_from_slice(&target.to_le_bytes());
-            rec[8] = original as u8;
-            writers[bucket_of(owner)].write_all(&rec)?;
-            Ok(())
-        };
-        scan(input, |record, lineno| {
-            if let Record::Edge(u, v) = record {
-                if u == v {
-                    return Ok(());
-                }
-                if u.max(v) as usize >= n {
-                    // Input changed between passes; refuse to misroute.
-                    return line_err(lineno, "input grew between passes");
-                }
-                emit(u, v, true)?;
-                emit(v, u, false)?;
+    // ---- Place and build the rows: from the pairs, or bucket by
+    // bucket through a second pass. ----------------------------------
+    let (targets, flags, buckets, csr, _spool_dir) = match pairs {
+        Some(pairs) => {
+            let mut rows = Rows::new(0, &counts);
+            drop(counts);
+            for &(u, v) in &pairs {
+                rows.place(u, v)?;
             }
-            Ok(())
-        })?;
-        for mut w in writers {
-            w.flush()?;
+            drop(pairs);
+            let mut csr = CsrTables::new(n);
+            let targets = rows.build(&mut csr)?;
+            let flags = std::mem::take(&mut csr.flags);
+            (
+                SectionData::U32s(targets),
+                SectionData::U64s(flags),
+                1,
+                csr,
+                None,
+            )
         }
-    }
-
-    // ---- Pass 3: per bucket, sort + dedup + append CSR sections. ---
-    let mut offsets: Vec<u64> = Vec::with_capacity(n + 1);
-    offsets.push(0);
-    let mut in_deg = vec![0u32; n];
-    let mut out_deg = vec![0u32; n];
-    let mut num_original_edges = 0usize;
-    let mut num_arcs = 0u64;
-    let mut targets_spool = Spool::create(&tmp_dir.join("targets"))?;
-    let mut flags_spool = BitSpool {
-        spool: Spool::create(&tmp_dir.join("flags"))?,
-        word: 0,
-        fill: 0,
+        None => {
+            let budget_arcs = ((opts.memory_budget_bytes / ARC_COST).max(1) as u64)
+                .max(total_arcs.div_ceil(1024)); // cap the spool-file count
+            let mut csr = CsrTables::new(n);
+            let (targets, flags, buckets, dir) =
+                spooled(input, output, &counts, budget_arcs, &mut csr)?;
+            (targets, flags, buckets, csr, Some(dir))
+        }
     };
-    for b in 0..buckets {
-        let lo = starts[b] as usize;
-        let hi = if b + 1 < buckets {
-            starts[b + 1] as usize
-        } else {
-            n
-        };
-        let path = tmp_dir.join(format!("bucket-{b}"));
-        let mut raw = Vec::new();
-        File::open(&path)?.read_to_end(&mut raw)?;
-        std::fs::remove_file(&path).ok();
-        if !raw.len().is_multiple_of(RECORD_LEN) {
-            return Err(StoreError::Format("bucket spool corrupted".into()));
-        }
-        let mut arcs: Vec<(u32, u32, bool)> = raw
-            .chunks_exact(RECORD_LEN)
-            .map(|c| {
-                (
-                    u32::from_le_bytes(c[0..4].try_into().unwrap()),
-                    u32::from_le_bytes(c[4..8].try_into().unwrap()),
-                    c[8] != 0,
-                )
-            })
-            .collect();
-        drop(raw);
-        // GraphBuilder::build's exact canonical order: the
-        // original-flagged copy of a duplicated arc sorts first and
-        // survives the dedup.
-        arcs.sort_unstable_by_key(|&(u, v, orig)| (u, v, !orig));
-        arcs.dedup_by_key(|&mut (u, v, _)| (u, v));
-        let mut cursor = 0usize;
-        // `v` is a vertex id driving the offsets/degree tables and the
-        // record cursor at once, not a plain index into one slice.
-        #[allow(clippy::needless_range_loop)]
-        for v in lo..hi {
-            while cursor < arcs.len() && arcs[cursor].0 as usize == v {
-                let (_, t, orig) = arcs[cursor];
-                targets_spool.write(&t.to_le_bytes())?;
-                flags_spool.push(orig)?;
-                if orig {
-                    out_deg[v] += 1;
-                    in_deg[t as usize] += 1;
-                    num_original_edges += 1;
-                }
-                num_arcs += 1;
-                cursor += 1;
-            }
-            offsets.push(num_arcs);
-        }
-        debug_assert_eq!(cursor, arcs.len(), "records outside bucket range");
-    }
 
     // ---- Groups (small, in-memory — metadata, not edge-scale). -----
     let groups = if group_records.is_empty() {
@@ -394,21 +465,20 @@ pub fn ingest_edge_list(
     };
 
     // ---- Assemble the container. -----------------------------------
+    let CsrTables {
+        offsets,
+        in_deg,
+        out_deg,
+        num_arcs,
+        num_original_edges,
+        ..
+    } = csr;
     let mut sections = vec![
-        (
-            SectionId::Offsets,
-            SectionData::Bytes(u64_bytes(offsets.iter().copied())),
-        ),
-        (SectionId::Targets, targets_spool.into_section()?),
-        (SectionId::ArcFlags, flags_spool.finish()?),
-        (
-            SectionId::InDegrees,
-            SectionData::Bytes(u32_bytes(in_deg.iter().copied())),
-        ),
-        (
-            SectionId::OutDegrees,
-            SectionData::Bytes(u32_bytes(out_deg.iter().copied())),
-        ),
+        (SectionId::Offsets, SectionData::U64s(offsets)),
+        (SectionId::Targets, targets),
+        (SectionId::ArcFlags, flags),
+        (SectionId::InDegrees, SectionData::U32s(in_deg)),
+        (SectionId::OutDegrees, SectionData::U32s(out_deg)),
     ];
     let (num_groups, num_memberships) = match &groups {
         Some(g) => {
@@ -445,4 +515,104 @@ pub fn ingest_edge_list(
         buckets,
         lines,
     })
+}
+
+/// The second pass of an input whose arcs pass the budget: spools each
+/// edge's pair to the buckets of its two endpoints (contiguous vertex
+/// ranges of at most `budget_arcs` slots), then places and builds the
+/// buckets in vertex order, streaming targets and flag words to section
+/// spools. Returns the two sections, the bucket count, and the guard of
+/// the spool directory, which must outlive the assembly.
+fn spooled(
+    input: &Path,
+    output: &Path,
+    counts: &[u32],
+    budget_arcs: u64,
+    csr: &mut CsrTables,
+) -> Result<(SectionData, SectionData, usize, TempDirGuard), StoreError> {
+    let n = counts.len();
+    let mut starts: Vec<u32> = vec![0];
+    let mut acc = 0u64;
+    for (v, &c) in counts.iter().enumerate() {
+        if acc + u64::from(c) > budget_arcs && acc > 0 {
+            starts.push(v as u32);
+            acc = 0;
+        }
+        acc += u64::from(c);
+    }
+    let buckets = starts.len();
+
+    // Full-name + pid suffix: outputs differing only in extension (or
+    // two concurrent ingests) must not share — and mutually delete —
+    // one spool directory.
+    let tmp_dir =
+        crate::writer::sibling_path(output, &format!(".ingest-tmp.{}", std::process::id()));
+    std::fs::create_dir_all(&tmp_dir)?;
+    let guard = TempDirGuard(tmp_dir.clone());
+    let bucket_path = |b: usize| tmp_dir.join(format!("bucket-{b}"));
+
+    {
+        let mut writers: Vec<BufWriter<File>> = (0..buckets)
+            .map(|b| File::create(bucket_path(b)).map(|f| BufWriter::with_capacity(1 << 18, f)))
+            .collect::<Result<_, _>>()?;
+        let bucket_of = |v: u32| -> usize { starts.partition_point(|&s| s <= v) - 1 };
+        let mut scanner = open_scanner(input)?;
+        while let Some((record, lineno)) = scanner.next_record().map_err(scan_err)? {
+            if let Record::Edge(u, v) = record {
+                if u == v {
+                    continue;
+                }
+                if u.max(v) as usize >= n {
+                    // Input changed between passes; refuse to misroute.
+                    return line_err(lineno, "input grew between passes");
+                }
+                let mut pair = [0u8; PAIR_LEN];
+                pair[..4].copy_from_slice(&u.to_le_bytes());
+                pair[4..].copy_from_slice(&v.to_le_bytes());
+                let (bu, bv) = (bucket_of(u), bucket_of(v));
+                writers[bu].write_all(&pair)?;
+                if bv != bu {
+                    writers[bv].write_all(&pair)?;
+                }
+            }
+        }
+        for mut w in writers {
+            w.flush()?;
+        }
+    }
+
+    let mut targets = Spool::create(&tmp_dir.join("targets"))?;
+    let mut flags = Spool::create(&tmp_dir.join("flags"))?;
+    for b in 0..buckets {
+        let lo = starts[b] as usize;
+        let hi = starts.get(b + 1).map_or(n, |&s| s as usize);
+        let mut rows = Rows::new(lo, &counts[lo..hi]);
+        let path = bucket_path(b);
+        let file = File::open(&path)?;
+        let records = file.metadata()?.len();
+        if records % PAIR_LEN as u64 != 0 {
+            return Err(StoreError::Format("bucket spool corrupted".into()));
+        }
+        let mut reader = BufReader::with_capacity(1 << 18, file);
+        let mut pair = [0u8; PAIR_LEN];
+        for _ in 0..records / PAIR_LEN as u64 {
+            reader.read_exact(&mut pair)?;
+            let (u, v) = pair.split_at(4);
+            rows.place(
+                u32::from_le_bytes(u.try_into().expect("4 bytes")),
+                u32::from_le_bytes(v.try_into().expect("4 bytes")),
+            )?;
+        }
+        drop(reader);
+        std::fs::remove_file(&path).ok();
+        targets.write(&u32_bytes(rows.build(csr)?.into_iter()))?;
+        csr.spool_flags(&mut flags)?;
+    }
+    flags.write(&u64_bytes(csr.flags.drain(..)))?;
+    Ok((
+        targets.into_section()?,
+        flags.into_section()?,
+        buckets,
+        guard,
+    ))
 }

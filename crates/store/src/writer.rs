@@ -28,6 +28,10 @@ pub const WRITE_SITE: &str = "store.write";
 pub(crate) enum SectionData {
     /// Payload already in memory.
     Bytes(Vec<u8>),
+    /// `u32` values, written little-endian without a byte copy.
+    U32s(Vec<u32>),
+    /// `u64` values, written little-endian without a byte copy.
+    U64s(Vec<u64>),
     /// Payload spooled to a temp file during ingestion, with its length
     /// and checksum accumulated while it was written.
     Spooled {
@@ -40,19 +44,50 @@ pub(crate) enum SectionData {
     },
 }
 
+/// Values per little-endian piece of a `U32s`/`U64s` payload.
+const PIECE_VALUES: usize = 8 << 10;
+
+/// Hands `values` to `sink` as little-endian bytes, a piece at a time.
+fn le_pieces<T: Copy, const N: usize>(
+    values: &[T],
+    to_le: fn(T) -> [u8; N],
+    sink: &mut dyn FnMut(&[u8]) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let mut piece = Vec::with_capacity(PIECE_VALUES.min(values.len()) * N);
+    for chunk in values.chunks(PIECE_VALUES) {
+        piece.clear();
+        for &v in chunk {
+            piece.extend_from_slice(&to_le(v));
+        }
+        sink(&piece)?;
+    }
+    Ok(())
+}
+
 impl SectionData {
     fn len(&self) -> u64 {
         match self {
             SectionData::Bytes(b) => b.len() as u64,
+            SectionData::U32s(v) => v.len() as u64 * 4,
+            SectionData::U64s(v) => v.len() as u64 * 8,
             SectionData::Spooled { len, .. } => *len,
         }
     }
 
     fn hash(&self) -> u64 {
-        match self {
-            SectionData::Bytes(b) => fnv1a(b),
-            SectionData::Spooled { hash, .. } => *hash,
-        }
+        let mut hasher = Fnv1a::new();
+        let mut update = |bytes: &[u8]| {
+            hasher.update(bytes);
+            Ok(())
+        };
+        let hashed = match self {
+            SectionData::Bytes(b) => return fnv1a(b),
+            SectionData::U32s(v) => le_pieces(v, u32::to_le_bytes, &mut update),
+            SectionData::U64s(v) => le_pieces(v, u64::to_le_bytes, &mut update),
+            SectionData::Spooled { hash, .. } => return *hash,
+        };
+        hashed.expect("hashing into memory cannot fail");
+        hasher.finish()
     }
 }
 
@@ -150,8 +185,11 @@ pub(crate) fn assemble(
         for ((_, data), &(_, offset, len, _)) in sections.into_iter().zip(&entries) {
             let pad = offset as usize - written;
             w.write_all(&vec![0u8; pad])?;
+            let mut write = |bytes: &[u8]| w.write_all(bytes);
             match data {
-                SectionData::Bytes(bytes) => w.write_all(&bytes)?,
+                SectionData::Bytes(bytes) => write(&bytes)?,
+                SectionData::U32s(v) => le_pieces(&v, u32::to_le_bytes, &mut write)?,
+                SectionData::U64s(v) => le_pieces(&v, u64::to_le_bytes, &mut write)?,
                 SectionData::Spooled { mut file, .. } => {
                     use std::io::Seek;
                     file.seek(std::io::SeekFrom::Start(0))?;

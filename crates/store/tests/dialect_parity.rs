@@ -294,3 +294,38 @@ fn loader_and_ingester_agree_on_every_dialect_class() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Bytes that are not UTF-8 are a line-numbered parse error on both
+/// paths, whether the line looks like a record, a plain edge with a
+/// trailing field, or a comment.
+#[test]
+fn invalid_utf8_is_a_line_numbered_error_on_both_paths() {
+    // Not `tmp_dir()`: the table test removes that directory when done.
+    let dir = std::env::temp_dir().join(format!("fs_dialect_utf8_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cases: [(&[u8], usize); 4] = [
+        (b"e 0 1\n\xff 1\n", 2),
+        (b"0 1\n1 2 caf\xe9\n", 2),
+        (b"# caf\xe9\n0 1\n", 1),
+        (b"0 1\r\ne 1\t2\xc3", 2),
+    ];
+    for (i, (input, line)) in cases.into_iter().enumerate() {
+        let input_path = dir.join(format!("utf8_{i}.el"));
+        std::fs::write(&input_path, input).unwrap();
+        let io_err = io_error_string(fs_graph::io::read_edge_list(input).unwrap_err());
+        let store_err = store_error_string(
+            ingest_edge_list(
+                &input_path,
+                dir.join(format!("utf8_{i}.fsg")),
+                &IngestOptions::default(),
+            )
+            .unwrap_err(),
+        );
+        let expected = format!("parse error at line {line}: invalid UTF-8");
+        assert_eq!(
+            (io_err.as_str(), store_err.as_str()),
+            (&*expected, &*expected)
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

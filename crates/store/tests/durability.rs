@@ -3,14 +3,25 @@
 //! stranded staging sibling — and a disarmed retry must succeed over
 //! the same path.
 //!
-//! Kept in its own test binary: the failpoint registry is
-//! process-global, so these tests must not share a process with other
-//! failpoint users.
+//! The failpoint registry is process-global, and the test harness runs
+//! this binary's tests on parallel threads: one test's armed
+//! `store.write` fault would land in a sibling's unarmed writes. So
+//! every test here holds [`serial`] for its whole body, armed or not.
 
 use fs_graph::failpoint::ArmedGuard;
 use fs_graph::GraphAccess;
+use fs_store::{ingest_edge_list, IngestOptions};
 use rand::SeedableRng;
 use std::path::PathBuf;
+use std::sync::{Mutex, MutexGuard};
+
+/// Serializes the tests of this binary around the failpoint registry.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    // A test that panicked while holding the lock leaves nothing to
+    // repair: the registry is disarmed by its guard's drop.
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir =
@@ -29,6 +40,7 @@ fn residue(dir: &PathBuf) -> Vec<String> {
 
 #[test]
 fn failed_write_is_invisible_and_retry_succeeds() {
+    let _serial = serial();
     let g = fs_gen::barabasi_albert(500, 3, &mut rand::rngs::SmallRng::seed_from_u64(11));
     let dir = tmp_dir("invisible");
     let path = dir.join("g.fsg");
@@ -60,6 +72,7 @@ fn failed_write_is_invisible_and_retry_succeeds() {
 
 #[test]
 fn failed_rewrite_preserves_the_existing_store() {
+    let _serial = serial();
     let g1 = fs_gen::barabasi_albert(300, 2, &mut rand::rngs::SmallRng::seed_from_u64(5));
     let g2 = fs_gen::barabasi_albert(400, 3, &mut rand::rngs::SmallRng::seed_from_u64(6));
     let dir = tmp_dir("preserve");
@@ -76,5 +89,43 @@ fn failed_rewrite_preserves_the_existing_store() {
     assert_eq!(std::fs::read(&path).unwrap(), before);
     let m = fs_store::MmapGraph::open(&path).unwrap();
     assert_eq!(m.num_vertices(), g1.num_vertices());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn failed_ingest_is_invisible_and_retry_matches_the_builder_path() {
+    let _serial = serial();
+    let g = fs_gen::barabasi_albert(2_000, 3, &mut rand::rngs::SmallRng::seed_from_u64(12));
+    let dir = tmp_dir("ingest");
+    let text = dir.join("g.el");
+    fs_graph::io::save_edge_list(&g, &text).unwrap();
+    let reference = dir.join("reference.fsg");
+    fs_store::write_store(&fs_graph::io::load_edge_list(&text).unwrap(), &reference).unwrap();
+    let expected = std::fs::read(&reference).unwrap();
+    std::fs::remove_file(&reference).unwrap();
+
+    let path = dir.join("g.fsg");
+    // The default budget reads the input once; 1 byte spools every
+    // vertex to its own bucket.
+    for budget in [IngestOptions::default().memory_budget_bytes, 1] {
+        let opts = IngestOptions {
+            memory_budget_bytes: budget,
+        };
+        {
+            let _armed = ArmedGuard::new("store.write=error:1.0", 4);
+            assert!(ingest_edge_list(&text, &path, &opts).is_err());
+        }
+        assert!(!path.exists(), "failed ingest must not publish the target");
+        assert_eq!(
+            residue(&dir),
+            vec!["g.el".to_string()],
+            "no staging or spool residue at budget {budget}"
+        );
+
+        let report = ingest_edge_list(&text, &path, &opts).unwrap();
+        assert_eq!(report.buckets > 1, budget == 1);
+        assert_eq!(std::fs::read(&path).unwrap(), expected, "budget {budget}");
+        std::fs::remove_file(&path).unwrap();
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
