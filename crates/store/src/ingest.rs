@@ -357,7 +357,6 @@ pub fn ingest_edge_list(
     let mut max_line: usize = 0;
     let mut counts: Vec<u32> = Vec::new(); // arcs per owner
     let mut group_records: Vec<(u32, u32)> = Vec::new();
-    let mut total_arcs: u64 = 0;
     let max_pairs = opts.memory_budget_bytes / EDGE_COST;
     let mut pairs: Option<Vec<(u32, u32)>> = Some(edge_buffer(0));
     let mut scanner = open_scanner(input)?;
@@ -386,7 +385,6 @@ pub fn ingest_edge_list(
                             }
                         }
                     }
-                    total_arcs += 2;
                     match &mut pairs {
                         Some(buf) if buf.len() < max_pairs => buf.push((u, v)),
                         Some(_) => pairs = None,
@@ -444,11 +442,9 @@ pub fn ingest_edge_list(
             )
         }
         None => {
-            let budget_arcs = ((opts.memory_budget_bytes / ARC_COST).max(1) as u64)
-                .max(total_arcs.div_ceil(1024)); // cap the spool-file count
             let mut csr = CsrTables::new(n);
             let (targets, flags, buckets, dir) =
-                spooled(input, output, &counts, budget_arcs, &mut csr)?;
+                spooled(input, output, &counts, opts.memory_budget_bytes, &mut csr)?;
             (targets, flags, buckets, csr, Some(dir))
         }
     };
@@ -519,7 +515,7 @@ pub fn ingest_edge_list(
 
 /// The second pass of an input whose arcs pass the budget: spools each
 /// edge's pair to the buckets of its two endpoints (contiguous vertex
-/// ranges of at most `budget_arcs` slots), then places and builds the
+/// ranges of at most `budget / ARC_COST` slots), then places and builds the
 /// buckets in vertex order, streaming targets and flag words to section
 /// spools. Returns the two sections, the bucket count, and the guard of
 /// the spool directory, which must outlive the assembly.
@@ -527,10 +523,13 @@ fn spooled(
     input: &Path,
     output: &Path,
     counts: &[u32],
-    budget_arcs: u64,
+    budget: usize,
     csr: &mut CsrTables,
 ) -> Result<(SectionData, SectionData, usize, TempDirGuard), StoreError> {
     let n = counts.len();
+    // At most ~1024 buckets, whatever the budget: each is a spool file.
+    let total_arcs: u64 = counts.iter().map(|&c| u64::from(c)).sum();
+    let budget_arcs = ((budget / ARC_COST).max(1) as u64).max(total_arcs.div_ceil(1024));
     let mut starts: Vec<u32> = vec![0];
     let mut acc = 0u64;
     for (v, &c) in counts.iter().enumerate() {
@@ -551,9 +550,11 @@ fn spooled(
     let guard = TempDirGuard(tmp_dir.clone());
     let bucket_path = |b: usize| tmp_dir.join(format!("bucket-{b}"));
 
+    // The bucket writers' buffers share the budget.
+    let spool_buf = (budget / buckets).clamp(8 << 10, 1 << 18);
     {
         let mut writers: Vec<BufWriter<File>> = (0..buckets)
-            .map(|b| File::create(bucket_path(b)).map(|f| BufWriter::with_capacity(1 << 18, f)))
+            .map(|b| File::create(bucket_path(b)).map(|f| BufWriter::with_capacity(spool_buf, f)))
             .collect::<Result<_, _>>()?;
         let bucket_of = |v: u32| -> usize { starts.partition_point(|&s| s <= v) - 1 };
         let mut scanner = open_scanner(input)?;

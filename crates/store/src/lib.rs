@@ -20,9 +20,9 @@
 //!   cost and zero deserialization.
 //! * [`load_store`] / [`load_weighted_store`] — checksum-verified owned
 //!   loads for code that wants the plain in-memory types.
-//! * [`ingest_edge_list`] — external-memory conversion (streaming
-//!   passes, bounded-memory bucketed sort) for edge lists whose
-//!   in-memory intermediates would not fit in RAM.
+//! * [`ingest_edge_list`] — text edge list to store with bounded
+//!   memory: one pass and counting placement when the arcs fit the
+//!   budget, spooled vertex-range buckets on a second pass when not.
 //! * `graphstore` — the companion CLI: `convert`, `inspect`, `verify`.
 //!
 //! ## Quick example
