@@ -127,19 +127,37 @@ fn open_scanner(input: &Path) -> Result<EdgeListScanner<BufReader<File>>, StoreE
     )))
 }
 
+/// Adds each pair's two arcs to the arc counts of their owners.
+fn count_arcs(counts: &mut Vec<u32>, pairs: &[(u32, u32)]) -> Result<(), StoreError> {
+    for &(u, v) in pairs {
+        let hi = u.max(v) as usize;
+        if counts.len() <= hi {
+            counts.resize(hi + 1, 0);
+        }
+        for w in [u, v] {
+            let c = &mut counts[w as usize];
+            *c = c.checked_add(1).ok_or_else(|| {
+                StoreError::Format(format!("vertex {w} owns over {} arcs", u32::MAX))
+            })?;
+        }
+    }
+    Ok(())
+}
+
 fn changed_between_passes<T>() -> Result<T, StoreError> {
     Err(StoreError::Format("input changed between passes".into()))
 }
 
 /// The arcs of the vertex range `lo..lo + rows`, placed by counting.
 /// Row `r` owns slots `bounds[r]..bounds[r + 1]`: its original arcs
-/// fill them from the left, the reverse copies of arcs into it from
-/// the right, and the two cursors meet once the row is complete.
+/// fill them from the left cursor up, the reverse copies of arcs into
+/// it from the right cursor down, and the cursors meet once the row is
+/// complete.
 struct Rows {
     lo: u32,
     bounds: Vec<usize>,
-    left: Vec<usize>,
-    right: Vec<usize>,
+    /// `(left, right)` per row, side by side: a reverse copy reads both.
+    cursors: Vec<(usize, usize)>,
     slots: Vec<u32>,
 }
 
@@ -158,8 +176,7 @@ impl Rows {
         slots.resize(total, 0);
         Rows {
             lo: lo as u32,
-            left: bounds[..counts.len()].to_vec(),
-            right: bounds[1..].to_vec(),
+            cursors: bounds.windows(2).map(|w| (w[0], w[1])).collect(),
             bounds,
             slots,
         }
@@ -168,24 +185,19 @@ impl Rows {
     /// Places the original arc `u → v` in `u`'s row and its reverse copy
     /// in `v`'s, for whichever of the two rows this range holds.
     fn place(&mut self, u: u32, v: u32) -> Result<(), StoreError> {
-        let rows = self.left.len();
-        let ru = u.wrapping_sub(self.lo) as usize;
-        if ru < rows {
-            let at = self.left[ru];
-            if at == self.right[ru] {
+        if let Some((left, right)) = self.cursors.get_mut(u.wrapping_sub(self.lo) as usize) {
+            if left == right {
                 return changed_between_passes();
             }
-            self.slots[at] = v;
-            self.left[ru] = at + 1;
+            self.slots[*left] = v;
+            *left += 1;
         }
-        let rv = v.wrapping_sub(self.lo) as usize;
-        if rv < rows {
-            let at = self.right[rv];
-            if at == self.left[rv] {
+        if let Some((left, right)) = self.cursors.get_mut(v.wrapping_sub(self.lo) as usize) {
+            if left == right {
                 return changed_between_passes();
             }
-            self.slots[at - 1] = u;
-            self.right[rv] = at - 1;
+            *right -= 1;
+            self.slots[*right] = u;
         }
         Ok(())
     }
@@ -196,9 +208,9 @@ impl Rows {
     fn build(mut self, csr: &mut CsrTables) -> Result<Vec<u32>, StoreError> {
         let mut row = Vec::new();
         let mut kept = 0;
-        for r in 0..self.left.len() {
-            let (start, mid, end) = (self.bounds[r], self.left[r], self.bounds[r + 1]);
-            if mid != self.right[r] {
+        for (r, &(mid, right)) in self.cursors.iter().enumerate() {
+            let (start, end) = (self.bounds[r], self.bounds[r + 1]);
+            if mid != right {
                 return changed_between_passes();
             }
             // Merged rows move to the front of `slots`; a copy keeps
@@ -208,7 +220,13 @@ impl Rows {
             let (orig, rev) = row.split_at_mut(mid - start);
             orig.sort_unstable();
             rev.sort_unstable();
+            // The distinct sources of original arcs into this vertex
+            // are its in-degree; the distinct targets, its out-degree.
             let owner = self.lo as usize + r;
+            let out_deg = orig.chunk_by(u32::eq).count() as u32;
+            csr.out_deg[owner] = out_deg;
+            csr.in_deg[owner] = rev.chunk_by(u32::eq).count() as u32;
+            csr.num_original_edges += out_deg as usize;
             let (mut i, mut j) = (0, 0);
             let mut last = None;
             while i < orig.len() || j < rev.len() {
@@ -224,7 +242,7 @@ impl Rows {
                     last = Some(target);
                     self.slots[kept] = target;
                     kept += 1;
-                    csr.push_arc(owner, target, original);
+                    csr.push_flag(original);
                 }
             }
             csr.offsets.push(csr.num_arcs);
@@ -260,16 +278,14 @@ impl CsrTables {
         }
     }
 
-    fn push_arc(&mut self, owner: usize, target: u32, original: bool) {
+    /// Appends one arc's flag bit.
+    fn push_flag(&mut self, original: bool) {
         let bit = self.num_arcs % 64;
         if bit == 0 {
             self.flags.push(0);
         }
         if original {
             *self.flags.last_mut().expect("a word was pushed") |= 1 << bit;
-            self.out_deg[owner] += 1;
-            self.in_deg[target as usize] += 1;
-            self.num_original_edges += 1;
         }
         self.num_arcs += 1;
     }
@@ -371,24 +387,18 @@ pub fn ingest_edge_list(
                     max_line = lineno;
                 }
                 // Self-loops raise the inferred vertex count but
-                // produce no arcs, exactly as in `GraphBuilder`.
+                // produce no arcs, exactly as in `GraphBuilder`. Buffered
+                // pairs are counted after the scan, in a loop of their own
+                // that overlaps the counters' cache misses.
                 if u != v {
-                    if counts.len() <= hi {
-                        counts.resize(hi + 1, 0);
-                    }
-                    for w in [u, v] {
-                        let c = &mut counts[w as usize];
-                        match c.checked_add(1) {
-                            Some(next) => *c = next,
-                            None => {
-                                return line_err(lineno, format!("vertex {w} has over {c} arcs"))
-                            }
-                        }
-                    }
                     match &mut pairs {
                         Some(buf) if buf.len() < max_pairs => buf.push((u, v)),
-                        Some(_) => pairs = None,
-                        None => {}
+                        _ => {
+                            if let Some(buf) = pairs.take() {
+                                count_arcs(&mut counts, &buf)?;
+                            }
+                            count_arcs(&mut counts, &[(u, v)])?;
+                        }
                     }
                 }
             }
@@ -418,6 +428,9 @@ pub fn ingest_edge_list(
         }
         None => max_seen,
     };
+    if let Some(buf) = &pairs {
+        count_arcs(&mut counts, buf)?;
+    }
     counts.resize(n, 0);
 
     // ---- Place and build the rows: from the pairs, or bucket by
