@@ -366,10 +366,10 @@ pub fn ingest_edge_list(
 
     // ---- Pass 1: count, validate, learn the universe. -------------
     let mut declared: Option<usize> = None;
-    let mut max_seen: usize = 0; // max id + 1
-                                 // Line that first referenced the highest vertex id — a
-                                 // declared-too-small error points there, exactly like the in-memory
-                                 // `read_edge_list` (pinned by the dialect-parity test).
+    // Max id + 1, and the line that first referenced the highest vertex
+    // id — a declared-too-small error points there, exactly like the
+    // in-memory `read_edge_list` (pinned by the dialect-parity test).
+    let mut max_seen: usize = 0;
     let mut max_line: usize = 0;
     let mut counts: Vec<u32> = Vec::new(); // arcs per owner
     let mut group_records: Vec<(u32, u32)> = Vec::new();
