@@ -620,4 +620,83 @@ mod tests {
         assert_eq!(parse("1.5").unwrap().as_u64(), None);
         assert_eq!(parse("-3").unwrap().as_u64(), None);
     }
+
+    /// A float array's wire form, element by element: shortest
+    /// round-trip `Display` for finite values, `null` for the rest.
+    fn reference_array(xs: &[f64]) -> String {
+        let items: Vec<String> = xs
+            .iter()
+            .map(|x| {
+                if x.is_finite() {
+                    format!("{x}")
+                } else {
+                    "null".to_string()
+                }
+            })
+            .collect();
+        format!("[{}]", items.join(","))
+    }
+
+    /// The floats an encoder can get wrong: both zeros, non-finite
+    /// values, subnormals, integers at and past 2^53, any bit pattern.
+    fn awkward_float(kind: u64, bits: u64) -> f64 {
+        let sign = bits & (1 << 63);
+        match kind {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::NAN,
+            3 => f64::INFINITY,
+            4 => f64::NEG_INFINITY,
+            5 => f64::from_bits(sign | (bits % (1 << 52))),
+            6 => {
+                let two_53 = 2f64.powi(53).to_bits();
+                f64::from_bits(sign | (two_53 + bits % (f64::MAX.to_bits() - two_53)))
+            }
+            7 => f64::from_bits(bits),
+            8 => (bits % 1_000) as f64 / 997.0,
+            _ => (bits % 100) as f64,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Arrays of numbers encode exactly as their elements do one by
+        /// one, across long runs of one value and every awkward float.
+        #[test]
+        fn float_arrays_encode_element_by_element(
+            runs in proptest::prop::collection::vec((0u64..10, 0u64..u64::MAX, 1usize..40), 0..40)
+        ) {
+            let xs: Vec<f64> = runs
+                .iter()
+                .flat_map(|&(kind, bits, len)| std::iter::repeat_n(awkward_float(kind, bits), len))
+                .collect();
+            let encoded = Json::Arr(xs.iter().map(|&x| Json::Num(x)).collect()).encode();
+            proptest::prop_assert_eq!(encoded, reference_array(&xs));
+        }
+    }
+
+    #[test]
+    fn mixed_arrays_encode_element_by_element() {
+        let doc = Json::Arr(vec![
+            Json::Num(0.5),
+            Json::Null,
+            Json::Num(0.5),
+            Json::Str("0.5".into()),
+            Json::Num(0.5),
+            Json::Arr(vec![Json::Num(0.5), Json::Num(-0.0), Json::Num(0.0)]),
+            Json::Num(f64::NAN),
+            Json::Num(f64::NAN),
+            Json::Bool(false),
+            Json::Num(1e300),
+            Json::Num(1e300),
+        ]);
+        assert_eq!(
+            doc.encode(),
+            format!(
+                "[0.5,null,0.5,\"0.5\",0.5,[0.5,-0,0],null,null,false,{0},{0}]",
+                "1".to_string() + &"0".repeat(300)
+            )
+        );
+    }
 }

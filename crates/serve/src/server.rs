@@ -547,11 +547,11 @@ impl AppLogic for Logic {
         };
         if view.phase.terminal() {
             *last_gen = view.generation;
-            return StreamEvent::End(job_json(&view).encode());
+            return StreamEvent::End(job_doc(&view));
         }
         if view.generation > *last_gen {
             *last_gen = view.generation;
-            return StreamEvent::Chunk(job_json(&view).encode());
+            return StreamEvent::Chunk(job_doc(&view));
         }
         StreamEvent::Idle
     }
@@ -573,7 +573,7 @@ impl Logic {
         };
         match (method, stream) {
             ("GET", false) => match self.manager.view(id) {
-                Some(view) => respond(200, job_json(&view).encode()),
+                Some(view) => respond(200, job_doc(&view)),
                 None => respond(404, error_body(&format!("no job {id}"))),
             },
             ("GET", true) => {
@@ -713,6 +713,12 @@ fn parse_job_spec(doc: &Json) -> Result<JobSpec, String> {
     })
 }
 
+/// The JSON document of a job view: the body of `GET /v1/jobs/{id}`
+/// and every stream line.
+fn job_doc(view: &JobView) -> String {
+    job_json(view).encode()
+}
+
 /// Serializes a job view. Estimate floats use shortest-round-trip
 /// encoding, so clients recover server-side values bit for bit — and a
 /// cache-hit job's estimate is **byte-identical** to the original run's
@@ -800,4 +806,220 @@ fn profile_json(view: &JobView) -> Json {
             Json::Num((p.budget_total - p.budget_spent).max(0.0)),
         ),
     ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::jobs::JobProfile;
+    use frontier_sampling::runner::EstimateSnapshot;
+
+    fn queued() -> JobView {
+        JobView {
+            id: 7,
+            spec: JobSpec {
+                store: "ba_50k.fsg".to_string(),
+                sampler: SamplerSpec::Frontier { m: 16 },
+                budget: 20_000.0,
+                seed: 424_242,
+                estimator: EstimatorSpec::Ccdf,
+                pool_threads: None,
+            },
+            store_digest: 0x00c0_ffee_1234_5678,
+            phase: JobPhase::Queued,
+            error: None,
+            steps_done: 0,
+            progress: 0.0,
+            estimate: None,
+            cached: false,
+            profile: JobProfile::default(),
+            generation: 1,
+        }
+    }
+
+    fn profile(chunks: u64, busy_us: u64, queries: u64, spent: f64, total: f64) -> JobProfile {
+        JobProfile {
+            chunks,
+            busy_us,
+            queries,
+            budget_spent: spent,
+            budget_total: total,
+        }
+    }
+
+    /// One view per shape a job document takes on the wire.
+    fn pinned_views() -> Vec<(&'static str, JobView)> {
+        let running = JobView {
+            phase: JobPhase::Running,
+            steps_done: 8_192,
+            progress: 0.4096,
+            estimate: Some(EstimateSnapshot {
+                num_observed: 8_176,
+                scalar: None,
+                vector: Some(vec![
+                    1.0,
+                    1.0,
+                    0.75,
+                    0.75,
+                    0.75,
+                    0.1 + 0.2,
+                    0.0,
+                    0.0,
+                    -0.0,
+                    -0.0,
+                    2.5e-8,
+                    2f64.powi(53) + 2.0,
+                    f64::NAN,
+                    0.0,
+                ]),
+            }),
+            profile: profile(1, 2_345, 8_208, 8_192.0, 20_000.0),
+            ..queued()
+        };
+        let done_scalar = JobView {
+            spec: JobSpec {
+                sampler: SamplerSpec::Single,
+                estimator: EstimatorSpec::AverageDegree,
+                budget: 5_000.5,
+                ..queued().spec
+            },
+            phase: JobPhase::Done,
+            steps_done: 5_000,
+            progress: 1.0,
+            estimate: Some(EstimateSnapshot {
+                num_observed: 4_999,
+                scalar: Some(7.998_765_432_101_234),
+                vector: None,
+            }),
+            profile: profile(3, 1_234, 5_016, 5_003.0, 5_000.5),
+            ..queued()
+        };
+        let done_vector = JobView {
+            spec: JobSpec {
+                estimator: EstimatorSpec::DegreeDist,
+                ..queued().spec
+            },
+            phase: JobPhase::Done,
+            steps_done: 20_000,
+            progress: 1.0,
+            estimate: Some(EstimateSnapshot {
+                num_observed: 19_984,
+                scalar: None,
+                vector: Some(vec![
+                    0.0,
+                    0.0,
+                    0.0,
+                    0.0,
+                    0.412_345_678_9,
+                    0.2,
+                    0.2,
+                    0.0,
+                    0.012_5,
+                    0.0,
+                    0.0,
+                    0.012_5,
+                    1.0 / 3.0,
+                ]),
+            }),
+            profile: profile(3, 9_876, 20_016, 20_000.0, 20_000.0),
+            ..queued()
+        };
+        let cached = JobView {
+            id: 9,
+            cached: true,
+            generation: 2,
+            ..done_vector.clone()
+        };
+        let cached = JobView {
+            profile: JobProfile::default(),
+            ..cached
+        };
+        let failed = JobView {
+            spec: JobSpec {
+                store: "grafo_é.fsg".to_string(),
+                sampler: SamplerSpec::Rwj { alpha: 0.25 },
+                estimator: EstimatorSpec::PopulationSize,
+                ..queued().spec
+            },
+            phase: JobPhase::Failed,
+            error: Some("store \"grafo_é.fsg\" vanished:\nline two \u{1} end\\".to_string()),
+            steps_done: 100,
+            progress: 0.005,
+            profile: profile(1, 0, 101, 100.0, 20_000.0),
+            ..queued()
+        };
+        let pooled = JobView {
+            id: u64::from(u32::MAX) + 1,
+            spec: JobSpec {
+                sampler: SamplerSpec::Multiple { m: 4 },
+                estimator: EstimatorSpec::Clustering,
+                seed: u64::MAX,
+                pool_threads: Some(8),
+                ..queued().spec
+            },
+            store_digest: u64::MAX,
+            phase: JobPhase::Cancelled,
+            steps_done: 12,
+            progress: 0.0006,
+            estimate: Some(EstimateSnapshot {
+                num_observed: 0,
+                scalar: None,
+                vector: None,
+            }),
+            ..queued()
+        };
+        vec![
+            ("queued", queued()),
+            ("running", running),
+            ("done_scalar", done_scalar),
+            ("done_vector", done_vector),
+            ("cached", cached),
+            ("failed", failed),
+            ("pooled", pooled),
+        ]
+    }
+
+    /// The wire bytes of each pinned view. Changing one changes what
+    /// clients read, so these move only with a named protocol change.
+    const GOLDEN: [(&str, &str); 7] = [
+        (
+            "queued",
+            r#"{"id":7,"phase":"queued","error":null,"store":"ba_50k.fsg","store_digest":"00c0ffee12345678","sampler":"FS (m=16)","estimator":"ccdf","budget":20000,"seed":424242,"pool_threads":null,"steps_done":0,"progress":0,"cached":false,"profile":{"chunks":0,"busy_us":0,"queries":0,"steps_per_sec":null,"queries_per_step":null,"budget_spent":0,"budget_total":0,"budget_remaining":0},"final":false,"estimate":null}"#,
+        ),
+        (
+            "running",
+            r#"{"id":7,"phase":"running","error":null,"store":"ba_50k.fsg","store_digest":"00c0ffee12345678","sampler":"FS (m=16)","estimator":"ccdf","budget":20000,"seed":424242,"pool_threads":null,"steps_done":8192,"progress":0.4096,"cached":false,"profile":{"chunks":1,"busy_us":2345,"queries":8208,"steps_per_sec":3493390.1918976544,"queries_per_step":1.001953125,"budget_spent":8192,"budget_total":20000,"budget_remaining":11808},"final":false,"estimate":{"num_observed":8176,"scalar":null,"vector":[1,1,0.75,0.75,0.75,0.30000000000000004,0,0,-0,-0,0.000000025,9007199254740994,null,0]}}"#,
+        ),
+        (
+            "done_scalar",
+            r#"{"id":7,"phase":"done","error":null,"store":"ba_50k.fsg","store_digest":"00c0ffee12345678","sampler":"SingleRW","estimator":"avg_degree","budget":5000.5,"seed":424242,"pool_threads":null,"steps_done":5000,"progress":1,"cached":false,"profile":{"chunks":3,"busy_us":1234,"queries":5016,"steps_per_sec":4051863.8573743924,"queries_per_step":1.0032,"budget_spent":5003,"budget_total":5000.5,"budget_remaining":0},"final":true,"estimate":{"num_observed":4999,"scalar":7.998765432101234,"vector":null}}"#,
+        ),
+        (
+            "done_vector",
+            r#"{"id":7,"phase":"done","error":null,"store":"ba_50k.fsg","store_digest":"00c0ffee12345678","sampler":"FS (m=16)","estimator":"degree_dist","budget":20000,"seed":424242,"pool_threads":null,"steps_done":20000,"progress":1,"cached":false,"profile":{"chunks":3,"busy_us":9876,"queries":20016,"steps_per_sec":2025111.381125962,"queries_per_step":1.0008,"budget_spent":20000,"budget_total":20000,"budget_remaining":0},"final":true,"estimate":{"num_observed":19984,"scalar":null,"vector":[0,0,0,0,0.4123456789,0.2,0.2,0,0.0125,0,0,0.0125,0.3333333333333333]}}"#,
+        ),
+        (
+            "cached",
+            r#"{"id":9,"phase":"done","error":null,"store":"ba_50k.fsg","store_digest":"00c0ffee12345678","sampler":"FS (m=16)","estimator":"degree_dist","budget":20000,"seed":424242,"pool_threads":null,"steps_done":20000,"progress":1,"cached":true,"profile":{"chunks":0,"busy_us":0,"queries":0,"steps_per_sec":null,"queries_per_step":0,"budget_spent":0,"budget_total":0,"budget_remaining":0},"final":true,"estimate":{"num_observed":19984,"scalar":null,"vector":[0,0,0,0,0.4123456789,0.2,0.2,0,0.0125,0,0,0.0125,0.3333333333333333]}}"#,
+        ),
+        (
+            "failed",
+            r#"{"id":7,"phase":"failed","error":"store \"grafo_é.fsg\" vanished:\nline two \u0001 end\\","store":"grafo_é.fsg","store_digest":"00c0ffee12345678","sampler":"RWJ (alpha=0.25)","estimator":"pop_size","budget":20000,"seed":424242,"pool_threads":null,"steps_done":100,"progress":0.005,"cached":false,"profile":{"chunks":1,"busy_us":0,"queries":101,"steps_per_sec":null,"queries_per_step":1.01,"budget_spent":100,"budget_total":20000,"budget_remaining":19900},"final":false,"estimate":null}"#,
+        ),
+        (
+            "pooled",
+            r#"{"id":4294967296,"phase":"cancelled","error":null,"store":"ba_50k.fsg","store_digest":"ffffffffffffffff","sampler":"MultipleRW (m=4)","estimator":"clustering","budget":20000,"seed":18446744073709552000,"pool_threads":8,"steps_done":12,"progress":0.0006,"cached":false,"profile":{"chunks":0,"busy_us":0,"queries":0,"steps_per_sec":null,"queries_per_step":0,"budget_spent":0,"budget_total":0,"budget_remaining":0},"final":false,"estimate":{"num_observed":0,"scalar":null,"vector":null}}"#,
+        ),
+    ];
+
+    #[test]
+    fn job_documents_match_pinned_bytes() {
+        let views = pinned_views();
+        assert_eq!(views.len(), GOLDEN.len());
+        for ((name, view), (golden_name, golden)) in views.iter().zip(GOLDEN) {
+            assert_eq!(*name, golden_name);
+            assert_eq!(job_doc(view), golden, "{name}");
+            assert!(json::parse(golden).is_ok(), "{name} is not JSON");
+        }
+    }
 }
