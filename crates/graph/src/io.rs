@@ -202,18 +202,44 @@ impl<R: BufRead> EdgeListScanner<R> {
         }
         self.line.clear();
         self.reader.read_until(b'\n', &mut self.line)?;
-        let mut bytes = self.line.as_slice();
-        if let Some(rest) = bytes.strip_suffix(b"\n") {
-            bytes = rest.strip_suffix(b"\r").unwrap_or(rest);
-        }
-        let text = std::str::from_utf8(bytes).map_err(|_| IoError::Parse {
-            line: self.lineno,
-            message: "invalid UTF-8".into(),
-        })?;
+        let text = line_text(&self.line, self.lineno)?;
         Ok(Some((
             parse_edge_list_line(text, self.lineno)?,
             self.lineno,
         )))
+    }
+}
+
+/// The text of a line read through its `\n`, without the `\n` or the
+/// `\r\n` (as [`BufRead::lines`] strips them); a line that is not UTF-8
+/// is a line-numbered error.
+fn line_text(line: &[u8], lineno: usize) -> Result<&str, IoError> {
+    let mut bytes = line;
+    if let Some(rest) = bytes.strip_suffix(b"\n") {
+        bytes = rest.strip_suffix(b"\r").unwrap_or(rest);
+    }
+    std::str::from_utf8(bytes).map_err(|_| IoError::Parse {
+        line: lineno,
+        message: "invalid UTF-8".into(),
+    })
+}
+
+/// Calls `f` with each line of `reader` (as [`BufRead::lines`] splits
+/// them) and its 1-based number, through one reused buffer. A line that
+/// is not UTF-8 is a line-numbered error, as in [`EdgeListScanner`].
+pub(crate) fn for_each_line<R: BufRead>(
+    mut reader: R,
+    mut f: impl FnMut(&str, usize) -> Result<(), IoError>,
+) -> Result<(), IoError> {
+    let mut line = Vec::new();
+    let mut lineno = 0;
+    loop {
+        line.clear();
+        if reader.read_until(b'\n', &mut line)? == 0 {
+            return Ok(());
+        }
+        lineno += 1;
+        f(line_text(&line, lineno)?, lineno)?;
     }
 }
 
@@ -360,28 +386,26 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<Graph, IoError> {
 /// assert_eq!(g.num_original_edges(), 3);
 /// ```
 pub fn read_snap_edge_list<R: Read>(reader: R) -> Result<Graph, IoError> {
-    let r = BufReader::new(reader);
     let mut remap: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
     let mut edges: Vec<(u32, u32)> = Vec::new();
     let intern = |raw: u64, remap: &mut std::collections::HashMap<u64, u32>| -> u32 {
         let next = remap.len() as u32;
         *remap.entry(raw).or_insert(next)
     };
-    for (idx, line) in r.lines().enumerate() {
-        let line = line?;
+    for_each_line(BufReader::new(reader), |line, lineno| {
         let text = line.trim();
         if text.is_empty() || text.starts_with('#') || text.starts_with('%') {
-            continue;
+            return Ok(());
         }
         let mut parts = text.split_ascii_whitespace();
         let parse = |s: Option<&str>| -> Result<u64, IoError> {
             s.ok_or_else(|| IoError::Parse {
-                line: idx + 1,
+                line: lineno,
                 message: "expected 'src dst'".into(),
             })?
             .parse::<u64>()
             .map_err(|e| IoError::Parse {
-                line: idx + 1,
+                line: lineno,
                 message: format!("bad vertex id: {e}"),
             })
         };
@@ -390,7 +414,8 @@ pub fn read_snap_edge_list<R: Read>(reader: R) -> Result<Graph, IoError> {
         let su = intern(u, &mut remap);
         let sv = intern(v, &mut remap);
         edges.push((su, sv));
-    }
+        Ok(())
+    })?;
     let mut b = GraphBuilder::with_capacity(remap.len(), edges.len());
     for (u, v) in edges {
         b.add_edge(VertexId::from(u), VertexId::from(v));
@@ -635,6 +660,15 @@ mod tests {
     fn snap_format_rejects_garbage() {
         assert!(read_snap_edge_list("1 x\n".as_bytes()).is_err());
         assert!(read_snap_edge_list("1\n".as_bytes()).is_err());
+    }
+
+    #[test]
+    fn snap_format_reports_invalid_utf8_with_its_line() {
+        let err = read_snap_edge_list(&b"1 2\n\xff 3\n"[..]).unwrap_err();
+        assert_eq!(err.to_string(), "parse error at line 2: invalid UTF-8");
+        // Line endings and a last line without `\n` split as before.
+        let g = read_snap_edge_list(&b"1 2\r\n2 3\n3 1"[..]).unwrap();
+        assert_eq!(g.num_original_edges(), 3);
     }
 
     #[test]

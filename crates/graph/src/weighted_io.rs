@@ -19,9 +19,9 @@
 //! small-graph debugging and figures — weights become edge labels.
 
 use crate::graph::Graph;
-use crate::io::IoError;
+use crate::io::{for_each_line, IoError};
 use crate::weighted::WeightedGraph;
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 /// Writes `graph` to `writer` in the weighted edge-list format.
@@ -41,17 +41,14 @@ pub fn write_weighted_edge_list<W: Write>(graph: &WeightedGraph, writer: W) -> i
 
 /// Reads a weighted graph in the weighted edge-list format from `reader`.
 pub fn read_weighted_edge_list<R: Read>(reader: R) -> Result<WeightedGraph, IoError> {
-    let r = BufReader::new(reader);
     let mut n: Option<usize> = None;
     let mut pairs: Vec<(usize, usize, f64)> = Vec::new();
     let mut max_seen = 0usize;
 
-    for (idx, line) in r.lines().enumerate() {
-        let line = line?;
-        let lineno = idx + 1;
+    for_each_line(BufReader::new(reader), |line, lineno| {
         let body = line.split('#').next().unwrap_or("").trim();
         if body.is_empty() {
-            continue;
+            return Ok(());
         }
         let mut toks = body.split_whitespace();
         let tag = toks.next().unwrap();
@@ -107,7 +104,8 @@ pub fn read_weighted_edge_list<R: Read>(reader: R) -> Result<WeightedGraph, IoEr
                 })
             }
         }
-    }
+        Ok(())
+    })?;
     let n = n.unwrap_or(max_seen + 1);
     if let Some(&(u, v, _)) = pairs.iter().find(|&&(u, v, _)| u >= n || v >= n) {
         return Err(IoError::Parse {
@@ -220,6 +218,12 @@ mod tests {
         let g = read_weighted_edge_list(text.as_bytes()).unwrap();
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.edge_weight(VertexId::new(0), VertexId::new(1)), Some(1.5));
+    }
+
+    #[test]
+    fn reader_reports_invalid_utf8_with_its_line() {
+        let err = read_weighted_edge_list(&b"w 0 1 2.5\n\xff 3\n"[..]).unwrap_err();
+        assert_eq!(err.to_string(), "parse error at line 2: invalid UTF-8");
     }
 
     #[test]

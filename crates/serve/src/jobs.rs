@@ -39,7 +39,7 @@ use fs_obs::FieldValue;
 use fs_store::MmapGraph;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// A validated job specification.
@@ -414,6 +414,18 @@ impl JobManager {
                 return Err(SubmitError::ShuttingDown);
             }
             let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+            // A cache hit is born terminal: journal submit + terminal
+            // together so a restart re-registers the finished job.
+            if let Some(journal) = &self.journal {
+                journal.submit(id, &spec, probe_digest);
+                journal.terminal(
+                    id,
+                    JobPhase::Done,
+                    None,
+                    hit.steps_done,
+                    Some(&hit.snapshot),
+                );
+            }
             let shared = Arc::new(JobShared {
                 spec,
                 store_digest: probe_digest,
@@ -423,25 +435,13 @@ impl JobManager {
                     error: None,
                     steps_done: hit.steps_done,
                     progress: 1.0,
-                    snapshot: Some(hit.snapshot.clone()),
+                    snapshot: Some(hit.snapshot),
                     profile: JobProfile::default(),
                 }),
                 cancel: AtomicBool::new(false),
                 resume: Mutex::new(None),
                 generation: AtomicU64::new(1),
             });
-            // A cache hit is born terminal: journal submit + terminal
-            // together so a restart re-registers the finished job.
-            if let Some(journal) = &self.journal {
-                journal.submit(id, &shared.spec, probe_digest);
-                journal.terminal(
-                    id,
-                    JobPhase::Done,
-                    None,
-                    hit.steps_done,
-                    Some(&hit.snapshot),
-                );
-            }
             self.insert_job(id, Arc::clone(&shared));
             if let Some(obs) = self.obs() {
                 obs.jobs_submitted.incr();
@@ -462,7 +462,10 @@ impl JobManager {
             return Ok(id);
         }
 
-        let (digest, graph) = self.registry.get(&spec.store).map_err(SubmitError::Store)?;
+        let (digest, graph) = self
+            .registry
+            .get_with_digest(&spec.store, probe_digest)
+            .map_err(SubmitError::Store)?;
 
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let shared = Arc::new(JobShared {
@@ -718,12 +721,13 @@ impl JobManager {
         }
     }
 
+    fn shared(&self, id: u64) -> Option<Arc<JobShared>> {
+        self.jobs.lock().expect("jobs poisoned").get(&id).cloned()
+    }
+
     /// Snapshot of one job.
     pub fn view(&self, id: u64) -> Option<JobView> {
-        let shared = {
-            let jobs = self.jobs.lock().expect("jobs poisoned");
-            Arc::clone(jobs.get(&id)?)
-        };
+        let shared = self.shared(id)?;
         // Generation before state: a racing update between the two
         // reads can only make the view *newer* than its generation
         // claims, so a subscriber that stores this generation as its
@@ -751,18 +755,21 @@ impl JobManager {
         Some(jobs.get(&id)?.generation.load(Ordering::Acquire))
     }
 
+    /// A job's current phase, without cloning the view.
+    pub fn phase(&self, id: u64) -> Option<JobPhase> {
+        let shared = self.shared(id)?;
+        let phase = shared.state.lock().expect("job poisoned").phase;
+        Some(phase)
+    }
+
     /// Requests cancellation. Queued jobs flip to `Cancelled`
     /// immediately; running jobs stop at their next chunk boundary;
     /// terminal jobs are reported as such (`Done`/`Failed` cannot be
     /// cancelled; repeated cancels are idempotent). See
     /// [`CancelOutcome`] for the HTTP mapping.
     pub fn cancel(&self, id: u64) -> CancelOutcome {
-        let shared = {
-            let jobs = self.jobs.lock().expect("jobs poisoned");
-            match jobs.get(&id) {
-                Some(shared) => Arc::clone(shared),
-                None => return CancelOutcome::NotFound,
-            }
+        let Some(shared) = self.shared(id) else {
+            return CancelOutcome::NotFound;
         };
         // Refuse to clobber a finished result: only non-terminal jobs
         // (or already-cancelled ones, idempotently) accept the flag.
@@ -938,51 +945,66 @@ impl JobManager {
             self.fail_job(id, shared, why);
             return;
         }
-        let cancelled = self.run_chunks(id, shared, graph, &mut estimator);
-
-        let snapshot = estimator.snapshot();
-        let mut state = shared.state.lock().expect("job poisoned");
-        state.snapshot = Some(snapshot.clone());
-        if cancelled {
-            state.phase = JobPhase::Cancelled;
-            let steps_done = state.steps_done;
-            drop(state);
-            if let Some(journal) = &self.journal {
-                journal.terminal(id, JobPhase::Cancelled, None, steps_done, None);
+        match self.run_chunks(id, shared, graph, &mut estimator) {
+            None => {
+                let mut state = shared.state.lock().expect("job poisoned");
+                // Chunks leave the snapshot of the estimator as it
+                // stands; a job cancelled before its first chunk takes
+                // one here.
+                if state.snapshot.is_none() {
+                    state.snapshot = Some(estimator.snapshot());
+                }
+                state.phase = JobPhase::Cancelled;
+                let steps_done = state.steps_done;
+                drop(state);
+                if let Some(journal) = &self.journal {
+                    journal.terminal(id, JobPhase::Cancelled, None, steps_done, None);
+                }
+                self.observe_terminal(id, JobPhase::Cancelled, steps_done);
             }
-            self.observe_terminal(id, JobPhase::Cancelled, steps_done);
-        } else {
-            let steps_done = state.steps_done;
-            // Publish to the result cache: the run is complete and the
-            // result is a pure function of (digest, spec, seed), so
-            // future identical submits answer from here byte-for-byte.
-            // It goes in before the job shows as done, so a resubmit
-            // sent on reading the terminal line cannot miss it.
-            self.cache.insert(
-                CacheKey::new(
-                    shared.store_digest,
-                    &spec.sampler,
-                    spec.budget,
-                    spec.seed,
-                    spec.estimator,
-                ),
-                CachedResult {
-                    snapshot: snapshot.clone(),
-                    steps_done,
-                },
-            );
-            state.progress = 1.0;
-            state.phase = JobPhase::Done;
-            drop(state);
-            if let Some(journal) = &self.journal {
-                journal.terminal(id, JobPhase::Done, None, steps_done, Some(&snapshot));
+            Some((snapshot, mut state)) => {
+                let steps_done = state.steps_done;
+                // Publish to the result cache: the run is complete and
+                // the result is a pure function of (digest, spec,
+                // seed), so future identical submits answer from here
+                // byte-for-byte. It goes in before the job shows as
+                // done, so a resubmit sent on reading the terminal line
+                // cannot miss it.
+                self.cache.insert(
+                    CacheKey::new(
+                        shared.store_digest,
+                        &spec.sampler,
+                        spec.budget,
+                        spec.seed,
+                        spec.estimator,
+                    ),
+                    CachedResult {
+                        snapshot: snapshot.clone(),
+                        steps_done,
+                    },
+                );
+                // The journal record is written after the state lock
+                // drops, so it needs its own copy; without a journal
+                // the snapshot moves into the state.
+                let record = self.journal.as_ref().map(|j| (j, snapshot.clone()));
+                state.snapshot = Some(snapshot);
+                state.progress = 1.0;
+                state.phase = JobPhase::Done;
+                drop(state);
+                if let Some((journal, snapshot)) = record {
+                    journal.terminal(id, JobPhase::Done, None, steps_done, Some(&snapshot));
+                }
+                self.observe_terminal(id, JobPhase::Done, steps_done);
             }
-            self.observe_terminal(id, JobPhase::Done, steps_done);
         }
         self.touch(shared);
     }
 
-    /// Chunked execution; returns whether cancelled.
+    /// Chunked execution. Returns `None` when cancelled. A finished
+    /// run returns its final snapshot with the job's state lock held,
+    /// the last chunk's progress already written under it, so the
+    /// caller publishes the estimate and `done` in that same critical
+    /// section.
     ///
     /// A job carrying a journal checkpoint restarts from it —
     /// bit-identical to never having paused (the runner's resume
@@ -990,13 +1012,13 @@ impl JobManager {
     /// spec drift) is discarded and the job re-runs from scratch,
     /// which determinism makes bit-identical too: recovery never has
     /// a wrong answer, only a slower one.
-    fn run_chunks(
+    fn run_chunks<'a>(
         &self,
         id: u64,
-        shared: &JobShared,
+        shared: &'a JobShared,
         graph: &MmapGraph,
         estimator: &mut JobEstimator,
-    ) -> bool {
+    ) -> Option<(EstimateSnapshot, MutexGuard<'a, JobState>)> {
         let spec = &shared.spec;
         // Charged-query tap: delegation is bit-identical (pinned in
         // fs-graph), so arming the counter cannot change the estimate.
@@ -1049,7 +1071,7 @@ impl JobManager {
         let mut queries_reported = 0u64;
         loop {
             if shared.cancel.load(Ordering::Relaxed) {
-                return true;
+                return None;
             }
             let chunk_start = Instant::now();
             let status = runner.run_chunk(self.chunk, |sample| estimator.observe(graph, sample));
@@ -1065,10 +1087,10 @@ impl JobManager {
                 obs.access_queries.add(rp.queries_issued - queries_reported);
             }
             queries_reported = rp.queries_issued;
+            let snapshot = estimator.snapshot();
             let mut state = shared.state.lock().expect("job poisoned");
             state.steps_done = runner.steps_done();
             state.progress = runner.progress();
-            state.snapshot = Some(estimator.snapshot());
             state.profile = JobProfile {
                 chunks,
                 busy_us,
@@ -1076,10 +1098,11 @@ impl JobManager {
                 budget_spent: rp.budget_spent,
                 budget_total: rp.budget_total,
             };
-            drop(state);
             if status == ChunkStatus::Finished {
-                return false;
+                return Some((snapshot, state));
             }
+            state.snapshot = Some(snapshot);
+            drop(state);
             if let Some(journal) = &self.journal {
                 chunks_since_checkpoint += 1;
                 if chunks_since_checkpoint >= JOURNAL_CHECKPOINT_CHUNKS {

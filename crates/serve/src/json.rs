@@ -12,6 +12,25 @@
 //! `determinism` integration test). Non-finite numbers have no JSON
 //! representation; the encoder maps them to `null` (the estimator audit
 //! guarantees served estimates are finite).
+//!
+//! ## Writing without a tree
+//!
+//! `ObjectWriter` writes an object's fields in order straight into a
+//! string, under the same rules as [`Json::encode`]; job documents
+//! (`GET /v1/jobs/{id}` and every stream line) are written this way,
+//! so no `Json` value is built for them. `Json` stays for parsing and
+//! for small fixed responses.
+//!
+//! One float-array writer serves both paths (`write_f64_array` and
+//! the array arm of [`Json::encode`]). Formatting floats through
+//! `Display` is most of the cost of encoding, and served vectors are
+//! mostly zeros (degree distributions) or step functions (CCDFs), so
+//! it has two fast paths: `+0.0` (bits `0`) writes `0`, and a value
+//! bit-equal to the last one formatted copies the bytes already
+//! written for it. Every other value takes the number rule above. The
+//! output is byte-identical to formatting each element on its own
+//! (pinned by a property test over zero runs, `±0.0`, NaN, `±inf`,
+//! subnormals and values past 2^53).
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -99,42 +118,170 @@ impl Json {
     fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Num(x) => {
-                if x.is_finite() {
-                    // Shortest round-trip representation; integral
-                    // values print without a decimal point, which JSON
-                    // parses back to the same f64.
-                    let _ = write!(out, "{x}");
-                } else {
-                    out.push_str("null");
-                }
-            }
+            Json::Bool(b) => write_bool(*b, out),
+            Json::Num(x) => write_num(*x, out),
             Json::Str(s) => write_escaped(s, out),
             Json::Arr(items) => {
+                let mut nums = FloatWriter::default();
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
                         out.push(',');
                     }
-                    item.write(out);
+                    match item {
+                        Json::Num(x) => nums.write(*x, out),
+                        item => item.write(out),
+                    }
                 }
                 out.push(']');
             }
             Json::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(k, out);
-                    out.push(':');
-                    v.write(out);
+                let mut obj = ObjectWriter::new(out);
+                for (k, v) in pairs {
+                    v.write(obj.key(k));
                 }
-                out.push('}');
+                obj.end();
             }
         }
+    }
+}
+
+/// Writes the JSON number for `x`: the shortest round-trip `Display`
+/// (integral values print without a decimal point, which JSON parses
+/// back to the same f64), or `null` when `x` is not finite.
+pub(crate) fn write_num(x: f64, out: &mut String) {
+    if x.is_finite() {
+        let _ = write!(out, "{x}");
+    } else {
+        out.push_str("null");
+    }
+}
+
+fn write_bool(b: bool, out: &mut String) {
+    out.push_str(if b { "true" } else { "false" });
+}
+
+/// Writes `xs` as a JSON array of numbers, with the bytes of
+/// `Json::Arr` of `Json::Num`s (see the [module docs](self)).
+pub(crate) fn write_f64_array(xs: &[f64], out: &mut String) {
+    let mut nums = FloatWriter::default();
+    out.push('[');
+    for (i, &x) in xs.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        nums.write(x, out);
+    }
+    out.push(']');
+}
+
+/// The numbers of one array, written into one growing string. `+0.0`
+/// writes `0` and a value bit-equal to the last one formatted copies
+/// that one's bytes, so `Display` runs once per distinct nonzero value
+/// in a row.
+#[derive(Default)]
+struct FloatWriter {
+    /// The bits of the last value formatted and where its text sits in
+    /// `out`, which only grows while the array is written.
+    last: Option<(u64, std::ops::Range<usize>)>,
+}
+
+impl FloatWriter {
+    fn write(&mut self, x: f64, out: &mut String) {
+        let bits = x.to_bits();
+        match &self.last {
+            _ if bits == 0 => out.push('0'),
+            Some((last, text)) if *last == bits => out.extend_from_within(text.clone()),
+            _ => {
+                let start = out.len();
+                write_num(x, out);
+                self.last = Some((bits, start..out.len()));
+            }
+        }
+    }
+}
+
+/// Writes one JSON object's fields, in call order, straight into a
+/// string. Values follow the rules of [`Json::encode`]: an integer is
+/// the f64 nearest it, then the number rule.
+pub(crate) struct ObjectWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> ObjectWriter<'a> {
+    /// Opens an object at the end of `out`.
+    pub(crate) fn new(out: &'a mut String) -> ObjectWriter<'a> {
+        out.push('{');
+        ObjectWriter { out, empty: true }
+    }
+
+    /// Writes the separator and `"key":`, returning the string the
+    /// value goes into.
+    pub(crate) fn key(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        write_escaped(key, self.out);
+        self.out.push(':');
+        self.out
+    }
+
+    pub(crate) fn num(&mut self, key: &str, x: f64) {
+        write_num(x, self.key(key));
+    }
+
+    /// An integer field, encoded as `Json::from(x)` is.
+    pub(crate) fn int(&mut self, key: &str, x: u64) {
+        self.num(key, x as f64);
+    }
+
+    pub(crate) fn null(&mut self, key: &str) {
+        self.key(key).push_str("null");
+    }
+
+    /// A number field, `null` when absent.
+    pub(crate) fn opt_num(&mut self, key: &str, x: Option<f64>) {
+        match x {
+            Some(x) => self.num(key, x),
+            None => self.null(key),
+        }
+    }
+
+    pub(crate) fn str(&mut self, key: &str, s: &str) {
+        write_escaped(s, self.key(key));
+    }
+
+    /// A string field, `null` when absent.
+    pub(crate) fn opt_str(&mut self, key: &str, s: Option<&str>) {
+        match s {
+            Some(s) => self.str(key, s),
+            None => self.null(key),
+        }
+    }
+
+    pub(crate) fn bool(&mut self, key: &str, b: bool) {
+        write_bool(b, self.key(key));
+    }
+
+    /// An array-of-numbers field ([`write_f64_array`]), `null` when
+    /// absent.
+    pub(crate) fn nums(&mut self, key: &str, xs: Option<&[f64]>) {
+        match xs {
+            Some(xs) => write_f64_array(xs, self.key(key)),
+            None => self.null(key),
+        }
+    }
+
+    /// Opens an object-valued field; [`ObjectWriter::end`] closes it.
+    pub(crate) fn object(&mut self, key: &str) -> ObjectWriter<'_> {
+        ObjectWriter::new(self.key(key))
+    }
+
+    /// Closes the object.
+    pub(crate) fn end(self) {
+        self.out.push('}');
     }
 }
 
@@ -183,7 +330,8 @@ impl From<Option<f64>> for Json {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Writes `s` as a JSON string literal.
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -673,6 +821,22 @@ mod tests {
                 .collect();
             let encoded = Json::Arr(xs.iter().map(|&x| Json::Num(x)).collect()).encode();
             proptest::prop_assert_eq!(encoded, reference_array(&xs));
+        }
+
+        /// The array writer job documents use writes the bytes of the
+        /// `Json` tree, after any prefix already in the string.
+        #[test]
+        fn array_writer_matches_the_tree_encoder(
+            runs in proptest::prop::collection::vec((0u64..10, 0u64..u64::MAX, 1usize..40), 0..40)
+        ) {
+            let xs: Vec<f64> = runs
+                .iter()
+                .flat_map(|&(kind, bits, len)| std::iter::repeat_n(awkward_float(kind, bits), len))
+                .collect();
+            let tree = Json::Arr(xs.iter().map(|&x| Json::Num(x)).collect()).encode();
+            let mut out = String::from("{\"vector\":");
+            write_f64_array(&xs, &mut out);
+            proptest::prop_assert_eq!(out, format!("{{\"vector\":{tree}"));
         }
     }
 

@@ -160,10 +160,21 @@ impl StoreRegistry {
     /// returning its content digest and a shared handle. The handle
     /// stays valid after eviction — jobs hold it for their whole run.
     pub fn get(&self, name: &str) -> Result<(u64, Arc<MmapGraph>), RegistryError> {
+        let digest = self.digest(name)?;
+        self.get_with_digest(name, digest)
+    }
+
+    /// [`StoreRegistry::get`] for a `digest` the caller just read with
+    /// [`StoreRegistry::digest`]: a store mapped under that digest is
+    /// returned with no I/O. Otherwise the store is opened and its
+    /// digest read again, as `get` does; the returned digest is the
+    /// one the mapping was verified against.
+    pub fn get_with_digest(
+        &self,
+        name: &str,
+        mut digest: u64,
+    ) -> Result<(u64, Arc<MmapGraph>), RegistryError> {
         let path = self.resolve(name)?;
-        if !path.is_file() {
-            return Err(RegistryError::NotFound(name.to_string()));
-        }
         let unreadable = |cause| RegistryError::Unreadable {
             name: name.to_string(),
             cause,
@@ -174,7 +185,6 @@ impl StoreRegistry {
         // would serve the wrong graph to later digest hits. A handful
         // of retries rides out an in-progress rewrite; persistent
         // instability is reported, never cached.
-        let mut digest = fs_store::file_digest(&path).map_err(&unreadable)?;
         let graph = 'open: {
             for _ in 0..4 {
                 {
@@ -379,6 +389,32 @@ mod tests {
         assert_eq!(g2.num_vertices(), 70);
         // The old handle still reads the old mapping.
         assert_eq!(g1.num_vertices(), 50);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_probed_digest_reuses_the_mapping_and_a_stale_one_reopens() {
+        let dir = tmp("probed");
+        write_ba_store(&dir, "p.fsg", 50, 7);
+        let reg = StoreRegistry::new(&dir, 4);
+        let d1 = reg.digest("p.fsg").unwrap();
+        let (da, ga) = reg.get_with_digest("p.fsg", d1).unwrap();
+        assert_eq!(da, d1);
+        // A mapped digest is served without touching the file: with the
+        // file gone, the probed lookup still answers and `get` cannot.
+        std::fs::rename(dir.join("p.fsg"), dir.join("p.moved")).unwrap();
+        let (db, gb) = reg.get_with_digest("p.fsg", d1).unwrap();
+        assert_eq!(db, d1);
+        assert!(Arc::ptr_eq(&ga, &gb));
+        assert!(matches!(reg.get("p.fsg"), Err(RegistryError::NotFound(_))));
+        // A digest that no longer matches the file is re-checked after
+        // the open: the new content comes back under its own digest.
+        write_ba_store(&dir, "p.fsg", 70, 8);
+        let stale = d1 ^ 1;
+        let (dc, gc) = reg.get_with_digest("p.fsg", stale).unwrap();
+        assert_eq!(dc, reg.digest("p.fsg").unwrap());
+        assert_ne!(dc, stale);
+        assert_eq!(gc.num_vertices(), 70);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -42,7 +42,7 @@ use crate::cache::ResultCache;
 use crate::http::Limits;
 use crate::jobs::{CancelOutcome, JobManager, JobPhase, JobSpec, JobView, SubmitError};
 use crate::journal::{DurabilityStats, Journal};
-use crate::json::{self, Json};
+use crate::json::{self, Json, ObjectWriter};
 use crate::obs::ServeObs;
 use crate::reactor::{Action, AppLogic, Reactor, StreamEvent, Waker};
 use crate::registry::{RegistryError, StoreRegistry};
@@ -540,7 +540,15 @@ impl AppLogic for Logic {
     }
 
     fn stream_poll(&self, job: u64, last_gen: &mut u64) -> StreamEvent {
-        let Some(view) = self.manager.view(job) else {
+        // An idle poll reads one counter: no view, no clone. Every
+        // state change (the terminal one too) bumps the generation
+        // after it lands, so a job at the cursor has nothing to send.
+        let view = match self.manager.generation(job) {
+            Some(generation) if generation <= *last_gen => return StreamEvent::Idle,
+            Some(_) => self.manager.view(job),
+            None => None,
+        };
+        let Some(view) = view else {
             // Pruned by retention mid-stream: terminate rather than
             // hang the subscriber.
             return StreamEvent::End(error_body(&format!("job {job} no longer exists")));
@@ -577,7 +585,7 @@ impl Logic {
                 None => respond(404, error_body(&format!("no job {id}"))),
             },
             ("GET", true) => {
-                if self.manager.view(id).is_none() {
+                if self.manager.generation(id).is_none() {
                     return respond(404, error_body(&format!("no job {id}")));
                 }
                 Action::Stream { job: id }
@@ -629,11 +637,7 @@ impl Logic {
             Ok(id) => {
                 // A cache hit completes the job at submit; report the
                 // actual phase so clients need not poll a done job.
-                let phase = self
-                    .manager
-                    .view(id)
-                    .map(|v| v.phase)
-                    .unwrap_or(JobPhase::Queued);
+                let phase = self.manager.phase(id).unwrap_or(JobPhase::Queued);
                 respond(
                     202,
                     Json::obj([("id", Json::from(id)), ("phase", Json::from(phase.name()))])
@@ -713,65 +717,43 @@ fn parse_job_spec(doc: &Json) -> Result<JobSpec, String> {
     })
 }
 
-/// The JSON document of a job view: the body of `GET /v1/jobs/{id}`
-/// and every stream line.
+/// The JSON document of a job view — the body of `GET /v1/jobs/{id}`
+/// and every stream line — written straight to bytes, with no `Json`
+/// tree. Estimate floats use shortest-round-trip encoding, so clients
+/// recover server-side values bit for bit — and a cache-hit job's
+/// estimate is **byte-identical** to the original run's (the
+/// `cached`/`id` bookkeeping fields differ; the payload does not).
 fn job_doc(view: &JobView) -> String {
-    job_json(view).encode()
-}
-
-/// Serializes a job view. Estimate floats use shortest-round-trip
-/// encoding, so clients recover server-side values bit for bit — and a
-/// cache-hit job's estimate is **byte-identical** to the original run's
-/// (the `cached`/`id` bookkeeping fields differ; the payload does not).
-fn job_json(view: &JobView) -> Json {
-    let estimate = match &view.estimate {
-        None => Json::Null,
-        Some(snapshot) => Json::obj([
-            ("num_observed", Json::from(snapshot.num_observed)),
-            (
-                "scalar",
-                snapshot.scalar.map(Json::Num).unwrap_or(Json::Null),
-            ),
-            (
-                "vector",
-                snapshot
-                    .vector
-                    .as_ref()
-                    .map(|v| Json::Arr(v.iter().map(|&x| Json::Num(x)).collect()))
-                    .unwrap_or(Json::Null),
-            ),
-        ]),
-    };
-    Json::obj([
-        ("id", Json::from(view.id)),
-        ("phase", Json::from(view.phase.name())),
-        (
-            "error",
-            view.error.as_deref().map(Json::from).unwrap_or(Json::Null),
-        ),
-        ("store", Json::from(view.spec.store.clone())),
-        (
-            "store_digest",
-            Json::from(format!("{:016x}", view.store_digest)),
-        ),
-        ("sampler", Json::from(view.spec.sampler.label())),
-        ("estimator", Json::from(view.spec.estimator.name())),
-        ("budget", Json::Num(view.spec.budget)),
-        ("seed", Json::from(view.spec.seed)),
-        (
-            "pool_threads",
-            view.spec
-                .pool_threads
-                .map(|t| Json::from(t as u64))
-                .unwrap_or(Json::Null),
-        ),
-        ("steps_done", Json::from(view.steps_done)),
-        ("progress", Json::Num(view.progress)),
-        ("cached", Json::from(view.cached)),
-        ("profile", profile_json(view)),
-        ("final", Json::from(view.phase == JobPhase::Done)),
-        ("estimate", estimate),
-    ])
+    let mut out = String::new();
+    let spec = &view.spec;
+    let mut doc = ObjectWriter::new(&mut out);
+    doc.int("id", view.id);
+    doc.str("phase", view.phase.name());
+    doc.opt_str("error", view.error.as_deref());
+    doc.str("store", &spec.store);
+    doc.str("store_digest", &format!("{:016x}", view.store_digest));
+    doc.str("sampler", &spec.sampler.label());
+    doc.str("estimator", spec.estimator.name());
+    doc.num("budget", spec.budget);
+    doc.int("seed", spec.seed);
+    doc.opt_num("pool_threads", spec.pool_threads.map(|t| t as f64));
+    doc.int("steps_done", view.steps_done);
+    doc.num("progress", view.progress);
+    doc.bool("cached", view.cached);
+    write_profile(view, doc.object("profile"));
+    doc.bool("final", view.phase == JobPhase::Done);
+    match &view.estimate {
+        None => doc.null("estimate"),
+        Some(snapshot) => {
+            let mut estimate = doc.object("estimate");
+            estimate.int("num_observed", snapshot.num_observed);
+            estimate.opt_num("scalar", snapshot.scalar);
+            estimate.nums("vector", snapshot.vector.as_deref());
+            estimate.end();
+        }
+    }
+    doc.end();
+    out
 }
 
 /// The per-job execution profile: raw totals from the chunk loop plus
@@ -781,31 +763,26 @@ fn job_json(view: &JobView) -> Json {
 /// to a run without profiling (pinned by `determinism.rs` and
 /// `loadgen --verify`, which compare estimate bits with this field
 /// present).
-fn profile_json(view: &JobView) -> Json {
+fn write_profile(view: &JobView, mut doc: ObjectWriter<'_>) {
     let p = &view.profile;
-    let steps_per_sec = if p.busy_us > 0 {
-        Json::Num(view.steps_done as f64 * 1e6 / p.busy_us as f64)
-    } else {
-        Json::Null
-    };
-    let queries_per_step = if view.steps_done > 0 {
-        Json::Num(p.queries as f64 / view.steps_done as f64)
-    } else {
-        Json::Null
-    };
-    Json::obj([
-        ("chunks", Json::from(p.chunks)),
-        ("busy_us", Json::from(p.busy_us)),
-        ("queries", Json::from(p.queries)),
-        ("steps_per_sec", steps_per_sec),
-        ("queries_per_step", queries_per_step),
-        ("budget_spent", Json::Num(p.budget_spent)),
-        ("budget_total", Json::Num(p.budget_total)),
-        (
-            "budget_remaining",
-            Json::Num((p.budget_total - p.budget_spent).max(0.0)),
-        ),
-    ])
+    doc.int("chunks", p.chunks);
+    doc.int("busy_us", p.busy_us);
+    doc.int("queries", p.queries);
+    doc.opt_num(
+        "steps_per_sec",
+        (p.busy_us > 0).then(|| view.steps_done as f64 * 1e6 / p.busy_us as f64),
+    );
+    doc.opt_num(
+        "queries_per_step",
+        (view.steps_done > 0).then(|| p.queries as f64 / view.steps_done as f64),
+    );
+    doc.num("budget_spent", p.budget_spent);
+    doc.num("budget_total", p.budget_total);
+    doc.num(
+        "budget_remaining",
+        (p.budget_total - p.budget_spent).max(0.0),
+    );
+    doc.end();
 }
 
 #[cfg(test)]
