@@ -297,3 +297,137 @@ fn finished_runner_round_trips() {
         assert_eq!(emitted, 0);
     }
 }
+
+/// FNV-1a 64-bit: a dependency-free fingerprint for the byte pins below.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Offset of the population estimator's visit-counter mode byte in an
+/// FSEC blob: magic (4) ‖ version (4) ‖ spec tag (1) ‖ state tag (1) ‖
+/// degree sum (8) ‖ inverse-degree sum (8).
+const POP_MODE_OFFSET: usize = 26;
+
+/// A `pop_size` FSEC blob built field by field: the layout journals
+/// persist, written without going through the estimator.
+fn population_blob(
+    sums: (f64, f64),
+    mode: u8,
+    dense_len: u64,
+    entries: &[(u64, u32)],
+    collisions: u64,
+    observed: u64,
+) -> Vec<u8> {
+    use frontier_sampling::checkpoint::Encoder;
+    let mut enc = Encoder::with_header(*b"FSEC", 1);
+    enc.put_u8(5); // EstimatorSpec::PopulationSize
+    enc.put_u8(4); // edge population-size state
+    enc.put_f64(sums.0);
+    enc.put_f64(sums.1);
+    enc.put_u8(mode);
+    enc.put_u64(dense_len);
+    enc.put_u64(entries.len() as u64);
+    for &(i, c) in entries {
+        enc.put_u64(i);
+        enc.put_u32(c);
+    }
+    enc.put_u64(collisions);
+    enc.put_u64(observed);
+    enc.finish()
+}
+
+fn edge(s: usize, t: usize) -> Sample {
+    Sample::Edge(fs_graph::Arc {
+        source: fs_graph::VertexId::new(s),
+        target: fs_graph::VertexId::new(t),
+    })
+}
+
+/// The `pop_size` estimator checkpoint is what the job journal
+/// persists, so its bytes must not move with the in-memory counter:
+/// (length, FNV-1a-64) of FSEC blobs after a seeded FS run on the
+/// BA(250) fixture, mid-run and at the end. The universe is small, so
+/// both are dense-mode (mode 1) blobs.
+#[test]
+fn population_checkpoint_bytes_are_stable() {
+    let g = fixture();
+    let spec = SamplerSpec::Frontier { m: 5 };
+    let mut runner = ChunkedRunner::new(&spec, &g, &CostModel::unit(), 600.0, 42);
+    let mut estimator = JobEstimator::new(EstimatorSpec::PopulationSize, &spec).unwrap();
+    for _ in 0..3 {
+        assert_eq!(
+            runner.run_chunk(64, |s| estimator.observe(&g, s)),
+            ChunkStatus::InProgress
+        );
+    }
+    let mid = estimator.serialize();
+    while runner.run_chunk(64, |s| estimator.observe(&g, s)) == ChunkStatus::InProgress {}
+    let end = estimator.serialize();
+    assert_eq!(mid[POP_MODE_OFFSET], 1, "dense-mode blob expected");
+    assert_eq!(end[POP_MODE_OFFSET], 1, "dense-mode blob expected");
+    let got = [(mid.len(), fnv1a64(&mid)), (end.len(), fnv1a64(&end))];
+    assert_eq!(
+        got,
+        [(1303, 0xd888_e18b_a9c9_2c14), (2287, 0xd8b5_6be3_9187_ee84)]
+    );
+}
+
+/// A sparse-mode (mode 2) blob — the layout a universe above 2^24
+/// writes — resumes, re-serializes to the same bytes, and keeps
+/// counting: observing a vertex already seen `c` times adds `c`
+/// colliding pairs. Its ids may exceed the live graph's universe.
+#[test]
+fn sparse_mode_population_blob_resumes_byte_identically() {
+    let g = fixture();
+    let spec = SamplerSpec::Frontier { m: 5 };
+    let entries = [(7u64, 3u32), (40, 1), (20_000_000, 2), (4_000_000_000, 1)];
+    let blob = population_blob((21.0, 2.5), 2, 0, &entries, 4, 7);
+    let mut est = JobEstimator::resume(EstimatorSpec::PopulationSize, &spec, &blob)
+        .expect("mode-2 blob resumes");
+    assert_eq!(est.serialize(), blob, "mode-2 round-trip drifted");
+
+    let d7 = g.degree(fs_graph::VertexId::new(7)) as f64;
+    est.observe(&g, edge(0, 7));
+    let sums = (21.0 + d7, 2.5 + 1.0 / d7);
+    let after = [(7u64, 4u32), (40, 1), (20_000_000, 2), (4_000_000_000, 1)];
+    assert_eq!(
+        est.serialize(),
+        population_blob(sums, 2, 0, &after, 7, 8),
+        "a sparse-mode counter keeps its mode and counts on"
+    );
+    let snap = est.snapshot();
+    assert_eq!(snap.num_observed, 8);
+    assert_eq!(
+        snap.scalar.map(f64::to_bits),
+        Some((sums.0 * sums.1 / 14.0).to_bits())
+    );
+}
+
+/// A dense-mode (mode 1) blob records its universe length apart from
+/// its entries: one whose `dense_len` exceeds its largest entry
+/// round-trips as it is, an observed id past `dense_len` grows it to
+/// that id + 1 (the universe may grow between observations), and an
+/// entry at or past `dense_len` is rejected.
+#[test]
+fn dense_mode_population_blob_keeps_its_universe_length() {
+    let g = fixture();
+    let spec = SamplerSpec::Frontier { m: 5 };
+    let entries = [(3u64, 2u32), (17, 1)];
+    let blob = population_blob((9.0, 1.25), 1, 100, &entries, 1, 3);
+    let mut est = JobEstimator::resume(EstimatorSpec::PopulationSize, &spec, &blob)
+        .expect("mode-1 blob resumes");
+    assert_eq!(est.serialize(), blob, "mode-1 round-trip drifted");
+
+    let d3 = g.degree(fs_graph::VertexId::new(3)) as f64;
+    let d200 = g.degree(fs_graph::VertexId::new(200)) as f64;
+    est.observe(&g, edge(0, 3));
+    est.observe(&g, edge(0, 200));
+    let sums = (9.0 + d3 + d200, 1.25 + 1.0 / d3 + 1.0 / d200);
+    let after = [(3u64, 3u32), (17, 1), (200, 1)];
+    assert_eq!(est.serialize(), population_blob(sums, 1, 201, &after, 3, 5));
+
+    let out_of_range = population_blob((9.0, 1.25), 1, 17, &entries, 1, 3);
+    assert!(JobEstimator::resume(EstimatorSpec::PopulationSize, &spec, &out_of_range).is_err());
+}
