@@ -14,60 +14,99 @@
 //! (the two degree sums estimate `vol·|V|/vol = |V|` up to the collision
 //! normalisation). The estimator needs enough samples for collisions to
 //! occur — `B = Ω(√(|V| · w_max))` in practice.
+//!
+//! ## Memory and checkpoint modes
+//!
+//! Visit counts live in an open-addressing table of the *sampled*
+//! vertices, so a job's memory is O(distinct sampled vertices), not
+//! O(|V|). The checkpoint holds a mode byte, a length and the nonzero
+//! `(vertex index, count)` entries sorted by index: mode 0 before the
+//! first observation; mode 1 if the universe then was at most
+//! [`DENSE_UNIVERSE_MAX`], with length max(that universe, largest id +
+//! 1), as the graph may grow; mode 2 above that, with length 0. Earlier
+//! builds held mode 1 in a per-vertex array and wrote the same bytes,
+//! so journals resume across builds.
 
 use super::EdgeEstimator;
 use fs_graph::{Arc, GraphAccess, VertexId};
-use std::collections::HashMap;
 
-/// Universe size above which the dense per-vertex counter array would
-/// cost more memory than the birthday-paradox sample sizes justify
-/// (4 bytes × 2²⁴ = 64 MiB); larger graphs fall back to the hash map.
+/// Largest universe (at the first observation) whose checkpoint is
+/// written in mode 1.
 const DENSE_UNIVERSE_MAX: usize = 1 << 24;
 
-/// Per-vertex visit counters: a dense array when the vertex universe is
-/// known and small enough (walk samples hash-free on the hot path), a
-/// hash map otherwise. Both count identically — pinned by the parity
-/// test.
-#[derive(Clone, Debug)]
-enum VisitCounts {
-    /// Universe not yet known — decided on the first observation.
-    Undecided,
-    /// `counts[v]` indexed by vertex id (universe `0..n` known).
-    Dense(Vec<u32>),
-    /// Sparse fallback for huge or unknown universes.
-    Sparse(HashMap<VertexId, u32>),
+/// Slots the visit table starts with (128 KiB), enough for 8,192
+/// distinct vertices. Smaller starts were slower at budgets of a few
+/// thousand: probes collide more, and growing rehashes into new memory.
+const START_SLOTS: usize = 1 << 14;
+
+/// Per-vertex visit counters: an open-addressing table of packed
+/// `(vertex index << 32) | count` slots, power-of-two sized, probed
+/// linearly from a multiplicative hash and kept at most half full. A
+/// used slot's count is at least 1, so 0 marks an empty slot.
+#[derive(Clone, Debug, Default)]
+struct VisitCounts {
+    /// Empty until the first observation (checkpoint mode 0).
+    slots: Vec<u64>,
+    /// Used slots.
+    len: usize,
+    /// Mode 1's universe length: the universe at the first observation
+    /// (or the resumed length), if at most [`DENSE_UNIVERSE_MAX`];
+    /// `None` writes mode 2.
+    dense_len: Option<usize>,
 }
 
 impl VisitCounts {
-    /// Bumps `v`'s count and returns how often it was seen *before*.
-    fn bump(&mut self, v: VertexId, universe: usize) -> u32 {
-        if let VisitCounts::Undecided = self {
-            *self = if universe <= DENSE_UNIVERSE_MAX {
-                VisitCounts::Dense(vec![0; universe])
-            } else {
-                VisitCounts::Sparse(HashMap::new())
-            };
+    fn with_capacity(distinct: usize, dense_len: Option<usize>) -> Self {
+        VisitCounts {
+            slots: vec![0; (2 * distinct).next_power_of_two().max(START_SLOTS)],
+            len: 0,
+            dense_len,
         }
-        match self {
-            VisitCounts::Undecided => unreachable!("decided above"),
-            VisitCounts::Dense(counts) => {
-                // The universe can grow between observations (evolving
-                // graphs); the hash-map counter accepted any id, so the
-                // dense array must too.
-                if v.index() >= counts.len() {
-                    counts.resize(v.index() + 1, 0);
-                }
-                let slot = &mut counts[v.index()];
-                let seen = *slot;
-                *slot += 1;
-                seen
+    }
+
+    /// Bumps `v`'s count and returns how often it was seen *before*.
+    #[inline]
+    fn bump(&mut self, v: VertexId, universe: usize) -> u32 {
+        if self.slots.is_empty() {
+            *self =
+                VisitCounts::with_capacity(0, Some(universe).filter(|&n| n <= DENSE_UNIVERSE_MAX));
+        }
+        let (i, slot) = self.find(v.raw());
+        // An empty slot takes the key with count 1, a match counts on:
+        // both are `(slot + 1) | key`, so the store needs no branch.
+        self.slots[i] = (slot + 1) | u64::from(v.raw()) << 32;
+        self.len += usize::from(slot == 0);
+        if 2 * self.len > self.slots.len() {
+            self.grow();
+        }
+        slot as u32
+    }
+
+    /// The slot holding `index`, or the empty slot where it belongs,
+    /// with that slot's contents.
+    #[inline]
+    fn find(&self, index: u32) -> (usize, u64) {
+        let mask = self.slots.len() - 1;
+        let shift = 64 - self.slots.len().trailing_zeros();
+        let mut i = (u64::from(index).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) as usize;
+        loop {
+            let slot = self.slots[i];
+            // Empty (count 0) or `index`'s: one branch, not a
+            // mispredicted one on whether `index` is new.
+            if (slot & 0xffff_ffff) * ((slot >> 32) ^ u64::from(index)) == 0 {
+                return (i, slot);
             }
-            VisitCounts::Sparse(counts) => {
-                let slot = counts.entry(v).or_insert(0);
-                let seen = *slot;
-                *slot += 1;
-                seen
-            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Doubles the table.
+    fn grow(&mut self) {
+        let grown = vec![0; 2 * self.slots.len()];
+        let old = std::mem::replace(&mut self.slots, grown);
+        for slot in old.into_iter().filter(|&s| s != 0) {
+            let (j, _) = self.find((slot >> 32) as u32);
+            self.slots[j] = slot;
         }
     }
 }
@@ -88,7 +127,7 @@ impl Default for PopulationSizeEstimator {
         PopulationSizeEstimator {
             degree_sum: 0.0,
             inv_degree_sum: 0.0,
-            counts: VisitCounts::Undecided,
+            counts: VisitCounts::default(),
             collisions: 0,
             observed: 0,
         }
@@ -96,21 +135,9 @@ impl Default for PopulationSizeEstimator {
 }
 
 impl PopulationSizeEstimator {
-    /// Creates the estimator. Visit counters use a dense per-vertex
-    /// array when the backend's vertex universe is small enough,
-    /// falling back to a hash map otherwise.
+    /// Creates the estimator.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates the estimator with the hash-map counter regardless of
-    /// universe size (memory-constrained callers; also the reference
-    /// arm of the dense/sparse parity test).
-    pub fn with_sparse_counts() -> Self {
-        PopulationSizeEstimator {
-            counts: VisitCounts::Sparse(HashMap::new()),
-            ..Self::default()
-        }
     }
 
     /// Number of colliding sample pairs seen so far.
@@ -133,32 +160,21 @@ impl PopulationSizeEstimator {
     }
 
     /// Raw accumulators for exact checkpointing (runner serialization).
-    /// The visit counters are captured as their mode plus the nonzero
-    /// `(vertex index, count)` entries sorted by index, so the encoding
-    /// is canonical whatever the in-memory representation.
+    /// The visit counters are captured as their mode (see the module
+    /// docs) plus the `(vertex index, count)` entries sorted by index,
+    /// so the encoding is canonical whatever the table's slot order.
     pub(crate) fn checkpoint_state(&self) -> PopulationCheckpoint {
-        let (counts_mode, dense_len, mut entries) = match &self.counts {
-            VisitCounts::Undecided => (0u8, 0usize, Vec::new()),
-            VisitCounts::Dense(counts) => (
-                1u8,
-                counts.len(),
-                counts
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &c)| c > 0)
-                    .map(|(i, &c)| (i as u64, c))
-                    .collect(),
-            ),
-            VisitCounts::Sparse(counts) => (
-                2u8,
-                0usize,
-                counts
-                    .iter()
-                    .map(|(&v, &c)| (v.index() as u64, c))
-                    .collect(),
-            ),
-        };
+        let mut entries: Vec<(u64, u32)> = (self.counts.slots.iter())
+            .filter(|&&s| s != 0)
+            .map(|&s| (s >> 32, s as u32))
+            .collect();
         entries.sort_unstable_by_key(|&(i, _)| i);
+        let past_largest = entries.last().map_or(0, |&(i, _)| i as usize + 1);
+        let (counts_mode, dense_len) = match self.counts.dense_len {
+            _ if self.counts.slots.is_empty() => (0, 0),
+            Some(len) => (1, len.max(past_largest)),
+            None => (2, 0),
+        };
         PopulationCheckpoint {
             degree_sum: self.degree_sum,
             inv_degree_sum: self.inv_degree_sum,
@@ -171,33 +187,29 @@ impl PopulationSizeEstimator {
     }
 
     /// Rebuilds the estimator from checkpointed accumulators; `Err` on
-    /// a mode byte or entry the counters cannot represent.
+    /// an unknown mode byte, or on entries that are not nonzero, strictly
+    /// increasing by index and in the mode's range.
     pub(crate) fn from_checkpoint_state(ck: PopulationCheckpoint) -> Result<Self, String> {
-        let counts = match ck.counts_mode {
-            0 => {
-                if !ck.entries.is_empty() {
-                    return Err("undecided visit counters with entries".into());
-                }
-                VisitCounts::Undecided
-            }
-            1 => {
-                let mut counts = vec![0u32; ck.dense_len];
-                for &(i, c) in &ck.entries {
-                    let slot = counts
-                        .get_mut(i as usize)
-                        .ok_or("dense visit entry out of range")?;
-                    *slot = c;
-                }
-                VisitCounts::Dense(counts)
-            }
-            2 => VisitCounts::Sparse(
-                ck.entries
-                    .iter()
-                    .map(|&(i, c)| (VertexId::new(i as usize), c))
-                    .collect(),
+        let (n, len) = (ck.entries.len(), ck.dense_len);
+        let (mut counts, limit) = match ck.counts_mode {
+            0 => (VisitCounts::default(), 0),
+            1 => (
+                VisitCounts::with_capacity(n, Some(len)),
+                (len as u64).min(1 << 32),
             ),
+            2 => (VisitCounts::with_capacity(n, None), 1 << 32),
             other => return Err(format!("unknown visit-counter mode {other}")),
         };
+        let mut next = 0u64;
+        for &(i, c) in &ck.entries {
+            if i < next || i >= limit || c == 0 {
+                return Err("visit entries not nonzero, sorted and in range".into());
+            }
+            let (slot, _) = counts.find(i as u32);
+            counts.slots[slot] = i << 32 | u64::from(c);
+            counts.len += 1;
+            next = i + 1;
+        }
         Ok(PopulationSizeEstimator {
             degree_sum: ck.degree_sum,
             inv_degree_sum: ck.inv_degree_sum,
@@ -213,9 +225,9 @@ impl PopulationSizeEstimator {
 pub(crate) struct PopulationCheckpoint {
     pub degree_sum: f64,
     pub inv_degree_sum: f64,
-    /// 0 = undecided, 1 = dense, 2 = sparse.
+    /// 0 = undecided, 1 = dense, 2 = sparse (see the module docs).
     pub counts_mode: u8,
-    /// Universe length of the dense array (mode 1 only).
+    /// Universe length (mode 1 only).
     pub dense_len: usize,
     /// Nonzero `(vertex index, count)` pairs, sorted by index.
     pub entries: Vec<(u64, u32)>,
@@ -248,7 +260,8 @@ mod tests {
     use crate::budget::{Budget, CostModel};
     use crate::method::WalkMethod;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     #[test]
     fn estimates_vertex_count_of_ba_graph() {
@@ -285,26 +298,104 @@ mod tests {
         assert!(est.estimate().is_none());
     }
 
+    /// Round-trips the counters through the estimator checkpoint.
+    fn round_trip(counts: VisitCounts) -> VisitCounts {
+        let est = PopulationSizeEstimator {
+            counts,
+            ..PopulationSizeEstimator::default()
+        };
+        PopulationSizeEstimator::from_checkpoint_state(est.checkpoint_state())
+            .expect("own checkpoint resumes")
+            .counts
+    }
+
     #[test]
-    fn dense_and_sparse_counters_agree_exactly() {
-        // The dense Vec<u32> fast path and the HashMap fallback must
-        // produce identical collision counts and estimates on the same
-        // sample stream.
-        let mut rng = SmallRng::seed_from_u64(303);
-        let g = fs_gen::barabasi_albert(1_000, 3, &mut rng);
-        let mut dense = PopulationSizeEstimator::new();
-        let mut sparse = PopulationSizeEstimator::with_sparse_counts();
-        let mut budget = Budget::new(5_000.0);
-        WalkMethod::frontier(5).sample_edges(&g, &CostModel::unit(), &mut budget, &mut rng, |e| {
-            dense.observe(&g, e);
-            sparse.observe(&g, e);
-        });
-        assert!(matches!(dense.counts, VisitCounts::Dense(_)));
-        assert!(matches!(sparse.counts, VisitCounts::Sparse(_)));
-        assert!(dense.collisions() > 0, "walk too short to collide");
-        assert_eq!(dense.collisions(), sparse.collisions());
-        assert_eq!(dense.num_observed(), sparse.num_observed());
-        assert_eq!(dense.estimate(), sparse.estimate());
+    fn counter_matches_a_btreemap_reference() {
+        // Seeded id streams, every third one hub-heavy (half its ids
+        // from eight hubs), over universes on both sides of the mode
+        // switch. Ids run past the starting universe, and the state is
+        // checkpointed and rebuilt at a random cut point.
+        for seed in 0..32u64 {
+            let mut rng = SmallRng::seed_from_u64(0x5eed + seed);
+            let universe = [50, 5_000, 1 << 20, DENSE_UNIVERSE_MAX + 1][seed as usize % 4];
+            let hubs: Vec<u32> = (0..8).map(|_| rng.gen_range(0..universe as u32)).collect();
+            let len = rng.gen_range(1..6_000usize);
+            let cut = rng.gen_range(0..=len);
+            let mut counts = VisitCounts::default();
+            let mut reference = BTreeMap::<u32, u32>::new();
+            let mut collisions = 0u64;
+            let mut reference_collisions = 0u64;
+            for step in 0..len {
+                if step == cut {
+                    counts = round_trip(counts);
+                }
+                let id = if seed % 3 == 0 && rng.gen_bool(0.5) {
+                    hubs[rng.gen_range(0..hubs.len())]
+                } else if rng.gen_bool(0.02) {
+                    rng.gen::<u32>()
+                } else {
+                    rng.gen_range(0..(universe + universe / 4) as u32)
+                };
+                let seen = counts.bump(VertexId::from(id), universe);
+                let slot = reference.entry(id).or_insert(0);
+                assert_eq!(seen, *slot, "seed {seed}, step {step}, id {id}");
+                *slot += 1;
+                collisions += u64::from(seen);
+                reference_collisions += u64::from(*slot - 1);
+            }
+            assert_eq!(collisions, reference_collisions);
+            let ck = PopulationSizeEstimator {
+                counts,
+                ..PopulationSizeEstimator::default()
+            }
+            .checkpoint_state();
+            let want: Vec<(u64, u32)> = reference.iter().map(|(&i, &c)| (i.into(), c)).collect();
+            assert_eq!(ck.entries, want, "seed {seed}");
+            let largest = *reference.keys().next_back().unwrap() as usize;
+            if universe <= DENSE_UNIVERSE_MAX {
+                assert_eq!(
+                    (ck.counts_mode, ck.dense_len),
+                    (1, universe.max(largest + 1))
+                );
+            } else {
+                assert_eq!((ck.counts_mode, ck.dense_len), (2, 0));
+            }
+        }
+    }
+
+    #[test]
+    fn table_is_sized_by_the_samples_not_the_universe() {
+        let mut rng = SmallRng::seed_from_u64(304);
+        let universe = DENSE_UNIVERSE_MAX + 1;
+        let mut counts = VisitCounts::default();
+        for _ in 0..5_000 {
+            counts.bump(VertexId::new(rng.gen_range(0..universe)), universe);
+        }
+        assert_eq!(counts.dense_len, None);
+        assert!(counts.slots.len() <= 16_384, "{} slots", counts.slots.len());
+    }
+
+    #[test]
+    fn malformed_counter_checkpoints_are_rejected() {
+        let ck = |counts_mode, dense_len, entries: &[(u64, u32)]| PopulationCheckpoint {
+            degree_sum: 0.0,
+            inv_degree_sum: 0.0,
+            counts_mode,
+            dense_len,
+            entries: entries.to_vec(),
+            collisions: 0,
+            observed: 0,
+        };
+        let resume = |c| PopulationSizeEstimator::from_checkpoint_state(c).is_ok();
+        assert!(resume(ck(1, 10, &[(2, 1), (9, 3)])));
+        assert!(resume(ck(2, 0, &[(2, 1), (u32::MAX.into(), 3)])));
+        assert!(!resume(ck(0, 0, &[(2, 1)])), "undecided with entries");
+        assert!(!resume(ck(1, 10, &[(10, 1)])), "past the dense length");
+        assert!(!resume(ck(2, 0, &[(1 << 32, 1)])), "past u32 ids");
+        assert!(!resume(ck(2, 0, &[(5, 1), (5, 2)])), "repeated index");
+        assert!(!resume(ck(2, 0, &[(5, 1), (3, 2)])), "unsorted");
+        assert!(!resume(ck(1, 10, &[(5, 0)])), "zero count");
+        assert!(!resume(ck(3, 0, &[])), "unknown mode");
     }
 
     #[test]
