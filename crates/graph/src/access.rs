@@ -536,33 +536,15 @@ impl<A: GraphAccess + ?Sized> GraphAccess for &A {
     delegate_graph_access!(self => (**self));
 }
 
-/// `|N(u) ∩ N(v)|` over any backend (sorted-merge intersection); the
-/// generic counterpart of [`crate::triangles::shared_neighbors`].
+/// `|N(u) ∩ N(v)|` over any backend; the generic counterpart of
+/// [`crate::triangles::shared_neighbors`], with the same kernel.
 pub fn shared_neighbors_via<A: GraphAccess + ?Sized>(
     access: &A,
     u: VertexId,
     v: VertexId,
 ) -> usize {
-    let nu = access.neighbors(u);
-    let nv = access.neighbors(v);
-    let (mut a, mut b) = (nu.as_ref(), nv.as_ref());
-    if a.len() > b.len() {
-        std::mem::swap(&mut a, &mut b);
-    }
-    let mut count = 0usize;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    count
+    let (nu, nv) = (access.neighbors(u), access.neighbors(v));
+    crate::triangles::sorted_intersection_len(nu.as_ref(), nv.as_ref())
 }
 
 #[cfg(test)]

@@ -16,17 +16,43 @@ use crate::graph::Graph;
 use crate::ids::VertexId;
 
 /// Number of common neighbors of `u` and `v` (the paper's `f(v, u)`),
-/// computed by merging the two sorted neighbor lists.
+/// from their sorted neighbor lists.
 pub fn shared_neighbors(graph: &Graph, u: VertexId, v: VertexId) -> usize {
-    let (mut a, mut b) = (graph.neighbors(u), graph.neighbors(v));
-    // Iterate the shorter list against the longer via merge; both sorted.
-    if a.len() > b.len() {
-        std::mem::swap(&mut a, &mut b);
-    }
+    sorted_intersection_len(graph.neighbors(u), graph.neighbors(v))
+}
+
+/// Rows at least this many times longer than the other are galloped
+/// through rather than merged.
+const GALLOP_RATIO: usize = 16;
+
+/// `|a ∩ b|` of two sorted rows, a repeated id pairing one-to-one with
+/// its repeats in the other row (so a multigraph row counts
+/// `min(mult_a, mult_b)` per id). A sorted merge, except that a row at
+/// least [`GALLOP_RATIO`] times longer than the other is searched from
+/// the shorter one: an exponential probe, then a binary search.
+pub(crate) fn sorted_intersection_len(a: &[VertexId], b: &[VertexId]) -> usize {
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     let mut count = 0usize;
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
+    let mut j = 0usize;
+    if long.len() >= GALLOP_RATIO * short.len() {
+        for &x in short {
+            let rest = &long[j..];
+            let mut end = 1;
+            while end < rest.len() && rest[end] < x {
+                end *= 2;
+            }
+            let lo = end / 2;
+            j += lo + rest[lo..(end + 1).min(rest.len())].partition_point(|&y| y < x);
+            if long.get(j) == Some(&x) {
+                count += 1;
+                j += 1;
+            }
+        }
+        return count;
+    }
+    let mut i = 0usize;
+    while i < short.len() && j < long.len() {
+        match short[i].cmp(&long[j]) {
             std::cmp::Ordering::Less => i += 1,
             std::cmp::Ordering::Greater => j += 1,
             std::cmp::Ordering::Equal => {
@@ -114,6 +140,46 @@ pub fn binom2(d: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::builder::graph_from_undirected_pairs;
+    use proptest::prelude::*;
+
+    /// The plain sorted merge the kernel must agree with.
+    fn merged_len(a: &[VertexId], b: &[VertexId]) -> usize {
+        let (mut i, mut j, mut count) = (0, 0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => {
+                    (i, j, count) = (i + 1, j + 1, count + 1);
+                }
+            }
+        }
+        count
+    }
+
+    fn sorted_row(ids: Vec<u32>) -> Vec<VertexId> {
+        let mut row: Vec<VertexId> = ids.into_iter().map(VertexId::from).collect();
+        row.sort_unstable();
+        row
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Galloping (rows ≥ 16× apart) and merging count the same
+        /// pairs as a plain merge, repeated ids (multigraph rows)
+        /// included, whichever row comes first.
+        #[test]
+        fn intersection_kernel_matches_plain_merge(
+            short in prop::collection::vec(0u32..48, 0..12),
+            long in prop::collection::vec(0u32..48, 0..400),
+        ) {
+            let (a, b) = (sorted_row(short), sorted_row(long));
+            let want = merged_len(&a, &b);
+            prop_assert_eq!(sorted_intersection_len(&a, &b), want);
+            prop_assert_eq!(sorted_intersection_len(&b, &a), want);
+        }
+    }
 
     fn v(i: usize) -> VertexId {
         VertexId::new(i)
