@@ -462,13 +462,22 @@ pub fn encode_stream_head(status: u16) -> Vec<u8> {
     .into_bytes()
 }
 
-/// Encodes one chunk of a chunked response body.
-pub fn encode_chunk(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 16);
-    out.extend_from_slice(format!("{:x}\r\n", payload.len()).as_bytes());
-    out.extend_from_slice(payload);
+/// Appends one chunk of a chunked response body, whose payload is
+/// `parts` back to back, to `out`: the size in hex, the payload and
+/// the framing, with no intermediate buffer.
+pub fn push_chunk(out: &mut Vec<u8>, parts: &[&[u8]]) {
+    let len: usize = parts.iter().map(|part| part.len()).sum();
+    let digits = (usize::BITS - len.leading_zeros()).div_ceil(4).max(1);
+    out.reserve(digits as usize + len + 4);
+    out.extend((0..digits).rev().map(|k| match (len >> (4 * k)) & 0xf {
+        d @ 0..=9 => b'0' + d as u8,
+        d => b'a' + (d - 10) as u8,
+    }));
     out.extend_from_slice(b"\r\n");
-    out
+    for part in parts {
+        out.extend_from_slice(part);
+    }
+    out.extend_from_slice(b"\r\n");
 }
 
 /// The terminating zero-chunk of a chunked response.
@@ -737,8 +746,24 @@ mod tests {
 
     #[test]
     fn chunk_encoding_shape() {
-        assert_eq!(encode_chunk(b"hello"), b"5\r\nhello\r\n");
-        assert!(encode_chunk(&[0u8; 16]).starts_with(b"10\r\n"));
+        let chunk = |parts: &[&[u8]]| {
+            let mut out = b"before".to_vec();
+            push_chunk(&mut out, parts);
+            out.split_off(6)
+        };
+        assert_eq!(chunk(&[b"hello"]), b"5\r\nhello\r\n");
+        assert_eq!(chunk(&[b"hel", b"lo"]), b"5\r\nhello\r\n");
+        assert!(chunk(&[&[0u8; 16]]).starts_with(b"10\r\n"));
+        for len in [1usize, 15, 255, 256, 4095, 75_000] {
+            let payload = vec![b'x'; len];
+            let head = format!("{len:x}\r\n");
+            let framed = chunk(&[&payload, b"\n"]);
+            assert_eq!(
+                framed,
+                [format!("{:x}\r\n", len + 1).as_bytes(), &payload, b"\n\r\n"].concat()
+            );
+            assert!(chunk(&[&payload]).starts_with(head.as_bytes()));
+        }
         assert_eq!(encode_last_chunk(), b"0\r\n\r\n");
         let head = String::from_utf8(encode_stream_head(200)).unwrap();
         assert!(head.contains("transfer-encoding: chunked\r\n"));

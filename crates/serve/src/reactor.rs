@@ -624,17 +624,13 @@ impl Reactor {
                 loop {
                     match logic.stream_poll(sub.job, &mut sub.last_gen) {
                         StreamEvent::Chunk(line) => {
-                            let mut payload = line.into_bytes();
-                            payload.push(b'\n');
-                            conn.wbuf.extend_from_slice(&http::encode_chunk(&payload));
+                            http::push_chunk(&mut conn.wbuf, &[line.as_bytes(), b"\n"]);
                             if conn.wbuf.len() - conn.wpos > high_water {
                                 break;
                             }
                         }
                         StreamEvent::End(line) => {
-                            let mut payload = line.into_bytes();
-                            payload.push(b'\n');
-                            conn.wbuf.extend_from_slice(&http::encode_chunk(&payload));
+                            http::push_chunk(&mut conn.wbuf, &[line.as_bytes(), b"\n"]);
                             conn.wbuf.extend_from_slice(http::encode_last_chunk());
                             ended = true;
                             break;
