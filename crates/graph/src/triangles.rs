@@ -51,16 +51,11 @@ pub(crate) fn sorted_intersection_len(a: &[VertexId], b: &[VertexId]) -> usize {
         return count;
     }
     let mut i = 0usize;
-    while i < short.len() && j < long.len() {
-        match short[i].cmp(&long[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                count += 1;
-                i += 1;
-                j += 1;
-            }
-        }
+    while let (Some(&x), Some(&y)) = (short.get(i), long.get(j)) {
+        // Branch-free steps: which row advances is data, not control.
+        count += usize::from(x == y);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
     }
     count
 }
