@@ -324,7 +324,6 @@ mod tests {
             let mut counts = VisitCounts::default();
             let mut reference = BTreeMap::<u32, u32>::new();
             let mut collisions = 0u64;
-            let mut reference_collisions = 0u64;
             for step in 0..len {
                 if step == cut {
                     counts = round_trip(counts);
@@ -341,9 +340,12 @@ mod tests {
                 assert_eq!(seen, *slot, "seed {seed}, step {step}, id {id}");
                 *slot += 1;
                 collisions += u64::from(seen);
-                reference_collisions += u64::from(*slot - 1);
             }
-            assert_eq!(collisions, reference_collisions);
+            let pairs = |c: u32| u64::from(c) * u64::from(c - 1) / 2;
+            assert_eq!(
+                collisions,
+                reference.values().map(|&c| pairs(c)).sum::<u64>()
+            );
             let ck = PopulationSizeEstimator {
                 counts,
                 ..PopulationSizeEstimator::default()
