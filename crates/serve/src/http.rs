@@ -756,13 +756,10 @@ mod tests {
         assert!(chunk(&[&[0u8; 16]]).starts_with(b"10\r\n"));
         for len in [1usize, 15, 255, 256, 4095, 75_000] {
             let payload = vec![b'x'; len];
-            let head = format!("{len:x}\r\n");
-            let framed = chunk(&[&payload, b"\n"]);
             assert_eq!(
-                framed,
+                chunk(&[&payload, b"\n"]),
                 [format!("{:x}\r\n", len + 1).as_bytes(), &payload, b"\n\r\n"].concat()
             );
-            assert!(chunk(&[&payload]).starts_with(head.as_bytes()));
         }
         assert_eq!(encode_last_chunk(), b"0\r\n\r\n");
         let head = String::from_utf8(encode_stream_head(200)).unwrap();
