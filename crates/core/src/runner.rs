@@ -132,6 +132,20 @@ impl SamplerSpec {
         }
     }
 
+    /// The wire triple `(name, m, alpha)` that [`SamplerSpec::parse`]
+    /// rebuilds this spec from; samplers without `m` or `alpha` report
+    /// 1 and 0.0.
+    pub fn wire(&self) -> (&'static str, usize, f64) {
+        match *self {
+            SamplerSpec::Frontier { m } => ("fs", m, 0.0),
+            SamplerSpec::Single => ("single", 1, 0.0),
+            SamplerSpec::Multiple { m } => ("multiple", m, 0.0),
+            SamplerSpec::Mhrw => ("mhrw", 1, 0.0),
+            SamplerSpec::Nbrw => ("nbrw", 1, 0.0),
+            SamplerSpec::Rwj { alpha } => ("rwj", 1, alpha),
+        }
+    }
+
     /// Whether this sampler's native output is visited vertices (MHRW,
     /// RWJ) rather than sampled edges.
     pub fn emits_vertices(&self) -> bool {
@@ -539,7 +553,7 @@ impl<'a, A: GraphAccess + ?Sized> ChunkedRunner<'a, A> {
 }
 
 /// Which estimate a job reports.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum EstimatorSpec {
     /// Harmonic-mean average degree (`1/S`).
     AverageDegree,

@@ -20,14 +20,16 @@
 //!   store gets a new digest from the registry's open-time checksum, so
 //!   stale results for the old bytes can never be served for the new
 //!   ones (invalidation-by-digest is structural, not evented);
-//! * sampler **variant and parameters**, with `alpha` compared by IEEE
-//!   bit pattern (`f64::to_bits`) — the RNG consumes the exact bits;
+//! * sampler **variant and parameters**, as the wire triple
+//!   `SamplerSpec::wire` gives, with `alpha` compared by IEEE bit
+//!   pattern (`f64::to_bits`) — the RNG consumes the exact bits;
 //! * `budget` by bit pattern, for the same reason;
 //! * the `seed` and the estimator variant.
 //!
-//! `pool_threads` is deliberately excluded: it changes nothing about
-//! the run, so a pooled and a plain job of the same spec share one
-//! entry.
+//! The store name and `pool_threads` are deliberately excluded: the
+//! digest already names the bytes, and `pool_threads` changes nothing
+//! about the run, so a pooled and a plain job of the same spec share
+//! one entry.
 //!
 //! ## Bounds
 //!
@@ -36,71 +38,37 @@
 //! Recency is a monotone stamp per entry plus a stamp-ordered index, so
 //! get/insert are `O(log n)` with no unsafe pointer chasing.
 
-use frontier_sampling::runner::{EstimateSnapshot, EstimatorSpec, SamplerSpec};
+use crate::jobs::JobSpec;
+use frontier_sampling::runner::{EstimateSnapshot, EstimatorSpec};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Canonical cache key. See the [module docs](self) for what each
 /// field buys.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CacheKey {
     digest: u64,
-    sampler: SamplerKey,
+    /// [`SamplerSpec::wire`](frontier_sampling::runner::SamplerSpec::wire),
+    /// `alpha` as its bit pattern.
+    sampler: (&'static str, usize, u64),
     budget_bits: u64,
     seed: u64,
-    estimator: u8,
-}
-
-/// `SamplerSpec` with float parameters canonicalized to bit patterns
-/// (hashable, `Eq`).
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-enum SamplerKey {
-    Frontier(usize),
-    Single,
-    Multiple(usize),
-    Mhrw,
-    Nbrw,
-    Rwj(u64),
+    estimator: EstimatorSpec,
 }
 
 impl CacheKey {
-    /// Builds the canonical key for one job.
-    pub fn new(
-        digest: u64,
-        sampler: &SamplerSpec,
-        budget: f64,
-        seed: u64,
-        estimator: EstimatorSpec,
-    ) -> CacheKey {
-        let sampler = match *sampler {
-            SamplerSpec::Frontier { m } => SamplerKey::Frontier(m),
-            SamplerSpec::Single => SamplerKey::Single,
-            SamplerSpec::Multiple { m } => SamplerKey::Multiple(m),
-            SamplerSpec::Mhrw => SamplerKey::Mhrw,
-            SamplerSpec::Nbrw => SamplerKey::Nbrw,
-            SamplerSpec::Rwj { alpha } => SamplerKey::Rwj(alpha.to_bits()),
-        };
-        let estimator = match estimator {
-            EstimatorSpec::AverageDegree => 0,
-            EstimatorSpec::DegreeDist => 1,
-            EstimatorSpec::Ccdf => 2,
-            EstimatorSpec::Assortativity => 3,
-            EstimatorSpec::Clustering => 4,
-            EstimatorSpec::PopulationSize => 5,
-        };
+    /// The canonical key of `spec` run over the store content `digest`
+    /// (`spec.store` and `spec.pool_threads` do not enter it).
+    pub fn new(digest: u64, spec: &JobSpec) -> CacheKey {
+        let (name, m, alpha) = spec.sampler.wire();
         CacheKey {
             digest,
-            sampler,
-            budget_bits: budget.to_bits(),
-            seed,
-            estimator,
+            sampler: (name, m, alpha.to_bits()),
+            budget_bits: spec.budget.to_bits(),
+            seed: spec.seed,
+            estimator: spec.estimator,
         }
-    }
-
-    /// The store content digest this key is bound to.
-    pub fn digest(&self) -> u64 {
-        self.digest
     }
 }
 
@@ -108,8 +76,8 @@ impl CacheKey {
 /// reports beyond lifecycle bookkeeping.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CachedResult {
-    /// The final estimate snapshot.
-    pub snapshot: EstimateSnapshot,
+    /// The final estimate snapshot, shared with the jobs it answers.
+    pub snapshot: Arc<EstimateSnapshot>,
     /// Walk attempts the original run completed.
     pub steps_done: u64,
 }
@@ -191,7 +159,8 @@ impl ResultCache {
         }
     }
 
-    /// Looks up a completed result, refreshing its recency on hit.
+    /// Looks up a completed result, refreshing its recency on hit. The
+    /// result shares the cached snapshot.
     pub fn get(&self, key: &CacheKey) -> Option<CachedResult> {
         let mut inner = self.inner.lock().expect("cache poisoned");
         let inner = &mut *inner;
@@ -276,6 +245,7 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use frontier_sampling::runner::SamplerSpec;
 
     fn snap(observed: u64, scalar: f64) -> EstimateSnapshot {
         EstimateSnapshot {
@@ -287,19 +257,24 @@ mod tests {
 
     fn result(observed: u64) -> CachedResult {
         CachedResult {
-            snapshot: snap(observed, observed as f64),
+            snapshot: Arc::new(snap(observed, observed as f64)),
             steps_done: observed,
         }
     }
 
-    fn key(digest: u64, seed: u64) -> CacheKey {
-        CacheKey::new(
-            digest,
-            &SamplerSpec::Frontier { m: 16 },
-            20_000.0,
+    fn spec(seed: u64) -> JobSpec {
+        JobSpec {
+            store: "g.fsg".into(),
+            sampler: SamplerSpec::Frontier { m: 16 },
+            budget: 20_000.0,
             seed,
-            EstimatorSpec::AverageDegree,
-        )
+            estimator: EstimatorSpec::AverageDegree,
+            pool_threads: None,
+        }
+    }
+
+    fn key(digest: u64, seed: u64) -> CacheKey {
+        CacheKey::new(digest, &spec(seed))
     }
 
     #[test]
@@ -314,63 +289,26 @@ mod tests {
     #[test]
     fn every_spec_dimension_is_part_of_the_key() {
         let cache = ResultCache::new(64, 1 << 20);
-        let base = CacheKey::new(
-            1,
-            &SamplerSpec::Frontier { m: 16 },
-            20_000.0,
-            7,
-            EstimatorSpec::AverageDegree,
-        );
+        let base = key(1, 7);
         cache.insert(base.clone(), result(1));
+        let with = |edit: fn(&mut JobSpec)| {
+            let mut s = spec(7);
+            edit(&mut s);
+            CacheKey::new(1, &s)
+        };
         let variants = [
             // different digest (store rewritten)
-            CacheKey::new(
-                2,
-                &SamplerSpec::Frontier { m: 16 },
-                20_000.0,
-                7,
-                EstimatorSpec::AverageDegree,
-            ),
+            key(2, 7),
             // different sampler parameter
-            CacheKey::new(
-                1,
-                &SamplerSpec::Frontier { m: 17 },
-                20_000.0,
-                7,
-                EstimatorSpec::AverageDegree,
-            ),
+            with(|s| s.sampler = SamplerSpec::Frontier { m: 17 }),
             // different sampler variant with the same parameter
-            CacheKey::new(
-                1,
-                &SamplerSpec::Multiple { m: 16 },
-                20_000.0,
-                7,
-                EstimatorSpec::AverageDegree,
-            ),
+            with(|s| s.sampler = SamplerSpec::Multiple { m: 16 }),
             // different budget
-            CacheKey::new(
-                1,
-                &SamplerSpec::Frontier { m: 16 },
-                20_001.0,
-                7,
-                EstimatorSpec::AverageDegree,
-            ),
+            with(|s| s.budget = 20_001.0),
             // different seed
-            CacheKey::new(
-                1,
-                &SamplerSpec::Frontier { m: 16 },
-                20_000.0,
-                8,
-                EstimatorSpec::AverageDegree,
-            ),
+            key(1, 8),
             // different estimator
-            CacheKey::new(
-                1,
-                &SamplerSpec::Frontier { m: 16 },
-                20_000.0,
-                7,
-                EstimatorSpec::Clustering,
-            ),
+            with(|s| s.estimator = EstimatorSpec::Clustering),
         ];
         for variant in &variants {
             assert_ne!(variant, &base);
@@ -380,15 +318,19 @@ mod tests {
     }
 
     #[test]
+    fn store_name_and_pool_threads_are_not_part_of_the_key() {
+        let mut other = spec(7);
+        other.store = "same-bytes.fsg".into();
+        other.pool_threads = Some(4);
+        assert_eq!(CacheKey::new(1, &other), key(1, 7));
+    }
+
+    #[test]
     fn alpha_is_keyed_by_bit_pattern() {
         let k = |alpha: f64| {
-            CacheKey::new(
-                1,
-                &SamplerSpec::Rwj { alpha },
-                1e4,
-                7,
-                EstimatorSpec::AverageDegree,
-            )
+            let mut s = spec(7);
+            s.sampler = SamplerSpec::Rwj { alpha };
+            CacheKey::new(1, &s)
         };
         // 0.0 == -0.0 under IEEE comparison but the RNG path consumes
         // the bits, so the canonical key must distinguish them.
@@ -413,11 +355,11 @@ mod tests {
     #[test]
     fn byte_budget_evicts_and_oversized_entries_are_refused() {
         let big = CachedResult {
-            snapshot: EstimateSnapshot {
+            snapshot: Arc::new(EstimateSnapshot {
                 num_observed: 1,
                 scalar: None,
                 vector: Some(vec![0.0; 1000]), // 8000 heap bytes
-            },
+            }),
             steps_done: 1,
         };
         let fixed = result(0).weight();

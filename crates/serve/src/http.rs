@@ -30,7 +30,7 @@
 //! partial writes / `EAGAIN` are the *writer's* state, not hidden
 //! inside this module.
 
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 
 /// Parsing limits (defense against hostile or broken clients).
 #[derive(Copy, Clone, Debug)]
@@ -424,7 +424,7 @@ fn reason(status: u16) -> &'static str {
 
 /// Encodes a JSON response with exact `Content-Length`. `keep_alive`
 /// picks the `Connection` header; the *caller* must actually close
-/// when it says `false` (after flushing — see [`write_all_stream`]).
+/// when it says `false`, after flushing.
 pub fn encode_response(status: u16, body: &str, keep_alive: bool) -> Vec<u8> {
     encode_response_typed(status, "application/json", body, keep_alive)
 }
@@ -483,42 +483,6 @@ pub fn push_chunk(out: &mut Vec<u8>, parts: &[&[u8]]) {
 /// The terminating zero-chunk of a chunked response.
 pub fn encode_last_chunk() -> &'static [u8] {
     b"0\r\n\r\n"
-}
-
-/// Writes all of `bytes` to a blocking stream, riding out `EINTR`,
-/// short writes, and spurious `WouldBlock` (a blocking socket can
-/// still report it when a send timeout is configured). The reactor
-/// does *not* use this — its connections are nonblocking and a
-/// `WouldBlock` there parks the remainder for `EPOLLOUT`; this is for
-/// blocking-socket callers (tests, simple clients).
-pub fn write_all_stream(stream: &mut impl Write, mut bytes: &[u8]) -> std::io::Result<()> {
-    while !bytes.is_empty() {
-        match stream.write(bytes) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::WriteZero,
-                    "stream accepted no bytes",
-                ))
-            }
-            // fs-lint: allow(panic-path) — `io::Write` guarantees `n <= bytes.len()`
-            Ok(n) => bytes = &bytes[n..],
-            Err(e)
-                if e.kind() == std::io::ErrorKind::Interrupted
-                    || e.kind() == std::io::ErrorKind::WouldBlock =>
-            {
-                continue
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    stream.flush()
-}
-
-/// Writes a complete `Connection: close` JSON response to a blocking
-/// stream (compat path for out-of-band errors before a connection
-/// joins the reactor, and for tests).
-pub fn write_response(stream: &mut impl Write, status: u16, body: &str) -> std::io::Result<()> {
-    write_all_stream(stream, &encode_response(status, body, false))
 }
 
 #[cfg(test)]
@@ -732,9 +696,7 @@ mod tests {
 
     #[test]
     fn response_shape() {
-        let mut out = Vec::new();
-        write_response(&mut out, 404, "{\"error\":\"nope\"}").unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = String::from_utf8(encode_response(404, "{\"error\":\"nope\"}", false)).unwrap();
         assert!(text.starts_with("HTTP/1.1 404 Not Found\r\n"));
         assert!(text.contains("content-length: 16\r\n"));
         assert!(text.contains("connection: close\r\n"));
@@ -765,44 +727,5 @@ mod tests {
         let head = String::from_utf8(encode_stream_head(200)).unwrap();
         assert!(head.contains("transfer-encoding: chunked\r\n"));
         assert!(head.ends_with("\r\n\r\n"));
-    }
-
-    /// A `Write` impl that accepts at most a few bytes per call and
-    /// interleaves `EINTR`/`EAGAIN` — the short-write torture test for
-    /// the blocking writer.
-    struct Dribble {
-        out: Vec<u8>,
-        calls: usize,
-    }
-
-    impl Write for Dribble {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.calls += 1;
-            match self.calls % 3 {
-                0 => Err(std::io::Error::from(std::io::ErrorKind::Interrupted)),
-                1 => Err(std::io::Error::from(std::io::ErrorKind::WouldBlock)),
-                _ => {
-                    let n = buf.len().min(3);
-                    self.out.extend_from_slice(&buf[..n]);
-                    Ok(n)
-                }
-            }
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn writer_survives_short_writes_eintr_and_eagain() {
-        let mut sink = Dribble {
-            out: Vec::new(),
-            calls: 0,
-        };
-        let body = "x".repeat(1000);
-        write_response(&mut sink, 200, &body).unwrap();
-        let text = String::from_utf8(sink.out).unwrap();
-        assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
-        assert!(text.ends_with(&body), "every byte must arrive, in order");
     }
 }

@@ -4,17 +4,25 @@
 //!
 //! ## Lifecycle
 //!
-//! `submit` validates the spec (sampler/estimator compatibility, store
-//! existence — both fail fast with a client error), resolves the store
-//! to an `Arc<MmapGraph>` handle (held for the job's whole life, so
-//! registry eviction can never unmap it mid-run), and enqueues.
-//! `workers` threads pop jobs and drive a
-//! [`frontier_sampling::runner::ChunkedRunner`] chunk by chunk; after
-//! every chunk the shared state gets a fresh progress figure and
-//! estimator snapshot (what `GET /v1/jobs/{id}` serves as *partial*
-//! results), and the cancel/shutdown flags are honoured. Every job
-//! takes this one path, so every job can be cancelled at a chunk
-//! boundary and checkpointed to the journal.
+//! `submit` checks the spec (`validate`: budget, walker and thread
+//! limits, sampler/estimator pairing) and the store name, both failing
+//! fast with a client error, resolves the store to an `Arc<MmapGraph>`
+//! handle (held for the job's whole life, so registry eviction can
+//! never unmap it mid-run), and enqueues. `workers` threads pop jobs
+//! and drive a [`frontier_sampling::runner::ChunkedRunner`] chunk by
+//! chunk; after every chunk the shared state gets a fresh progress
+//! figure and estimator snapshot (what `GET /v1/jobs/{id}` serves as
+//! *partial* results), and the cancel/shutdown flags are honoured.
+//! Every job takes this one path, so every job can be cancelled at a
+//! chunk boundary and checkpointed to the journal. A job replayed from
+//! the journal passes the same `validate` before it runs.
+//!
+//! A job is built in one place (`JobShared::new`) and, except for a
+//! cache hit, which is born `done`, ends in one place
+//! (`JobManager::finish`): the phase is set under the state lock, the
+//! terminal record journaled, the transition counted and traced, then
+//! published. Estimate snapshots are shared (`Arc`) between the job,
+//! its views, the result cache and the journal writer, never copied.
 //!
 //! ## Determinism
 //!
@@ -27,7 +35,7 @@
 //! `determinism` integration test.
 
 use crate::cache::{CacheKey, CachedResult, ResultCache};
-use crate::journal::{JobCheckpoint, Journal, Replay};
+use crate::journal::{JobCheckpoint, JobTerminal, Journal, Replay};
 use crate::obs::ServeObs;
 use crate::registry::{RegistryError, StoreRegistry};
 use frontier_sampling::runner::{
@@ -39,7 +47,7 @@ use fs_obs::FieldValue;
 use fs_store::MmapGraph;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
 /// A validated job specification.
@@ -123,7 +131,9 @@ struct JobState {
     error: Option<String>,
     steps_done: u64,
     progress: f64,
-    snapshot: Option<EstimateSnapshot>,
+    /// Shared with views, the result cache and the journal writer, so
+    /// none of them copies the estimate vector.
+    snapshot: Option<Arc<EstimateSnapshot>>,
     profile: JobProfile,
 }
 
@@ -144,6 +154,49 @@ struct JobShared {
     generation: AtomicU64,
 }
 
+/// How a job enters the job table.
+enum Entry {
+    /// Waiting for a worker, `steps_done` attempts already behind it
+    /// (a journal checkpoint's), resuming from `resume` when given.
+    Queued {
+        steps_done: u64,
+        resume: Option<JobCheckpoint>,
+    },
+    /// Born finished: a result-cache hit (`cached`) or an outcome
+    /// replayed from the journal.
+    Finished { outcome: JobTerminal, cached: bool },
+}
+
+impl JobShared {
+    /// Builds a job: the only place one is built.
+    fn new(spec: JobSpec, store_digest: u64, entry: Entry) -> Arc<JobShared> {
+        let (phase, error, steps_done, snapshot, cached, resume) = match entry {
+            Entry::Queued { steps_done, resume } => {
+                (JobPhase::Queued, None, steps_done, None, false, resume)
+            }
+            Entry::Finished { outcome: o, cached } => {
+                (o.phase, o.error, o.steps_done, o.snapshot, cached, None)
+            }
+        };
+        Arc::new(JobShared {
+            spec,
+            store_digest,
+            cached,
+            state: Mutex::new(JobState {
+                phase,
+                error,
+                steps_done,
+                progress: if phase == JobPhase::Done { 1.0 } else { 0.0 },
+                snapshot,
+                profile: JobProfile::default(),
+            }),
+            cancel: AtomicBool::new(false),
+            resume: Mutex::new(resume),
+            generation: AtomicU64::new(1),
+        })
+    }
+}
+
 /// A read-only snapshot of one job, for serialization.
 #[derive(Clone, Debug)]
 pub struct JobView {
@@ -162,7 +215,8 @@ pub struct JobView {
     /// Budget fraction consumed, `[0, 1]`.
     pub progress: f64,
     /// Latest estimate — partial while running, final when done.
-    pub estimate: Option<EstimateSnapshot>,
+    /// Shared with the job, not copied.
+    pub estimate: Option<Arc<EstimateSnapshot>>,
     /// The result came from the deterministic result cache (the job
     /// completed at submit without sampling).
     pub cached: bool,
@@ -324,8 +378,26 @@ impl JobManager {
         self.obs.get()
     }
 
-    /// Counts a terminal transition and traces it as a wide event.
-    fn observe_terminal(&self, id: u64, phase: JobPhase, steps_done: u64) {
+    /// Counts an accepted submit and traces it as a wide event.
+    fn observe_submitted(&self, id: u64, spec: &JobSpec, cached: bool) {
+        let Some(obs) = self.obs() else { return };
+        obs.jobs_submitted.incr();
+        obs.event(
+            "job.submitted",
+            Some(id),
+            &[
+                ("store", FieldValue::from(spec.store.as_str())),
+                ("sampler", FieldValue::from(spec.sampler.label())),
+                ("budget", FieldValue::from(spec.budget)),
+                ("seed", FieldValue::from(spec.seed)),
+                ("cached", FieldValue::from(cached)),
+            ],
+        );
+    }
+
+    /// Counts a terminal transition and traces it as a wide event
+    /// carrying the job's steps, and a failure's reason.
+    fn observe_terminal(&self, id: u64, phase: JobPhase, steps_done: u64, reason: Option<&str>) {
         let Some(obs) = self.obs() else { return };
         let (counter, kind) = match phase {
             JobPhase::Done => (&obs.jobs_done, "job.done"),
@@ -334,7 +406,15 @@ impl JobManager {
             JobPhase::Queued | JobPhase::Running => return,
         };
         counter.incr();
-        obs.event(kind, Some(id), &[("steps", FieldValue::from(steps_done))]);
+        let steps = ("steps", FieldValue::from(steps_done));
+        match reason {
+            Some(reason) => obs.event(
+                kind,
+                Some(id),
+                &[steps, ("reason", FieldValue::from(reason))],
+            ),
+            None => obs.event(kind, Some(id), &[steps]),
+        }
     }
 
     /// Publishes a state change: bump the job's generation, then fire
@@ -347,52 +427,9 @@ impl JobManager {
         }
     }
 
-    /// Shared hit/miss counters of the result cache this manager
-    /// publishes to.
-    pub fn cache_stats(&self) -> crate::cache::CacheStats {
-        self.cache.stats()
-    }
-
     /// Validates and enqueues a job; returns its id.
     pub fn submit(&self, spec: JobSpec) -> Result<u64, SubmitError> {
-        if !(spec.budget.is_finite() && spec.budget >= 0.0) {
-            return Err(SubmitError::Invalid(format!(
-                "budget must be a finite non-negative number, got {}",
-                spec.budget
-            )));
-        }
-        // Untrusted `m` sizes walker-state allocations; a petabyte
-        // `Vec` request would abort the process (allocation failure is
-        // not a catchable panic), so bound it server-side.
-        if let SamplerSpec::Frontier { m } | SamplerSpec::Multiple { m } = spec.sampler {
-            if m > MAX_WALKERS {
-                return Err(SubmitError::Invalid(format!(
-                    "m = {m} exceeds the server limit of {MAX_WALKERS} walkers"
-                )));
-            }
-        }
-        if let Some(t) = spec.pool_threads {
-            if t < 1 {
-                return Err(SubmitError::Invalid("pool_threads must be >= 1".into()));
-            }
-            if t > MAX_POOL_THREADS {
-                return Err(SubmitError::Invalid(format!(
-                    "pool_threads = {t} exceeds the server limit of {MAX_POOL_THREADS}"
-                )));
-            }
-            if !matches!(
-                spec.sampler,
-                SamplerSpec::Frontier { .. } | SamplerSpec::Multiple { .. }
-            ) {
-                return Err(SubmitError::Invalid(format!(
-                    "pooled execution supports fs and multiple, not {}",
-                    spec.sampler.label()
-                )));
-            }
-        }
-        // Dry-run the estimator pairing so incompatible combinations
-        // fail at submit, not mid-job.
-        JobEstimator::new(spec.estimator, &spec.sampler).map_err(SubmitError::Invalid)?;
+        validate(&spec).map_err(SubmitError::Invalid)?;
 
         // Result-cache fast path: the digest-only probe is O(1) I/O
         // (no store open), and the result is a pure function of
@@ -402,14 +439,7 @@ impl JobManager {
             .registry
             .digest(&spec.store)
             .map_err(SubmitError::Store)?;
-        let key = CacheKey::new(
-            probe_digest,
-            &spec.sampler,
-            spec.budget,
-            spec.seed,
-            spec.estimator,
-        );
-        if let Some(hit) = self.cache.get(&key) {
+        if let Some(hit) = self.cache.get(&CacheKey::new(probe_digest, &spec)) {
             if self.inner.lock().expect("manager poisoned").shutdown {
                 return Err(SubmitError::ShuttingDown);
             }
@@ -426,38 +456,23 @@ impl JobManager {
                     Some(&hit.snapshot),
                 );
             }
-            let shared = Arc::new(JobShared {
+            self.observe_submitted(id, &spec, true);
+            let outcome = JobTerminal {
+                phase: JobPhase::Done,
+                error: None,
+                steps_done: hit.steps_done,
+                snapshot: Some(hit.snapshot),
+            };
+            let shared = JobShared::new(
                 spec,
-                store_digest: probe_digest,
-                cached: true,
-                state: Mutex::new(JobState {
-                    phase: JobPhase::Done,
-                    error: None,
-                    steps_done: hit.steps_done,
-                    progress: 1.0,
-                    snapshot: Some(hit.snapshot),
-                    profile: JobProfile::default(),
-                }),
-                cancel: AtomicBool::new(false),
-                resume: Mutex::new(None),
-                generation: AtomicU64::new(1),
-            });
+                probe_digest,
+                Entry::Finished {
+                    outcome,
+                    cached: true,
+                },
+            );
             self.insert_job(id, Arc::clone(&shared));
-            if let Some(obs) = self.obs() {
-                obs.jobs_submitted.incr();
-                obs.event(
-                    "job.submitted",
-                    Some(id),
-                    &[
-                        ("store", FieldValue::from(shared.spec.store.as_str())),
-                        ("sampler", FieldValue::from(shared.spec.sampler.label())),
-                        ("budget", FieldValue::from(shared.spec.budget)),
-                        ("seed", FieldValue::from(shared.spec.seed)),
-                        ("cached", FieldValue::from(true)),
-                    ],
-                );
-            }
-            self.observe_terminal(id, JobPhase::Done, hit.steps_done);
+            self.observe_terminal(id, JobPhase::Done, hit.steps_done, None);
             self.touch(&shared);
             return Ok(id);
         }
@@ -468,22 +483,14 @@ impl JobManager {
             .map_err(SubmitError::Store)?;
 
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let shared = Arc::new(JobShared {
+        let shared = JobShared::new(
             spec,
-            store_digest: digest,
-            cached: false,
-            state: Mutex::new(JobState {
-                phase: JobPhase::Queued,
-                error: None,
+            digest,
+            Entry::Queued {
                 steps_done: 0,
-                progress: 0.0,
-                snapshot: None,
-                profile: JobProfile::default(),
-            }),
-            cancel: AtomicBool::new(false),
-            resume: Mutex::new(None),
-            generation: AtomicU64::new(1),
-        });
+                resume: None,
+            },
+        );
         {
             let mut inner = self.inner.lock().expect("manager poisoned");
             if inner.shutdown {
@@ -501,20 +508,7 @@ impl JobManager {
         if let Some(journal) = &self.journal {
             journal.submit(id, &shared.spec, digest);
         }
-        if let Some(obs) = self.obs() {
-            obs.jobs_submitted.incr();
-            obs.event(
-                "job.submitted",
-                Some(id),
-                &[
-                    ("store", FieldValue::from(shared.spec.store.as_str())),
-                    ("sampler", FieldValue::from(shared.spec.sampler.label())),
-                    ("budget", FieldValue::from(shared.spec.budget)),
-                    ("seed", FieldValue::from(shared.spec.seed)),
-                    ("cached", FieldValue::from(false)),
-                ],
-            );
-        }
+        self.observe_submitted(id, &shared.spec, false);
         self.insert_job(id, shared);
         self.wake.notify_one();
         Ok(id)
@@ -540,10 +534,9 @@ impl JobManager {
         let stats = self.journal.as_ref().map(|j| Arc::clone(j.stats()));
         for job in replay.jobs {
             let id = job.id;
-            if let Some(terminal) = job.terminal {
+            if let Some(outcome) = job.terminal {
                 // Finished before the crash: re-register the outcome.
-                let replayed_phase = terminal.phase;
-                let replayed_steps = terminal.steps_done;
+                let (phase, steps_done) = (outcome.phase, outcome.steps_done);
                 // A done pooled MultipleRW record may come from the
                 // retired per-walker pool stream, not the sequential
                 // stream a submit of the same spec now computes. The
@@ -552,49 +545,31 @@ impl JobManager {
                 // (a resubmit recomputes; the live run still caches).
                 let retired_stream = job.spec.pool_threads.is_some()
                     && matches!(job.spec.sampler, SamplerSpec::Multiple { .. });
-                if terminal.phase == JobPhase::Done && !retired_stream {
-                    if let Some(snapshot) = &terminal.snapshot {
-                        self.cache.insert(
-                            CacheKey::new(
-                                job.digest,
-                                &job.spec.sampler,
-                                job.spec.budget,
-                                job.spec.seed,
-                                job.spec.estimator,
-                            ),
-                            CachedResult {
-                                snapshot: snapshot.clone(),
-                                steps_done: terminal.steps_done,
-                            },
-                        );
-                    }
-                }
-                let shared = Arc::new(JobShared {
-                    spec: job.spec,
-                    store_digest: job.digest,
-                    cached: false,
-                    state: Mutex::new(JobState {
-                        phase: terminal.phase,
-                        error: terminal.error,
-                        steps_done: terminal.steps_done,
-                        progress: if terminal.phase == JobPhase::Done {
-                            1.0
-                        } else {
-                            0.0
+                if let (JobPhase::Done, false, Some(snapshot)) =
+                    (phase, retired_stream, &outcome.snapshot)
+                {
+                    self.cache.insert(
+                        CacheKey::new(job.digest, &job.spec),
+                        CachedResult {
+                            snapshot: Arc::clone(snapshot),
+                            steps_done,
                         },
-                        snapshot: terminal.snapshot,
-                        profile: JobProfile::default(),
-                    }),
-                    cancel: AtomicBool::new(false),
-                    resume: Mutex::new(None),
-                    generation: AtomicU64::new(1),
-                });
+                    );
+                }
+                let shared = JobShared::new(
+                    job.spec,
+                    job.digest,
+                    Entry::Finished {
+                        outcome,
+                        cached: false,
+                    },
+                );
                 self.insert_job(id, Arc::clone(&shared));
                 if let Some(stats) = &stats {
                     stats.jobs_recovered.fetch_add(1, Ordering::Relaxed);
                 }
                 if let Some(obs) = self.obs() {
-                    match replayed_phase {
+                    match phase {
                         JobPhase::Done => obs.jobs_done.incr(),
                         JobPhase::Failed => obs.jobs_failed.incr(),
                         JobPhase::Cancelled => obs.jobs_cancelled.incr(),
@@ -604,8 +579,8 @@ impl JobManager {
                         "job.recovered",
                         Some(id),
                         &[
-                            ("phase", FieldValue::from(replayed_phase.name())),
-                            ("steps", FieldValue::from(replayed_steps)),
+                            ("phase", FieldValue::from(phase.name())),
+                            ("steps", FieldValue::from(steps_done)),
                         ],
                     );
                 }
@@ -626,76 +601,36 @@ impl JobManager {
                 )),
             };
             let steps_done = job.checkpoint.as_ref().map_or(0, |ck| ck.steps_done);
-            match pinned {
-                Ok(graph) => {
-                    let shared = Arc::new(JobShared {
-                        spec: job.spec,
-                        store_digest: job.digest,
-                        cached: false,
-                        state: Mutex::new(JobState {
-                            phase: JobPhase::Queued,
-                            error: None,
-                            steps_done,
-                            progress: 0.0,
-                            snapshot: None,
-                            profile: JobProfile::default(),
-                        }),
-                        cancel: AtomicBool::new(false),
-                        resume: Mutex::new(job.checkpoint),
-                        generation: AtomicU64::new(1),
-                    });
-                    {
-                        let mut inner = self.inner.lock().expect("manager poisoned");
-                        inner.queue.push_back((id, Arc::clone(&shared), graph));
-                    }
-                    self.insert_job(id, Arc::clone(&shared));
-                    if let Some(stats) = &stats {
-                        stats.jobs_resumed.fetch_add(1, Ordering::Relaxed);
-                    }
-                    if let Some(obs) = self.obs() {
-                        obs.event(
-                            "job.resumed",
-                            Some(id),
-                            &[("steps", FieldValue::from(steps_done))],
-                        );
-                    }
-                    self.wake.notify_one();
-                    self.touch(&shared);
-                }
+            let resume = if pinned.is_ok() { job.checkpoint } else { None };
+            let entry = Entry::Queued { steps_done, resume };
+            let shared = JobShared::new(job.spec, job.digest, entry);
+            self.insert_job(id, Arc::clone(&shared));
+            let graph = match pinned {
+                Ok(graph) => graph,
+                // Journaled, so the next restart reports the failure
+                // instead of retrying a store that is gone for good.
                 Err(error) => {
-                    let shared = Arc::new(JobShared {
-                        spec: job.spec,
-                        store_digest: job.digest,
-                        cached: false,
-                        state: Mutex::new(JobState {
-                            phase: JobPhase::Failed,
-                            error: Some(error.clone()),
-                            steps_done,
-                            progress: 0.0,
-                            snapshot: None,
-                            profile: JobProfile::default(),
-                        }),
-                        cancel: AtomicBool::new(false),
-                        resume: Mutex::new(None),
-                        generation: AtomicU64::new(1),
-                    });
-                    // Journal the failure so the next restart reports it
-                    // instead of retrying a store that is gone for good.
-                    if let Some(journal) = &self.journal {
-                        journal.terminal(id, JobPhase::Failed, Some(&error), steps_done, None);
-                    }
-                    self.insert_job(id, Arc::clone(&shared));
-                    if let Some(obs) = self.obs() {
-                        obs.jobs_failed.incr();
-                        obs.event(
-                            "job.failed",
-                            Some(id),
-                            &[("reason", FieldValue::from(error.as_str()))],
-                        );
-                    }
-                    self.touch(&shared);
+                    self.finish(id, &shared, JobPhase::Failed, Some(error));
+                    continue;
                 }
+            };
+            self.inner
+                .lock()
+                .expect("manager poisoned")
+                .queue
+                .push_back((id, Arc::clone(&shared), graph));
+            if let Some(stats) = &stats {
+                stats.jobs_resumed.fetch_add(1, Ordering::Relaxed);
             }
+            if let Some(obs) = self.obs() {
+                obs.event(
+                    "job.resumed",
+                    Some(id),
+                    &[("steps", FieldValue::from(steps_done))],
+                );
+            }
+            self.wake.notify_one();
+            self.touch(&shared);
         }
     }
 
@@ -789,15 +724,7 @@ impl JobManager {
         if let Some(at) = inner.queue.iter().position(|(qid, _, _)| *qid == id) {
             inner.queue.remove(at);
             drop(inner);
-            let mut state = shared.state.lock().expect("job poisoned");
-            state.phase = JobPhase::Cancelled;
-            let steps_done = state.steps_done;
-            drop(state);
-            if let Some(journal) = &self.journal {
-                journal.terminal(id, JobPhase::Cancelled, None, steps_done, None);
-            }
-            self.observe_terminal(id, JobPhase::Cancelled, steps_done);
-            self.touch(&shared);
+            self.finish(id, &shared, JobPhase::Cancelled, None);
             return CancelOutcome::Cancelled;
         }
         drop(inner);
@@ -831,15 +758,7 @@ impl JobManager {
         };
         for (id, shared, _) in drained {
             shared.cancel.store(true, Ordering::Relaxed);
-            let mut state = shared.state.lock().expect("job poisoned");
-            state.phase = JobPhase::Cancelled;
-            let steps_done = state.steps_done;
-            drop(state);
-            if let Some(journal) = &self.journal {
-                journal.terminal(id, JobPhase::Cancelled, None, steps_done, None);
-            }
-            self.observe_terminal(id, JobPhase::Cancelled, steps_done);
-            self.touch(&shared);
+            self.finish(id, &shared, JobPhase::Cancelled, None);
         }
         // Running jobs observe the cancel flag at the next chunk.
         {
@@ -882,129 +801,64 @@ impl JobManager {
                     .or_else(|| panic.downcast_ref::<&str>().copied())
                     .unwrap_or("job panicked");
                 let error = format!("internal error: {message}");
-                let mut state = shared.state.lock().expect("job poisoned");
-                state.phase = JobPhase::Failed;
-                state.error = Some(error.clone());
-                let steps_done = state.steps_done;
-                drop(state);
-                if let Some(journal) = &self.journal {
-                    journal.terminal(id, JobPhase::Failed, Some(&error), steps_done, None);
-                }
-                self.observe_terminal(id, JobPhase::Failed, steps_done);
-                self.touch(&shared);
+                self.finish(id, &shared, JobPhase::Failed, Some(error));
             }
         }
     }
 
     fn run_job(&self, id: u64, shared: &JobShared, graph: &MmapGraph) {
-        {
+        let cancelled = {
             let mut state = shared.state.lock().expect("job poisoned");
-            if shared.cancel.load(Ordering::Relaxed) {
-                state.phase = JobPhase::Cancelled;
-                let steps_done = state.steps_done;
-                drop(state);
-                if let Some(journal) = &self.journal {
-                    journal.terminal(id, JobPhase::Cancelled, None, steps_done, None);
-                }
-                self.observe_terminal(id, JobPhase::Cancelled, steps_done);
-                self.touch(shared);
-                return;
+            let cancelled = shared.cancel.load(Ordering::Relaxed);
+            if !cancelled {
+                state.phase = JobPhase::Running;
             }
-            state.phase = JobPhase::Running;
+            cancelled
+        };
+        if cancelled {
+            return self.finish(id, shared, JobPhase::Cancelled, None);
         }
         if let Some(obs) = self.obs() {
             obs.event("job.running", Some(id), &[]);
         }
         self.touch(shared);
-        let spec = &shared.spec;
-        // Submit validation rejects invalid (estimator, sampler) pairs,
-        // but journal replay re-creates jobs from disk — a journal
-        // written by a different build (or hand-edited) can carry a
-        // pair this build refuses. Degrade to a journaled `failed`
-        // instead of unwinding the worker.
-        let mut estimator = match JobEstimator::new(spec.estimator, &spec.sampler) {
-            Ok(est) => est,
-            Err(why) => {
-                self.fail_job(id, shared, format!("invalid estimator/sampler pair: {why}"));
-                return;
-            }
+        // Journal replay re-creates jobs from disk, and a journal
+        // written by another build (or edited by hand) can carry a spec
+        // submit refuses: it fails with submit's message, journaled,
+        // instead of running (or unwinding the worker).
+        let mut estimator = match validate(&shared.spec) {
+            Ok(estimator) => estimator,
+            Err(why) => return self.finish(id, shared, JobPhase::Failed, Some(why)),
         };
-
-        // The same holds for `pool_threads`: refuse the samplers submit
-        // would.
-        if spec.pool_threads.is_some()
-            && !matches!(
-                spec.sampler,
-                SamplerSpec::Frontier { .. } | SamplerSpec::Multiple { .. }
-            )
-        {
-            let why = format!(
-                "pooled execution supports frontier and multiple samplers, not '{}'",
-                spec.sampler.label()
-            );
-            self.fail_job(id, shared, why);
-            return;
-        }
         match self.run_chunks(id, shared, graph, &mut estimator) {
-            None => {
-                let mut state = shared.state.lock().expect("job poisoned");
-                // Chunks leave the snapshot of the estimator as it
-                // stands; a job cancelled before its first chunk takes
-                // one here.
-                if state.snapshot.is_none() {
-                    state.snapshot = Some(estimator.snapshot());
-                }
-                state.phase = JobPhase::Cancelled;
-                let steps_done = state.steps_done;
-                drop(state);
-                if let Some(journal) = &self.journal {
-                    journal.terminal(id, JobPhase::Cancelled, None, steps_done, None);
-                }
-                self.observe_terminal(id, JobPhase::Cancelled, steps_done);
-            }
-            Some((snapshot, mut state)) => {
-                let steps_done = state.steps_done;
+            Some(result) => {
                 // Publish to the result cache: the run is complete and
                 // the result is a pure function of (digest, spec,
                 // seed), so future identical submits answer from here
                 // byte-for-byte. It goes in before the job shows as
                 // done, so a resubmit sent on reading the terminal line
                 // cannot miss it.
-                self.cache.insert(
-                    CacheKey::new(
-                        shared.store_digest,
-                        &spec.sampler,
-                        spec.budget,
-                        spec.seed,
-                        spec.estimator,
-                    ),
-                    CachedResult {
-                        snapshot: snapshot.clone(),
-                        steps_done,
-                    },
-                );
-                // The journal record is written after the state lock
-                // drops, so it needs its own copy; without a journal
-                // the snapshot moves into the state.
-                let record = self.journal.as_ref().map(|j| (j, snapshot.clone()));
-                state.snapshot = Some(snapshot);
-                state.progress = 1.0;
-                state.phase = JobPhase::Done;
-                drop(state);
-                if let Some((journal, snapshot)) = record {
-                    journal.terminal(id, JobPhase::Done, None, steps_done, Some(&snapshot));
+                self.cache
+                    .insert(CacheKey::new(shared.store_digest, &shared.spec), result);
+                self.finish(id, shared, JobPhase::Done, None);
+            }
+            None => {
+                // Chunks leave the snapshot of the estimator as it
+                // stands; a job cancelled before its first chunk takes
+                // one here.
+                let mut state = shared.state.lock().expect("job poisoned");
+                if state.snapshot.is_none() {
+                    state.snapshot = Some(Arc::new(estimator.snapshot()));
                 }
-                self.observe_terminal(id, JobPhase::Done, steps_done);
+                drop(state);
+                self.finish(id, shared, JobPhase::Cancelled, None);
             }
         }
-        self.touch(shared);
     }
 
-    /// Chunked execution. Returns `None` when cancelled. A finished
-    /// run returns its final snapshot with the job's state lock held,
-    /// the last chunk's progress already written under it, so the
-    /// caller publishes the estimate and `done` in that same critical
-    /// section.
+    /// Chunked execution. Returns `None` when cancelled; a finished
+    /// run returns its result, the final snapshot and progress already
+    /// in the job's state (its phase is the caller's to set).
     ///
     /// A job carrying a journal checkpoint restarts from it —
     /// bit-identical to never having paused (the runner's resume
@@ -1012,13 +866,13 @@ impl JobManager {
     /// spec drift) is discarded and the job re-runs from scratch,
     /// which determinism makes bit-identical too: recovery never has
     /// a wrong answer, only a slower one.
-    fn run_chunks<'a>(
+    fn run_chunks(
         &self,
         id: u64,
-        shared: &'a JobShared,
+        shared: &JobShared,
         graph: &MmapGraph,
         estimator: &mut JobEstimator,
-    ) -> Option<(EstimateSnapshot, MutexGuard<'a, JobState>)> {
+    ) -> Option<CachedResult> {
         let spec = &shared.spec;
         // Charged-query tap: delegation is bit-identical (pinned in
         // fs-graph), so arming the counter cannot change the estimate.
@@ -1087,7 +941,7 @@ impl JobManager {
                 obs.access_queries.add(rp.queries_issued - queries_reported);
             }
             queries_reported = rp.queries_issued;
-            let snapshot = estimator.snapshot();
+            let snapshot = Arc::new(estimator.snapshot());
             let mut state = shared.state.lock().expect("job poisoned");
             state.steps_done = runner.steps_done();
             state.progress = runner.progress();
@@ -1098,11 +952,14 @@ impl JobManager {
                 budget_spent: rp.budget_spent,
                 budget_total: rp.budget_total,
             };
-            if status == ChunkStatus::Finished {
-                return Some((snapshot, state));
-            }
-            state.snapshot = Some(snapshot);
+            state.snapshot = Some(Arc::clone(&snapshot));
             drop(state);
+            if status == ChunkStatus::Finished {
+                return Some(CachedResult {
+                    snapshot,
+                    steps_done: runner.steps_done(),
+                });
+            }
             if let Some(journal) = &self.journal {
                 chunks_since_checkpoint += 1;
                 if chunks_since_checkpoint >= JOURNAL_CHECKPOINT_CHUNKS {
@@ -1119,21 +976,70 @@ impl JobManager {
         }
     }
 
-    /// Marks a job failed, journals the terminal record, and notifies
-    /// waiters. The degrade path for conditions submit validation
-    /// normally prevents but journal replay can resurrect (a journal
-    /// written by another build, or hand-edited, carries specs this
-    /// build refuses).
-    fn fail_job(&self, id: u64, shared: &JobShared, error: String) {
+    /// Ends a job; every terminal transition but a cache hit's goes
+    /// through here. Sets `phase` (and a failure's `error`) under the
+    /// state lock, journals the terminal record (with the estimate
+    /// when `done`), counts and traces it, then publishes the change.
+    fn finish(&self, id: u64, shared: &JobShared, phase: JobPhase, error: Option<String>) {
         let mut state = shared.state.lock().expect("job poisoned");
-        state.phase = JobPhase::Failed;
-        state.error = Some(error.clone());
+        state.phase = phase;
+        state.error.clone_from(&error);
+        let snapshot = if phase == JobPhase::Done {
+            state.progress = 1.0;
+            state.snapshot.clone()
+        } else {
+            None
+        };
         let steps_done = state.steps_done;
         drop(state);
         if let Some(journal) = &self.journal {
-            journal.terminal(id, JobPhase::Failed, Some(&error), steps_done, None);
+            journal.terminal(id, phase, error.as_deref(), steps_done, snapshot.as_deref());
         }
-        self.observe_terminal(id, JobPhase::Failed, steps_done);
+        self.observe_terminal(id, phase, steps_done, error.as_deref());
         self.touch(shared);
     }
+}
+
+/// The checks a spec must pass to run, at submit and again when journal
+/// replay resumes it: a finite budget ≥ 0, `m` within the server limit,
+/// `pool_threads` in bounds and only for FS/MultipleRW, and a valid
+/// (estimator, sampler) pairing. Returns the job's estimator.
+fn validate(spec: &JobSpec) -> Result<JobEstimator, String> {
+    if !(spec.budget.is_finite() && spec.budget >= 0.0) {
+        return Err(format!(
+            "budget must be a finite non-negative number, got {}",
+            spec.budget
+        ));
+    }
+    // Untrusted `m` sizes walker-state allocations; a petabyte `Vec`
+    // request would abort the process (allocation failure is not a
+    // catchable panic), so bound it server-side.
+    if let SamplerSpec::Frontier { m } | SamplerSpec::Multiple { m } = spec.sampler {
+        if m > MAX_WALKERS {
+            return Err(format!(
+                "m = {m} exceeds the server limit of {MAX_WALKERS} walkers"
+            ));
+        }
+    }
+    if let Some(t) = spec.pool_threads {
+        if t < 1 {
+            return Err("pool_threads must be >= 1".into());
+        }
+        if t > MAX_POOL_THREADS {
+            return Err(format!(
+                "pool_threads = {t} exceeds the server limit of {MAX_POOL_THREADS}"
+            ));
+        }
+        if !matches!(
+            spec.sampler,
+            SamplerSpec::Frontier { .. } | SamplerSpec::Multiple { .. }
+        ) {
+            return Err(format!(
+                "pooled execution supports frontier and multiple samplers, not '{}'",
+                spec.sampler.label()
+            ));
+        }
+    }
+    JobEstimator::new(spec.estimator, &spec.sampler)
+        .map_err(|why| format!("invalid estimator/sampler pair: {why}"))
 }

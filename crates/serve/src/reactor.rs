@@ -46,7 +46,7 @@ use fs_graph::failpoint::{self, Fault};
 use fs_obs::FieldValue;
 use std::collections::HashMap;
 use std::io::{ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -241,28 +241,16 @@ use sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
 /// What the application wants done with one routed request.
 pub enum Action {
-    /// Send a JSON response. `close` forces connection close after the
-    /// flush even if the client asked for keep-alive (e.g. 400s, whose
-    /// framing can no longer be trusted).
+    /// Send a response; the connection stays open if the client asked
+    /// for keep-alive.
     Respond {
         /// HTTP status code.
         status: u16,
-        /// JSON body.
-        body: String,
-        /// Force close-after-flush.
-        close: bool,
-    },
-    /// Send a response with an explicit media type (`/metrics` is
-    /// Prometheus text, `/v1/trace` is NDJSON).
-    RespondTyped {
-        /// HTTP status code.
-        status: u16,
-        /// Media type for the `Content-Type` header.
+        /// Media type for the `Content-Type` header (JSON for the API,
+        /// Prometheus text for `/metrics`, NDJSON for `/v1/trace`).
         content_type: &'static str,
         /// Response body.
         body: String,
-        /// Force close-after-flush.
-        close: bool,
     },
     /// Start a chunked NDJSON stream subscribed to job `job`.
     Stream {
@@ -324,6 +312,9 @@ struct Tuning {
     max_conns: usize,
     /// Grace period for flushing after quit is signalled.
     quit_grace: Duration,
+    /// How long a closing connection waits for the peer's EOF after
+    /// its last byte went out (see [`Reactor::linger`]).
+    linger_timeout: Duration,
 }
 
 impl Default for Tuning {
@@ -334,6 +325,7 @@ impl Default for Tuning {
             write_high_water: 4 * 1024 * 1024,
             max_conns: 4096,
             quit_grace: Duration::from_secs(2),
+            linger_timeout: Duration::from_secs(2),
         }
     }
 }
@@ -362,6 +354,10 @@ struct Conn {
     /// Whether the epoll registration currently includes `EPOLLOUT`.
     want_out: bool,
     last_activity: Instant,
+    /// Set once a close-after-flush connection has sent everything:
+    /// our side is shut down, and the connection closes at the peer's
+    /// EOF or at this deadline.
+    linger_until: Option<Instant>,
 }
 
 impl Conn {
@@ -376,6 +372,7 @@ impl Conn {
             read_closed: false,
             want_out: false,
             last_activity: Instant::now(),
+            linger_until: None,
         }
     }
 
@@ -547,9 +544,20 @@ impl Reactor {
             return;
         };
         if conn.read_closed {
-            // Half-closed: drain-and-discard so RDHUP stops firing.
-            let mut sink = [0u8; 4096];
-            while matches!(fp_read(&conn.stream, &mut sink), Ok(n) if n > 0) {}
+            // Half-closed: drain-and-discard so RDHUP stops firing. A
+            // lingering connection closes at the peer's EOF.
+            let mut sink = [0u8; 16 * 1024];
+            let eof = loop {
+                match fp_read(&conn.stream, &mut sink) {
+                    Ok(0) => break true,
+                    Ok(_) => {}
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(e) => break e.kind() != ErrorKind::WouldBlock,
+                }
+            };
+            if eof && conn.linger_until.is_some() {
+                self.close_conn(fd);
+            }
             return;
         }
         let mut buf = [0u8; 16 * 1024];
@@ -662,24 +670,9 @@ impl Reactor {
                     match logic.handle(&request) {
                         Action::Respond {
                             status,
-                            body,
-                            close,
-                        } => {
-                            let keep = keep && !close;
-                            conn.wbuf
-                                .extend_from_slice(&http::encode_response(status, &body, keep));
-                            if !keep {
-                                conn.close_after_flush = true;
-                                conn.read_closed = true;
-                            }
-                        }
-                        Action::RespondTyped {
-                            status,
                             content_type,
                             body,
-                            close,
                         } => {
-                            let keep = keep && !close;
                             conn.wbuf.extend_from_slice(&http::encode_response_typed(
                                 status,
                                 content_type,
@@ -792,8 +785,30 @@ impl Reactor {
             }
         }
         if !want_out && conn.close_after_flush && conn.streaming.is_none() {
-            self.close_conn(fd);
+            self.linger(fd);
         }
+    }
+
+    /// Closes a connection whose response is all sent, without losing
+    /// that response: shut down our side, then discard what the peer
+    /// still sends until its EOF (`readable`) or the linger deadline
+    /// (`reap_timeouts`). Closing with the peer's bytes unread — a 413
+    /// goes out while the client is still uploading its body — would
+    /// make the kernel answer them with a reset, and the reset can
+    /// destroy the response before the client reads it.
+    fn linger(&mut self, fd: i32) {
+        let Some(conn) = self.conns.get_mut(&fd) else {
+            return;
+        };
+        if conn.linger_until.is_some() {
+            return;
+        }
+        if conn.stream.shutdown(Shutdown::Write).is_err() {
+            self.close_conn(fd);
+            return;
+        }
+        conn.read_closed = true;
+        conn.linger_until = Some(Instant::now() + self.tuning.linger_timeout);
     }
 
     fn writable(&mut self, fd: i32) {
@@ -807,13 +822,22 @@ impl Reactor {
 
     fn reap_timeouts(&mut self) {
         let now = Instant::now();
+        let lingered: Vec<i32> = self
+            .conns
+            .iter()
+            .filter(|(_, c)| c.linger_until.is_some_and(|deadline| now >= deadline))
+            .map(|(&fd, _)| fd)
+            .collect();
+        for fd in lingered {
+            self.close_conn(fd);
+        }
         let stale: Vec<i32> = self
             .conns
             .iter()
             .filter(|(_, c)| {
                 let idle = now.duration_since(c.last_activity);
-                if c.streaming.is_some() {
-                    false // stream lifetime is the job's business
+                if c.streaming.is_some() || c.linger_until.is_some() {
+                    false // the job's business, or the linger deadline's
                 } else if !c.parser.at_boundary() || c.pending_write() > 0 {
                     idle > self.tuning.read_timeout // mid-request stall
                 } else {

@@ -387,8 +387,8 @@ fn error_body(message: &str) -> String {
 fn respond(status: u16, body: String) -> Action {
     Action::Respond {
         status,
+        content_type: "application/json",
         body,
-        close: false,
     }
 }
 
@@ -478,11 +478,10 @@ impl AppLogic for Logic {
                 }
                 respond(200, Json::obj(fields).encode())
             }
-            ("GET", "/metrics") => Action::RespondTyped {
+            ("GET", "/metrics") => Action::Respond {
                 status: 200,
                 content_type: "text/plain; version=0.0.4",
                 body: self.obs.registry().render_prometheus(),
-                close: false,
             },
             ("GET", "/v1/trace") => {
                 let mut body: String = String::new();
@@ -490,11 +489,10 @@ impl AppLogic for Logic {
                     body.push_str(&line);
                     body.push('\n');
                 }
-                Action::RespondTyped {
+                Action::Respond {
                     status: 200,
                     content_type: "application/x-ndjson",
                     body,
-                    close: false,
                 }
             }
             ("GET", "/v1/stores") => match self.registry.list() {
@@ -830,7 +828,7 @@ mod tests {
             phase: JobPhase::Running,
             steps_done: 8_192,
             progress: 0.4096,
-            estimate: Some(EstimateSnapshot {
+            estimate: Some(Arc::new(EstimateSnapshot {
                 num_observed: 8_176,
                 scalar: None,
                 vector: Some(vec![
@@ -849,7 +847,7 @@ mod tests {
                     f64::NAN,
                     0.0,
                 ]),
-            }),
+            })),
             profile: profile(1, 2_345, 8_208, 8_192.0, 20_000.0),
             ..queued()
         };
@@ -863,11 +861,11 @@ mod tests {
             phase: JobPhase::Done,
             steps_done: 5_000,
             progress: 1.0,
-            estimate: Some(EstimateSnapshot {
+            estimate: Some(Arc::new(EstimateSnapshot {
                 num_observed: 4_999,
                 scalar: Some(7.998_765_432_101_234),
                 vector: None,
-            }),
+            })),
             profile: profile(3, 1_234, 5_016, 5_003.0, 5_000.5),
             ..queued()
         };
@@ -879,7 +877,7 @@ mod tests {
             phase: JobPhase::Done,
             steps_done: 20_000,
             progress: 1.0,
-            estimate: Some(EstimateSnapshot {
+            estimate: Some(Arc::new(EstimateSnapshot {
                 num_observed: 19_984,
                 scalar: None,
                 vector: Some(vec![
@@ -897,7 +895,7 @@ mod tests {
                     0.012_5,
                     1.0 / 3.0,
                 ]),
-            }),
+            })),
             profile: profile(3, 9_876, 20_016, 20_000.0, 20_000.0),
             ..queued()
         };
@@ -938,11 +936,11 @@ mod tests {
             phase: JobPhase::Cancelled,
             steps_done: 12,
             progress: 0.0006,
-            estimate: Some(EstimateSnapshot {
+            estimate: Some(Arc::new(EstimateSnapshot {
                 num_observed: 0,
                 scalar: None,
                 vector: None,
-            }),
+            })),
             ..queued()
         };
         vec![

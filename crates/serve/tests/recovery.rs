@@ -21,13 +21,15 @@ use frontier_sampling::runner::{
     ChunkStatus, ChunkedRunner, EstimateSnapshot, EstimatorSpec, JobEstimator, SamplerSpec,
 };
 use frontier_sampling::CostModel;
-use fs_graph::failpoint::ArmedGuard;
+use fs_graph::failpoint::{self, ArmedGuard};
 use fs_serve::journal::{DurabilityStats, Journal};
 use fs_serve::json::Json;
-use fs_serve::{Config, JobSpec, Server};
+use fs_serve::{Config, JobPhase, JobSpec, Server};
 use fs_store::MmapGraph;
-use std::path::Path;
-use std::sync::Mutex;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
 
 static CHAOS_LOCK: Mutex<()> = Mutex::new(());
 
@@ -77,6 +79,13 @@ fn assert_estimate_matches(doc: &Json, expect: &EstimateSnapshot, context: &str)
         expect.scalar.map(f64::to_bits),
         "{context}: scalar bits"
     );
+}
+
+/// A fresh temp directory for a bare journal.
+fn tmp(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("fs_serve_journal_{tag}_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
 }
 
 fn server_over(dir: &Path) -> Server {
@@ -408,5 +417,282 @@ fn replayed_job_with_unsupported_spec_fails_cleanly() {
         "{doc:?}"
     );
     server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn injected_enospc_truncates_back_and_keeps_serving() {
+    let _guard = lock();
+    let dir = tmp("enospc");
+    let stats = Arc::new(DurabilityStats::default());
+    let (journal, _) = Journal::open(&dir, Arc::clone(&stats)).unwrap();
+    journal.submit(1, &spec(5), 1);
+    let good = std::fs::metadata(journal.path()).unwrap().len();
+    {
+        let _armed = failpoint::ArmedGuard::new("journal.append=enospc:0.5,short_write:0.5", 3);
+        for i in 0..20 {
+            journal.checkpoint(1, i, b"blob", b"blob");
+        }
+    }
+    assert!(stats.appends_failed.load(Ordering::Relaxed) > 0);
+    assert!(!stats.degraded.load(Ordering::Relaxed));
+    // Whatever landed must replay cleanly: every surviving frame is
+    // intact (short-write halves were truncated away).
+    journal.terminal(1, JobPhase::Done, None, 20, None);
+    drop(journal);
+    let stats2 = Arc::new(DurabilityStats::default());
+    let (_j, replay) = Journal::open(&dir, Arc::clone(&stats2)).unwrap();
+    assert_eq!(stats2.torn_truncated.load(Ordering::Relaxed), 0);
+    assert_eq!(replay.jobs.len(), 1);
+    assert_eq!(
+        replay.jobs[0].terminal.as_ref().unwrap().phase,
+        JobPhase::Done
+    );
+    assert!(std::fs::metadata(dir.join("jobs.fsjl")).unwrap().len() > good);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Journals `specs` as accepted-but-unfinished jobs `1..`, the way a
+/// server killed before running them leaves them.
+fn journal_unfinished(dir: &Path, digest: u64, specs: &[JobSpec]) {
+    let (journal, _) =
+        Journal::open(&dir.join("journal"), Arc::new(DurabilityStats::default())).unwrap();
+    for (id, spec) in (1..).zip(specs) {
+        journal.submit(id, spec, digest);
+    }
+}
+
+fn job_error(doc: &Json) -> String {
+    assert_eq!(
+        doc.get("phase").unwrap().as_str(),
+        Some("failed"),
+        "{doc:?}"
+    );
+    doc.get("error").unwrap().as_str().unwrap().to_string()
+}
+
+#[test]
+fn replayed_specs_get_submits_checks() {
+    let _guard = lock();
+    let dir = store_dir("recovery_limits", 2_000, 26);
+    let digest = fs_store::file_digest(dir.join("ba.fsg")).unwrap();
+    // Specs submit refuses, resurrected via the journal: an unbounded
+    // budget would run forever, and `m` past the limit would size
+    // walker state from untrusted input.
+    let endless = JobSpec {
+        budget: f64::INFINITY,
+        ..spec(1)
+    };
+    let too_wide = JobSpec {
+        sampler: SamplerSpec::Frontier { m: 1_000_001 },
+        ..spec(2)
+    };
+    journal_unfinished(&dir, digest, &[endless, too_wide]);
+
+    let server = server_over(&dir);
+    let addr = server.addr();
+    wait_ready(addr);
+    let error = job_error(&wait_terminal(addr, 1));
+    assert_eq!(
+        error,
+        "budget must be a finite non-negative number, got inf"
+    );
+    let error = job_error(&wait_terminal(addr, 2));
+    // Word for word what submit answers for the same spec.
+    let body = job_body(2).replace("\"m\":4", "\"m\":1000001");
+    let (status, text) = request(addr, "POST", "/v1/jobs", Some(&body));
+    assert_eq!(status, 400, "{text}");
+    assert_eq!(
+        parse(&text).get("error").unwrap().as_str(),
+        Some(error.as_str())
+    );
+    assert!(error.contains("server limit"), "{error}");
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Reads `name`'s value off a Prometheus text exposition.
+fn metric(exposition: &str, name: &str) -> u64 {
+    exposition
+        .lines()
+        .find_map(|line| line.strip_prefix(name)?.strip_prefix(' '))
+        .unwrap_or_else(|| panic!("no metric {name}"))
+        .trim()
+        .parse()
+        .unwrap()
+}
+
+fn submit(addr: std::net::SocketAddr, seed: u64, budget: f64) -> u64 {
+    let body = job_body(seed).replace(
+        &format!("\"budget\":{BUDGET}"),
+        &format!("\"budget\":{budget}"),
+    );
+    let (status, text) = request(addr, "POST", "/v1/jobs", Some(&body));
+    assert_eq!(status, 202, "{text}");
+    parse(&text).get("id").unwrap().as_u64().unwrap()
+}
+
+fn phase(addr: std::net::SocketAddr, id: u64) -> String {
+    let (status, body) = request(addr, "GET", &format!("/v1/jobs/{id}"), None);
+    assert_eq!(status, 200, "{body}");
+    parse(&body)
+        .get("phase")
+        .unwrap()
+        .as_str()
+        .unwrap()
+        .to_string()
+}
+
+fn wait_running(addr: std::net::SocketAddr, id: u64) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    while phase(addr, id) != "running" {
+        assert!(std::time::Instant::now() < deadline, "job {id} never ran");
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+}
+
+fn cancel(addr: std::net::SocketAddr, id: u64) {
+    let (status, body) = request(addr, "DELETE", &format!("/v1/jobs/{id}"), None);
+    assert_eq!(status, 200, "{body}");
+}
+
+/// Terminal records per job id in a journal file, read frame by frame
+/// (`type:u8 len:u32le payload checksum:u64le` after the 8-byte
+/// header; a terminal record is type 3 and its payload opens with the
+/// id).
+fn terminal_records(path: &Path) -> BTreeMap<u64, usize> {
+    let bytes = std::fs::read(path).unwrap();
+    let mut counts = BTreeMap::new();
+    let mut at = 8;
+    while at < bytes.len() {
+        let len = u32::from_le_bytes(bytes[at + 1..at + 5].try_into().unwrap()) as usize;
+        if bytes[at] == 3 {
+            let id = u64::from_le_bytes(bytes[at + 5..at + 13].try_into().unwrap());
+            *counts.entry(id).or_insert(0) += 1;
+        }
+        at += 1 + 4 + len + 8;
+    }
+    assert_eq!(at, bytes.len(), "journal ends mid-frame");
+    counts
+}
+
+#[test]
+fn each_terminal_path_counts_and_journals_once() {
+    let _guard = lock();
+    let dir = store_dir("recovery_terminal_paths", 2_000, 27);
+    let digest = fs_store::file_digest(dir.join("ba.fsg")).unwrap();
+    // Job 1: replayed, then failed by the spec check.
+    let too_wide = JobSpec {
+        sampler: SamplerSpec::Frontier { m: 1_000_001 },
+        ..spec(1)
+    };
+    journal_unfinished(&dir, digest, &[too_wide]);
+    let trace_log = dir.join("trace.ndjson");
+    let mut config = Config::new(&dir);
+    config.journal_dir = Some(dir.join("journal"));
+    config.job_workers = 1;
+    config.trace_log = Some(trace_log.clone());
+    let server = Server::start(config).expect("start server");
+    let addr = server.addr();
+    wait_ready(addr);
+    assert_eq!(
+        wait_terminal(addr, 1).get("phase").unwrap().as_str(),
+        Some("failed")
+    );
+
+    // An endless budget in wire terms: runs until cancelled.
+    let endless = 1e15;
+    let done = submit(addr, 10, BUDGET);
+    assert_eq!(
+        wait_terminal(addr, done).get("phase").unwrap().as_str(),
+        Some("done")
+    );
+    let running = submit(addr, 11, endless);
+    wait_running(addr, running);
+    // The one worker is busy: these stay queued.
+    let queued = submit(addr, 12, BUDGET);
+    cancel(addr, queued);
+    assert_eq!(phase(addr, queued), "cancelled");
+    let next = submit(addr, 13, endless);
+    let drained = submit(addr, 14, BUDGET);
+    cancel(addr, running);
+    assert_eq!(
+        wait_terminal(addr, running).get("phase").unwrap().as_str(),
+        Some("cancelled")
+    );
+    wait_running(addr, next);
+    assert_eq!(phase(addr, drained), "queued");
+
+    let (status, exposition) = request(addr, "GET", "/metrics", None);
+    assert_eq!(status, 200);
+    let count = |name: &str| metric(&exposition, name);
+    let (submitted, resumed) = (
+        count("fs_jobs_submitted_total"),
+        count("fs_journal_jobs_resumed_total"),
+    );
+    let (done_n, failed, cancelled, in_flight) = (
+        count("fs_jobs_done_total"),
+        count("fs_jobs_failed_total"),
+        count("fs_jobs_cancelled_total"),
+        count("fs_jobs_in_flight"),
+    );
+    // A replayed job enters through the journal, not submit.
+    assert_eq!((submitted, resumed), (5, 1));
+    assert_eq!((done_n, failed, cancelled, in_flight), (1, 1, 2, 2));
+    assert_eq!(submitted + resumed, done_n + failed + cancelled + in_flight);
+
+    // Shutdown cancels the running job and drains the queued one.
+    server.shutdown();
+
+    let ids = [1, done, queued, running, next, drained];
+    let expect = |id: u64| match id {
+        1 => "job.failed",
+        id if id == done => "job.done",
+        _ => "job.cancelled",
+    };
+    let mut events: BTreeMap<u64, Vec<Json>> = BTreeMap::new();
+    for line in std::fs::read_to_string(&trace_log).unwrap().lines() {
+        let event = parse(line);
+        let kind = event.get("kind").unwrap().as_str().unwrap();
+        if ["job.done", "job.failed", "job.cancelled"].contains(&kind) {
+            let id = event.get("span").unwrap().as_u64().unwrap();
+            events.entry(id).or_default().push(event);
+        }
+    }
+    assert_eq!(events.keys().copied().collect::<Vec<_>>(), {
+        let mut sorted = ids.to_vec();
+        sorted.sort_unstable();
+        sorted
+    });
+    for (&id, list) in &events {
+        assert_eq!(list.len(), 1, "job {id}: {list:?}");
+        let event = &list[0];
+        assert_eq!(event.get("kind").unwrap().as_str(), Some(expect(id)));
+        assert!(event.get("steps").is_some(), "{event:?}");
+        assert_eq!(
+            event.get("reason").is_some(),
+            id == 1,
+            "only the failure carries a reason: {event:?}"
+        );
+    }
+
+    let journal_dir = dir.join("journal");
+    let records = terminal_records(&journal_dir.join("jobs.fsjl"));
+    assert_eq!(
+        records.keys().copied().collect::<Vec<_>>(),
+        events.keys().copied().collect::<Vec<_>>()
+    );
+    assert!(records.values().all(|&n| n == 1), "{records:?}");
+    let (_journal, replay) =
+        Journal::open(&journal_dir, Arc::new(DurabilityStats::default())).unwrap();
+    for job in &replay.jobs {
+        let phase = job.terminal.as_ref().expect("terminal record").phase;
+        let want = match expect(job.id) {
+            "job.failed" => JobPhase::Failed,
+            "job.done" => JobPhase::Done,
+            _ => JobPhase::Cancelled,
+        };
+        assert_eq!(phase, want, "job {}", job.id);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
