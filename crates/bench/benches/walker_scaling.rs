@@ -1,25 +1,22 @@
-//! Walker throughput vs thread count for the parallel walker engine.
+//! Replication throughput vs thread count for the chain scheduler.
 //!
 //! `cargo bench --bench walker_scaling`
 //!
-//! The PR's scaling claim: `ParallelWalkerPool` executes the `m` walkers
-//! of FS (and the independent walkers of MultipleRW, and Monte-Carlo
-//! replication chains) concurrently with *bit-identical* results at every
-//! thread count, so throughput should rise with threads until the memory
-//! bus saturates. This bench records walkers/sec (steps/sec across all
-//! walkers) for FS(m=100) on a 100k-vertex Barabási–Albert graph at
-//! 1/2/4/8 threads, plus the same scaling for pooled MultipleRW and for
-//! across-run replication (`run_chains`), with the sequential
-//! `FrontierSampler` as the single-threaded reference.
+//! `ParallelWalkerPool::run_chains` runs independent replication chains
+//! (the Monte-Carlo engine behind the experiments) concurrently with
+//! *bit-identical* results at every thread count, so throughput should
+//! rise with threads until the memory bus saturates. This bench records
+//! steps/sec for 20 chains of 5k-step single walks on a 100k-vertex
+//! Barabási–Albert graph at 1/2/4/8 threads, with the sequential
+//! `FrontierSampler` (m = 100, the same step total) as the
+//! single-threaded reference.
 //!
-//! Reading the numbers: on a multi-core host the 4-thread FS row should
-//! clear 2x the 1-thread row (the acceptance bar); on a single-core
-//! container every row collapses to the same rate and only the
-//! (deliberately small) scheduling overhead separates them.
+//! On a single-core container every row collapses to the same rate and
+//! only the (deliberately small) scheduling overhead separates them.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use frontier_sampling::parallel::ParallelWalkerPool;
-use frontier_sampling::{Budget, CostModel, FrontierSampler, MultipleRw};
+use frontier_sampling::{Budget, CostModel, FrontierSampler};
 use fs_graph::Graph;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -60,40 +57,6 @@ fn bench_walker_scaling(c: &mut Criterion) {
 
     for threads in [1usize, 2, 4, 8] {
         let pool = ParallelWalkerPool::with_threads(threads);
-        group.bench_with_input(
-            BenchmarkId::new("fs_m100/pool", threads),
-            &threads,
-            |b, _| {
-                b.iter(|| {
-                    let mut budget = Budget::new(STEPS as f64);
-                    let run = pool.frontier(
-                        &FrontierSampler::new(M),
-                        &graph,
-                        &CostModel::unit(),
-                        &mut budget,
-                        7,
-                    );
-                    black_box(run.steps.len())
-                })
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("mrw_m100/pool", threads),
-            &threads,
-            |b, _| {
-                b.iter(|| {
-                    let mut budget = Budget::new(STEPS as f64);
-                    let run = pool.multiple_rw(
-                        &MultipleRw::new(M),
-                        &graph,
-                        &CostModel::unit(),
-                        &mut budget,
-                        7,
-                    );
-                    black_box(run.steps.len())
-                })
-            },
-        );
         // Across-run replication: 20 chains of 5k-step single walks.
         group.bench_with_input(
             BenchmarkId::new("replication_20x5k/pool", threads),

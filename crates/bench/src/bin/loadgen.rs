@@ -18,8 +18,7 @@
 //! (submit + poll share the socket), matching the reactor's intended
 //! hot path.
 //!
-//! `--verify` additionally submits a seeded job (and, for FS/MultipleRW,
-//! one at `pool_threads=8` with the next seed) and asserts each served
+//! `--verify` additionally submits a seeded job and asserts the served
 //! estimate is bit-identical to the direct library call over the same
 //! store file — the serving layer's determinism guarantee, checked
 //! against a *real* server.
@@ -228,19 +227,10 @@ struct JobParams {
 /// Encodes a job body, submits it over the persistent connection, and
 /// returns (id, phase-at-submit). A cache hit reports `done` directly
 /// in the submit response — no polling round trip at all.
-fn submit_job(
-    client: &mut Client,
-    p: &JobParams,
-    seed: u64,
-    pool_threads: Option<usize>,
-) -> Result<(u64, String), String> {
-    let pool = match pool_threads {
-        Some(t) => format!(",\"pool_threads\":{t}"),
-        None => String::new(),
-    };
+fn submit_job(client: &mut Client, p: &JobParams, seed: u64) -> Result<(u64, String), String> {
     let body = format!(
         "{{\"store\":\"{}\",\"sampler\":\"{}\",\"m\":{},\"budget\":{},\"seed\":{seed},\
-         \"estimator\":\"{}\"{pool}}}",
+         \"estimator\":\"{}\"}}",
         p.store, p.sampler, p.m, p.budget, p.estimator
     );
     let (status, text) = client.request("POST", "/v1/jobs", &body)?;
@@ -288,13 +278,8 @@ fn wait_job(client: &mut Client, id: u64) -> Result<Json, String> {
 }
 
 /// Runs one job start to finish over the persistent connection.
-fn run_job(
-    client: &mut Client,
-    p: &JobParams,
-    seed: u64,
-    pool_threads: Option<usize>,
-) -> Result<Json, String> {
-    let (id, _) = submit_job(client, p, seed, pool_threads)?;
+fn run_job(client: &mut Client, p: &JobParams, seed: u64) -> Result<Json, String> {
+    let (id, _) = submit_job(client, p, seed)?;
     wait_job(client, id)
 }
 
@@ -516,7 +501,6 @@ fn run_burst(
                             client.as_mut().expect("client"),
                             &params,
                             seed_base + i as u64,
-                            None,
                         )
                         .inspect_err(|_| client = None)
                     });
@@ -763,7 +747,7 @@ fn main() {
         for i in 0..jobs {
             let key = splitmix64(seed_base ^ ((i as u64) << 16) ^ 0xB007);
             let (id, _) = with_retries(max_retries, key, &format!("submit {i}"), || {
-                submit_job(&mut client, &params, seed_base + i as u64, None)
+                submit_job(&mut client, &params, seed_base + i as u64)
             })
             .expect("submit-only: submission failed");
             first.get_or_insert(id);
@@ -854,16 +838,15 @@ fn main() {
         let spec = SamplerSpec::parse(&sampler, m, 0.0).expect("sampler");
         let est_spec = EstimatorSpec::parse(&estimator).expect("estimator");
 
-        // Sequential reference.
-        let reference = |seed: u64| {
+        // Library reference.
+        let seq_expect = {
             let mut est = JobEstimator::new(est_spec, &spec).expect("combo");
-            let mut runner = ChunkedRunner::new(&spec, &graph, &CostModel::unit(), budget, seed);
+            let mut runner = ChunkedRunner::new(&spec, &graph, &CostModel::unit(), budget, vseed);
             while runner.run_chunk(usize::MAX, |s| est.observe(&graph, s))
                 == ChunkStatus::InProgress
             {}
             snapshot_bits(&est.snapshot())
         };
-        let seq_expect = reference(vseed);
         let vp = JobParams {
             store: store.clone(),
             sampler: sampler.clone(),
@@ -872,34 +855,14 @@ fn main() {
             estimator: estimator.clone(),
         };
         let mut vclient = Client::connect(&addr).expect("verify connect");
-        let doc = run_job(&mut vclient, &vp, vseed, None).expect("verification job (sequential)");
+        let doc = run_job(&mut vclient, &vp, vseed).expect("verification job (sequential)");
         assert_eq!(
             wire_bits(&doc),
             seq_expect,
             "SEQUENTIAL DETERMINISM VIOLATION: served != library"
         );
 
-        // A pooled job (FS/MultipleRW only) runs the same chunked
-        // runner, so it must match the same sequential reference. It
-        // takes the next seed: at `vseed` it would be answered from
-        // the cache entry the sequential job just left.
-        if matches!(
-            spec,
-            SamplerSpec::Frontier { .. } | SamplerSpec::Multiple { .. }
-        ) {
-            let doc =
-                run_job(&mut vclient, &vp, vseed + 1, Some(8)).expect("verification job (pooled)");
-            assert_eq!(
-                wire_bits(&doc),
-                reference(vseed + 1),
-                "POOLED DETERMINISM VIOLATION: served != library"
-            );
-            eprintln!(
-                "verified: seeded {sampler} job bit-identical to library (sequential + pooled@8)"
-            );
-        } else {
-            eprintln!("verified: seeded {sampler} job bit-identical to library (sequential)");
-        }
+        eprintln!("verified: seeded {sampler} job bit-identical to library");
         verified = Json::Bool(true);
     }
 
@@ -917,7 +880,7 @@ fn main() {
             budget: 1e9,
             estimator: estimator.clone(),
         };
-        let (pid, _) = submit_job(&mut pc, &probe_params, 777_777, None).expect("probe submit");
+        let (pid, _) = submit_job(&mut pc, &probe_params, 777_777).expect("probe submit");
         pc.send("GET", &format!("/v1/jobs/{pid}/stream"), "")
             .expect("probe stream request");
         let (status, headers) = pc.read_head().expect("probe stream head");

@@ -48,9 +48,8 @@
 //! can be compared knowing where the numbers came from.
 
 use frontier_sampling::backend::CrawlAccess;
-use frontier_sampling::{
-    Budget, CostModel, FrontierSampler, MultipleRw, ParallelWalkerPool, WalkMethod,
-};
+use frontier_sampling::runner::{ChunkStatus, ChunkedRunner, Sample, SamplerSpec};
+use frontier_sampling::{Budget, CostModel, WalkMethod};
 use fs_graph::{CountedAccess, Graph, GraphAccess, ShardedCounter};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -222,39 +221,32 @@ fn run_once<A: GraphAccess>(method: &WalkMethod, access: &A, steps: usize, seed:
     n
 }
 
-/// FS on the lockstep batched engine (one thread so the cell measures
-/// the SoA/prefetch win, not parallelism). Returns attempted steps —
-/// the same denominator as the sequential cells on a fault-free
-/// backend.
-fn pool_fs_once<A: GraphAccess + ?Sized>(access: &A, steps: usize, seed: u64) -> usize {
-    let mut budget = Budget::new(steps as f64);
-    let run = ParallelWalkerPool::with_threads(1).frontier(
-        &FrontierSampler::new(100),
-        access,
-        &CostModel::unit(),
-        &mut budget,
-        seed,
-    );
-    for e in run.edges() {
-        black_box(e.target);
-    }
-    run.steps.len()
+/// FS (m = 100) on the lockstep batched engine, driven to the end by
+/// the chunked runner on one thread (so the cell measures the
+/// SoA/prefetch win, not parallelism). Hands each sampled edge to
+/// `sink` and returns attempted steps — the same denominator as the
+/// sequential cells on a fault-free backend.
+fn fs_batch_run<A: GraphAccess + ?Sized>(
+    access: &A,
+    steps: usize,
+    seed: u64,
+    mut sink: impl FnMut(fs_graph::Arc),
+) -> usize {
+    let spec = SamplerSpec::Frontier { m: 100 };
+    let mut run = ChunkedRunner::new(&spec, access, &CostModel::unit(), steps as f64, seed);
+    while run.run_chunk(usize::MAX, |s| {
+        if let Sample::Edge(e) = s {
+            sink(e)
+        }
+    }) == ChunkStatus::InProgress
+    {}
+    run.steps_done() as usize
 }
 
-/// MultipleRW on the lockstep batched engine, same protocol.
-fn pool_mrw_once<A: GraphAccess + ?Sized>(access: &A, steps: usize, seed: u64) -> usize {
-    let mut budget = Budget::new(steps as f64);
-    let run = ParallelWalkerPool::with_threads(1).multiple_rw(
-        &MultipleRw::new(100),
-        access,
-        &CostModel::unit(),
-        &mut budget,
-        seed,
-    );
-    for e in run.edges() {
+fn fs_batch_once<A: GraphAccess + ?Sized>(access: &A, steps: usize, seed: u64) -> usize {
+    fs_batch_run(access, steps, seed, |e| {
         black_box(e.target);
-    }
-    run.steps.len()
+    })
 }
 
 /// The batched-engine query-overhead gate: a batched cell that issues
@@ -342,8 +334,8 @@ fn obs_overhead_cells(graph_label: &str, graph: &Graph, steps: usize, reps: usiz
         "{graph_label}: FS walk under CountedAccess diverged from bare backend"
     );
     assert_eq!(
-        pool_fs_trace(graph, probe_steps, 7),
-        pool_fs_trace(&counted, probe_steps, 7),
+        fs_batch_trace(graph, probe_steps, 7),
+        fs_batch_trace(&counted, probe_steps, 7),
         "{graph_label}: batched FS walk under CountedAccess diverged from bare backend"
     );
     // Deterministic accounting: the same seeded run charges the same
@@ -368,7 +360,7 @@ fn obs_overhead_cells(graph_label: &str, graph: &Graph, steps: usize, reps: usiz
         seq_queries,
     );
     counter.reset();
-    pool_fs_once(&counted, steps, 7);
+    fs_batch_once(&counted, steps, 7);
     let batch_queries = counter.get();
     // The 2% target is pinned on the batched engine — the serving
     // tier's actual hot path since the lockstep rework. The sequential
@@ -381,8 +373,8 @@ fn obs_overhead_cells(graph_label: &str, graph: &Graph, steps: usize, reps: usiz
         "batched",
         reps,
         steps >= 100_000,
-        &mut || pool_fs_once(graph, steps, 7),
-        &mut || pool_fs_once(&counted, steps, 7),
+        &mut || fs_batch_once(graph, steps, 7),
+        &mut || fs_batch_once(&counted, steps, 7),
         batch_queries,
     );
     vec![seq, batch]
@@ -467,18 +459,12 @@ fn fs_trace<A: GraphAccess>(access: &A, steps: usize, seed: u64) -> Vec<(u32, u3
 
 /// Seeded batched-FS edge trace — the parity probe for the hugepage
 /// cell (the batched engine must be bit-identical across backings).
-fn pool_fs_trace<A: GraphAccess + ?Sized>(access: &A, steps: usize, seed: u64) -> Vec<(u32, u32)> {
-    let mut budget = Budget::new(steps as f64);
-    let run = ParallelWalkerPool::with_threads(1).frontier(
-        &FrontierSampler::new(100),
-        access,
-        &CostModel::unit(),
-        &mut budget,
-        seed,
-    );
-    run.edges()
-        .map(|e| (e.source.raw(), e.target.raw()))
-        .collect()
+fn fs_batch_trace<A: GraphAccess + ?Sized>(access: &A, steps: usize, seed: u64) -> Vec<(u32, u32)> {
+    let mut trace = Vec::new();
+    fs_batch_run(access, steps, seed, |e| {
+        trace.push((e.source.raw(), e.target.raw()))
+    });
+    trace
 }
 
 /// The storage-layer measurements for one scale: loader timings, the
@@ -582,8 +568,8 @@ fn storage_cells(
     let mmap_thp = fs_store::MmapGraph::open_with(&store_path, fs_store::HugepageMode::Try)
         .expect("open store with hugepage advice");
     assert_eq!(
-        pool_fs_trace(graph, probe_steps, 7),
-        pool_fs_trace(&mmap_thp, probe_steps, 7),
+        fs_batch_trace(graph, probe_steps, 7),
+        fs_batch_trace(&mmap_thp, probe_steps, 7),
         "{graph_label}: batched FS walk on {:?}-backed mmap diverged from CSR",
         mmap_thp.backing()
     );
@@ -593,7 +579,7 @@ fn storage_cells(
         graph,
         steps,
         reps,
-        &mut || pool_fs_once(&mmap_thp, steps, 7),
+        &mut || fs_batch_once(&mmap_thp, steps, 7),
         fs_batch_qps,
     );
     eprintln!(
@@ -649,13 +635,13 @@ fn main() {
             cells.push(cell);
         }
 
-        // Batched lockstep cells (single thread: the delta against the
-        // sequential FS/MultipleRW rows above is the SoA + software
-        // prefetch win, not parallelism). The query gate fails the run
-        // if batching ever starts over-querying the backend.
+        // Batched lockstep cell (single thread: the delta against the
+        // sequential FS row above is the SoA + software prefetch win, not
+        // parallelism). The query gate fails the run if batching ever
+        // starts over-querying the backend.
         {
             let crawler = CrawlAccess::new(&graph);
-            let taken = pool_fs_once(&crawler, steps, 7);
+            let taken = fs_batch_once(&crawler, steps, 7);
             let qps = crawler.queries_issued() as f64 / taken.max(1) as f64;
             // FS generates each window's events speculatively; the
             // final-window slack covers the unused tail of the last
@@ -668,34 +654,12 @@ fn main() {
                 &graph,
                 steps,
                 cfg.reps,
-                &mut || pool_fs_once(&graph, steps, 7),
+                &mut || fs_batch_once(&graph, steps, 7),
                 qps,
             );
             eprintln!(
                 "  {:<22} {graph_label:<8} {:>10.0} steps/s (best)  {:.3} queries/step",
                 "FS (m=100) @batch", cell.best_steps_per_sec, cell.queries_per_step
-            );
-            cells.push(cell);
-
-            let crawler = CrawlAccess::new(&graph);
-            let taken = pool_mrw_once(&crawler, steps, 7);
-            let qps = crawler.queries_issued() as f64 / taken.max(1) as f64;
-            // Independent walkers have no speculative horizon: the
-            // batched engine must query exactly like the sequential
-            // loop, one query per step plus the start draws.
-            gate_queries_per_step("MultipleRW (m=100) @batch", qps, 100, taken, 1.0);
-            let cell = measure(
-                "MultipleRW (m=100) @batch",
-                graph_label,
-                &graph,
-                steps,
-                cfg.reps,
-                &mut || pool_mrw_once(&graph, steps, 7),
-                qps,
-            );
-            eprintln!(
-                "  {:<22} {graph_label:<8} {:>10.0} steps/s (best)  {:.3} queries/step",
-                "MultipleRW (m=100) @batch", cell.best_steps_per_sec, cell.queries_per_step
             );
             cells.push(cell);
         }

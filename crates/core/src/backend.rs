@@ -530,7 +530,7 @@ impl<A: GraphAccess> CachedAccess<A> {
 
 impl<A> Drop for CachedAccess<A> {
     /// Releases the dropping thread's coalescing slot for this instance.
-    /// Slots that *other* threads created (pool walker threads are
+    /// Slots that *other* threads created (`run_chains` threads are
     /// scoped, so theirs die with the thread) are reclaimed at those
     /// threads' exit; instance ids are never reused, so a stale entry can
     /// only waste its 16 bytes, never alias a live cache.

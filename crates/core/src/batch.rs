@@ -22,22 +22,18 @@
 //! neighbor pick in the fill pass, then whatever the `apply` callback
 //! draws — e.g. an exponential holding time — in the resolve pass).
 //! Cross-walker interleaving therefore never touches any walker's
-//! stream, which is what lets [`crate::parallel::ParallelWalkerPool`]
-//! and [`crate::runner::ChunkedRunner`] adopt the batched engine without
-//! re-pinning their thread-count-invariance tests.
+//! stream, which is what lets [`crate::runner::ChunkedRunner`] adopt the
+//! batched engine without re-pinning its bit-identity tests.
 //!
 //! [`FsEventBatch`] layers the Theorem 5.5 exponential-clock schedule on
 //! top: each lane is one FS walker generating `(event time, outcome)`
 //! pairs, advanced in lockstep up to a virtual-time horizon.
 //! `FsWindowWalk` merges those streams window by window in
-//! `(time, walker)` order. It is the one windowed FS engine: the
-//! chunked runner and the pool's `frontier` both drive it.
+//! `(time, walker)` order. It is the one windowed FS engine, and the
+//! chunked runner drives it.
 
 use crate::budget::Budget;
-use crate::checkpoint::{
-    put_vertex, take_vertex, CheckpointError, Decoder, Encoder, MAX_CHECKPOINT_BUFFER,
-    MAX_CHECKPOINT_LANES,
-};
+use crate::checkpoint::{put_vertex, take_vertex, CheckpointError, Decoder, Encoder};
 use crate::parallel::stream_seed;
 use crate::walk::{self, StepOutcome, Stepped};
 use fs_graph::{Arc, GraphAccess, StepSlot, VertexId};
@@ -342,8 +338,7 @@ const FS_WINDOW_HEADROOM: f64 = 1.10;
 const MAX_FS_CLOCK: f64 = (1u64 << 40) as f64;
 
 /// Frontier Sampling as a resumable step machine: the one windowed FS
-/// engine, driven by [`crate::runner::ChunkedRunner`] (chunk by chunk)
-/// and [`crate::parallel::ParallelWalkerPool::frontier`] (to the end).
+/// engine, driven chunk by chunk by [`crate::runner::ChunkedRunner`].
 /// The `m` walkers are [`FsEventBatch`] lanes (Theorem 5.5), walker `i`
 /// on stream `stream_seed(seed, i)`. Events are generated
 /// window-by-window in virtual time (windows partition the time axis,
@@ -500,12 +495,8 @@ impl FsWindowWalk {
     pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<Self, CheckpointError> {
         let malformed = |what: &str| Err(CheckpointError::Malformed(what.into()));
         let valid_time = |t: f64| (0.0..=MAX_FS_CLOCK).contains(&t);
-        let n_lanes = dec.take_usize()?;
-        if n_lanes > MAX_CHECKPOINT_LANES {
-            return Err(CheckpointError::Malformed(format!(
-                "implausible lane count {n_lanes}"
-            )));
-        }
+        // A lane is 56 bytes of state plus at least its clock's tag byte.
+        let n_lanes = dec.take_count(56 + 1)?;
         let mut lanes = Vec::with_capacity(n_lanes);
         for _ in 0..n_lanes {
             let vertex = take_vertex(dec)?;
@@ -543,12 +534,8 @@ impl FsWindowWalk {
             return malformed("invalid window horizon or volume");
         }
         let generated = dec.take_u64()?;
-        let n_buffered = dec.take_usize()?;
-        if n_buffered > MAX_CHECKPOINT_BUFFER {
-            return Err(CheckpointError::Malformed(format!(
-                "implausible buffer length {n_buffered}"
-            )));
-        }
+        // An event is its time, its walker and at least an outcome tag.
+        let n_buffered = dec.take_count(8 + 8 + 1)?;
         let mut buffer = Vec::with_capacity(n_buffered);
         for _ in 0..n_buffered {
             let t = dec.take_f64()?;

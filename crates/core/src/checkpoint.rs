@@ -240,6 +240,18 @@ impl<'a> Decoder<'a> {
             .map_err(|_| CheckpointError::Malformed("length overflows usize".into()))
     }
 
+    /// Reads an item count, failing with `Truncated` when the unread
+    /// input cannot hold that many items of at least `min_item_bytes`
+    /// each. Every length-driven allocation sizes from this, so a forged
+    /// count can never ask for more memory than the input could fill.
+    pub fn take_count(&mut self, min_item_bytes: usize) -> Result<usize, CheckpointError> {
+        let n = self.take_usize()?;
+        if n.saturating_mul(min_item_bytes) > self.remaining() {
+            return Err(CheckpointError::Truncated);
+        }
+        Ok(n)
+    }
+
     /// Reads an `f64` from its bit pattern.
     pub fn take_f64(&mut self) -> Result<f64, CheckpointError> {
         Ok(f64::from_bits(self.take_u64()?))
@@ -270,12 +282,8 @@ impl<'a> Decoder<'a> {
     }
 }
 
-/// Decode-time plausibility bound on walker/lane counts — far above the
-/// serving layer's `MAX_WALKERS`, low enough that a forged length field
-/// cannot drive a huge allocation before failing.
-pub(crate) const MAX_CHECKPOINT_LANES: usize = 1 << 28;
-/// Same bound for buffered events and estimator vectors (the FS event
-/// buffer holds one window plus one refill overshoot in practice).
+/// Decode-time plausibility bound on the pop_size visit table's dense
+/// universe length, which sizes no allocation of its own.
 pub(crate) const MAX_CHECKPOINT_BUFFER: usize = 1 << 28;
 
 /// Appends a vertex id as its `usize` index.
@@ -293,6 +301,25 @@ mod tests {
     use super::*;
 
     const MAGIC: [u8; 4] = *b"TEST";
+
+    #[test]
+    fn take_count_is_bounded_by_the_unread_input() {
+        // A count of 3 followed by exactly 3 × 4 bytes fits; 4 does not.
+        let mut enc = Encoder::new();
+        enc.put_u64(3);
+        enc.put_u64(4);
+        let mut bytes = enc.into_bytes();
+        bytes.extend_from_slice(&[0; 12]);
+        assert_eq!(Decoder::new(&bytes).take_count(4), Ok(3));
+        let mut dec = Decoder::new(&bytes[8..]);
+        assert_eq!(dec.take_count(4), Err(CheckpointError::Truncated));
+        // A count whose byte total overflows usize is refused, not wrapped.
+        let huge = u64::MAX.to_le_bytes();
+        assert_eq!(
+            Decoder::new(&huge).take_count(8),
+            Err(CheckpointError::Truncated)
+        );
+    }
 
     fn sealed() -> Vec<u8> {
         let mut enc = Encoder::with_header(MAGIC, 1);

@@ -14,9 +14,9 @@
 //! exactly one query and one `walk_step` of budget. The emitted *edge
 //! sequence* is distribution-identical to
 //! [`crate::frontier::FrontierSampler`] (tests verify this
-//! empirically) and bit-identical to the windowed engine that the
-//! chunked runner and [`crate::parallel::ParallelWalkerPool::frontier`]
-//! drive, so it serves as their engine-independent reference.
+//! empirically) and bit-identical to the windowed engine behind
+//! [`crate::runner::ChunkedRunner`], so it serves as that engine's
+//! independent reference.
 
 use crate::budget::{Budget, CostModel};
 use crate::parallel::stream_seed;

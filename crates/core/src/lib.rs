@@ -39,17 +39,16 @@
 //!   streaming, in [`estimators`].
 //! * Analysis: NMSE/CNMSE error metrics and the closed-form NMSE of
 //!   independent sampling ([`metrics`]); Lemma 5.3 / Theorem 5.4
-//!   machinery ([`theory`]); explicit `G^m` construction ([`cartesian`]);
-//!   exact and Monte-Carlo transient edge-sampling distributions
-//!   ([`transient`], Appendix B).
-//! * Concurrency: [`ParallelWalkerPool`] ([`parallel`]) executes the `m`
-//!   walkers of FS/MultipleRW — and independent chains for replication
-//!   and diagnostics — across threads on deterministic per-walker
-//!   SplitMix-derived RNG streams with an order-independent reduction,
-//!   so results are bit-identical for 1, 2, or N threads. FS has one
-//!   windowed event engine ([`batch`]), run on the calling thread: the
-//!   pool, the chunked runner ([`runner`]) and so the server all drive
-//!   it, and [`DistributedFs`] is its bit-exact heap-based reference.
+//!   machinery ([`theory`]); exact and Monte-Carlo transient
+//!   edge-sampling distributions ([`transient`], Appendix B).
+//! * Execution: the chunked runner ([`ChunkedRunner`], [`runner`]) drives
+//!   every sampler as a resumable step machine, chunk by chunk; the
+//!   server runs every job through it. FS has one windowed event engine
+//!   ([`batch`]) behind the runner, on the calling thread, and
+//!   [`DistributedFs`] is its bit-exact heap-based reference.
+//!   [`ParallelWalkerPool::run_chains`] ([`parallel`]) runs independent
+//!   chains for replication and diagnostics across threads on
+//!   SplitMix-derived RNG streams, bit-identical for 1, 2, or N threads.
 //!
 //! ## Quickstart
 //!
@@ -86,7 +85,6 @@ pub mod alias;
 pub mod backend;
 pub mod batch;
 pub mod budget;
-pub mod cartesian;
 pub mod checkpoint;
 pub mod coverage;
 pub mod diagnostics;
@@ -130,7 +128,7 @@ pub use method::WalkMethod;
 pub use mhrw::MetropolisHastingsRw;
 pub use multiple::{MultipleRw, Schedule};
 pub use nbrw::{NonBacktrackingFrontier, NonBacktrackingRw};
-pub use parallel::{stream_seed, ParallelWalkerPool, PoolRun, PoolStep};
+pub use parallel::{stream_seed, ParallelWalkerPool};
 pub use runner::{
     ChunkStatus, ChunkedRunner, EstimateSnapshot, EstimatorSpec, JobEstimator, Sample, SamplerSpec,
 };

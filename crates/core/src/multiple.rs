@@ -10,9 +10,7 @@
 //! (Section 4.5).
 
 use crate::budget::{Budget, CostModel};
-use crate::checkpoint::{
-    put_vertex, take_vertex, CheckpointError, Decoder, Encoder, MAX_CHECKPOINT_LANES,
-};
+use crate::checkpoint::{put_vertex, take_vertex, CheckpointError, Decoder, Encoder};
 use crate::start::StartPolicy;
 use crate::walk::{self, Position, StepOutcome};
 use fs_graph::{Arc, GraphAccess, VertexId};
@@ -198,12 +196,7 @@ impl MultipleRwWalk {
     }
 
     pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<Self, CheckpointError> {
-        let n_starts = dec.take_usize()?;
-        if n_starts > MAX_CHECKPOINT_LANES {
-            return Err(CheckpointError::Malformed(format!(
-                "implausible walker count {n_starts}"
-            )));
-        }
+        let n_starts = dec.take_count(8)?;
         let mut starts = Vec::with_capacity(n_starts);
         for _ in 0..n_starts {
             starts.push(take_vertex(dec)?);

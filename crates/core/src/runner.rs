@@ -29,8 +29,7 @@
 //! a heap of clocks. The runner reaches the same `(time, walker)`
 //! stream through the windowed engine (`FsWindowWalk` in
 //! [`crate::batch`]), window by window so chunks stay prompt and memory
-//! bounded; [`crate::parallel::ParallelWalkerPool::frontier`] drives
-//! that same engine to the end.
+//! bounded.
 //!
 //! [`JobEstimator`] pairs the runner with the estimator suite: it
 //! consumes the runner's [`Sample`] stream (edges for the edge
@@ -275,7 +274,7 @@ impl<'a, A: GraphAccess + ?Sized> ChunkedRunner<'a, A> {
     }
 
     /// Fraction of the budget consumed, in `[0, 1]`. FS defers its bulk
-    /// spend to completion (one `force_spend`, like the pool's), so the
+    /// spend to completion (one `force_spend`), so the
     /// in-flight estimate charges pending attempts at the step cost.
     pub fn progress(&self) -> f64 {
         if self.finished {
@@ -972,8 +971,9 @@ impl JobEstimator {
                 let inv_degree_sum = dec.take_f64()?;
                 let counts_mode = dec.take_u8()?;
                 let dense_len = dec.take_usize()?;
-                let n_entries = dec.take_usize()?;
-                if dense_len > MAX_CHECKPOINT_BUFFER || n_entries > MAX_CHECKPOINT_BUFFER {
+                // An entry is a u64 index and a u32 count.
+                let n_entries = dec.take_count(8 + 4)?;
+                if dense_len > MAX_CHECKPOINT_BUFFER {
                     return Err(CheckpointError::Malformed(
                         "implausible visit-counter size".into(),
                     ));
@@ -1001,12 +1001,7 @@ impl JobEstimator {
             }
             5 => {
                 let kind = take_degree_kind(&mut dec)?;
-                let n_counts = dec.take_usize()?;
-                if n_counts > MAX_CHECKPOINT_BUFFER {
-                    return Err(CheckpointError::Malformed(
-                        "implausible histogram length".into(),
-                    ));
-                }
+                let n_counts = dec.take_count(8)?;
                 let mut counts = Vec::with_capacity(n_counts);
                 for _ in 0..n_counts {
                     counts.push(dec.take_u64()?);
@@ -1086,12 +1081,7 @@ fn put_f64_slice(enc: &mut Encoder, v: &[f64]) {
 }
 
 fn take_f64_vec(dec: &mut Decoder<'_>) -> Result<Vec<f64>, CheckpointError> {
-    let n = dec.take_usize()?;
-    if n > MAX_CHECKPOINT_BUFFER {
-        return Err(CheckpointError::Malformed(
-            "implausible vector length".into(),
-        ));
-    }
+    let n = dec.take_count(8)?;
     let mut v = Vec::with_capacity(n);
     for _ in 0..n {
         v.push(dec.take_f64()?);

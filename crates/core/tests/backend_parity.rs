@@ -13,9 +13,10 @@ use frontier_sampling::backend::{CachedAccess, CrawlAccess};
 use frontier_sampling::estimators::{
     ClusteringEstimator, DegreeDistributionEstimator, EdgeEstimator,
 };
-use frontier_sampling::parallel::{stream_seed, ParallelWalkerPool, PoolRun};
+use frontier_sampling::parallel::{stream_seed, ParallelWalkerPool};
+use frontier_sampling::runner::{ChunkStatus, ChunkedRunner, Sample, SamplerSpec};
 use frontier_sampling::{
-    Budget, CostModel, FrontierSampler, GraphAccess, MetropolisHastingsRw, MultipleRw, SingleRw,
+    Budget, CostModel, DistributedFs, FrontierSampler, GraphAccess, MetropolisHastingsRw, SingleRw,
     StartPolicy,
 };
 use fs_graph::{CsrAccess, Graph, VertexId};
@@ -181,127 +182,48 @@ fn cached_access_hit_accounting_matches_repeated_query_counts() {
     assert_eq!(cached.cached_vertices(), distinct.len());
 }
 
-/// Folds a pooled run into a degree-distribution estimate over the
-/// canonical sample order (the pool's order-independent reduction).
-fn pool_estimate<A: GraphAccess>(access: &A, run: &PoolRun) -> Vec<f64> {
+/// FS (`m = 8`, `B = 5000`) through the chunked runner's windowed
+/// engine: the edges it samples, in order.
+fn runner_fs<A: GraphAccess>(access: &A, seed: u64) -> Vec<fs_graph::Arc> {
+    let spec = SamplerSpec::Frontier { m: 8 };
+    let mut run = ChunkedRunner::new(&spec, access, &CostModel::unit(), 5_000.0, seed);
+    let mut edges = Vec::new();
+    while run.run_chunk(512, |s| {
+        if let Sample::Edge(e) = s {
+            edges.push(e)
+        }
+    }) == ChunkStatus::InProgress
+    {}
+    edges
+}
+
+/// Folds sampled edges into a degree-distribution estimate.
+fn fs_estimate<A: GraphAccess>(access: &A, edges: &[fs_graph::Arc]) -> Vec<f64> {
     let mut est = DegreeDistributionEstimator::symmetric();
-    for e in run.edges() {
+    for &e in edges {
         est.observe(access, e);
     }
     est.distribution()
 }
 
-/// `ParallelWalkerPool` determinism for FS: bit-identical `StepOutcome`
-/// traces and estimates at thread counts 1, 2, and 8, over both the
-/// in-memory and the fault-free crawl backend.
+/// The windowed FS engine must answer every query identically over CSR
+/// and the fault-free crawler (backend parity extends to the engine
+/// behind the runner and the server).
 #[test]
-fn pooled_frontier_bit_identical_at_1_2_8_threads() {
+fn windowed_frontier_backend_parity() {
     let g = fixture();
-    let fs = FrontierSampler::new(8);
-    let run_with = |access: &dyn Fn(&ParallelWalkerPool) -> PoolRun, threads: usize| {
-        access(&ParallelWalkerPool::with_threads(threads))
-    };
-    for (name, runner) in [
-        (
-            "csr",
-            Box::new(|pool: &ParallelWalkerPool| {
-                let mut budget = Budget::new(5_000.0);
-                pool.frontier(&fs, &CsrAccess::new(&g), &CostModel::unit(), &mut budget, 7)
-            }) as Box<dyn Fn(&ParallelWalkerPool) -> PoolRun>,
-        ),
-        (
-            "crawl",
-            Box::new(|pool: &ParallelWalkerPool| {
-                let crawler = CrawlAccess::new(&g);
-                let mut budget = Budget::new(5_000.0);
-                pool.frontier(&fs, &crawler, &CostModel::unit(), &mut budget, 7)
-            }),
-        ),
-    ] {
-        let one = run_with(&runner, 1);
-        let two = run_with(&runner, 2);
-        let eight = run_with(&runner, 8);
-        assert_eq!(one, two, "{name}: 1 vs 2 threads");
-        assert_eq!(one, eight, "{name}: 1 vs 8 threads");
-        assert!(!one.steps.is_empty(), "{name}: pooled FS emitted nothing");
-        assert_eq!(
-            pool_estimate(&g, &one),
-            pool_estimate(&g, &eight),
-            "{name}: estimates diverged"
-        );
-    }
-}
-
-/// Pooled FS must answer every query identically over CSR and the
-/// fault-free crawler (backend parity extends to the parallel engine).
-#[test]
-fn pooled_frontier_backend_parity() {
-    let g = fixture();
-    let fs = FrontierSampler::new(8);
-    let mut budget = Budget::new(5_000.0);
-    let pool = ParallelWalkerPool::with_threads(4);
-    let via_csr = pool.frontier(&fs, &CsrAccess::new(&g), &CostModel::unit(), &mut budget, 9);
+    let via_csr = runner_fs(&CsrAccess::new(&g), 9);
     let crawler = CrawlAccess::new(&g);
-    let mut budget = Budget::new(5_000.0);
-    let via_crawl = pool.frontier(&fs, &crawler, &CostModel::unit(), &mut budget, 9);
-    assert_eq!(via_csr, via_crawl, "pooled FS diverged across backends");
-    // The pool generates walker events speculatively past the budget
+    let via_crawl = runner_fs(&crawler, 9);
+    assert!(!via_csr.is_empty(), "FS emitted nothing");
+    assert_eq!(via_csr, via_crawl, "windowed FS diverged across backends");
+    assert_eq!(fs_estimate(&g, &via_csr), fs_estimate(&g, &via_crawl));
+    // The engine generates walker events speculatively past the budget
     // horizon and truncates at the merge, so the crawler answers at
-    // least one query per retained event (the overshoot is the bounded
-    // cost of parallelism; see the parallel-module docs).
+    // least one query per retained event.
     assert!(
-        crawler.stats().neighbor_queries >= via_crawl.steps.len() as u64,
+        crawler.stats().neighbor_queries >= via_crawl.len() as u64,
         "crawler must have answered every retained event"
-    );
-}
-
-/// `ParallelWalkerPool` determinism for MultipleRW, plus equality with
-/// the existing sequential path: walker `i` of the pool is exactly
-/// `SingleRw` from the same start on stream `i`, so the pooled
-/// EqualSplit run concatenates what the sequential per-walker samplers
-/// produce.
-#[test]
-fn pooled_multiple_rw_matches_sequential_per_walker_path() {
-    let g = fixture();
-    let m = 6;
-    let seed = 21;
-    let sampler = MultipleRw::new(m);
-    let run = |threads: usize| {
-        let mut budget = Budget::new(3_000.0);
-        ParallelWalkerPool::with_threads(threads).multiple_rw(
-            &sampler,
-            &g,
-            &CostModel::unit(),
-            &mut budget,
-            seed,
-        )
-    };
-    let one = run(1);
-    assert_eq!(one, run(2), "1 vs 2 threads");
-    assert_eq!(one, run(8), "1 vs 8 threads");
-
-    // Existing sequential path: walker i = SingleRw fixed at start i,
-    // seeded with stream i, budget = its quota (+1 start unit).
-    let quota = (3_000 - m) / m;
-    let mut sequential = Vec::new();
-    for (i, &start) in one.starts.iter().enumerate() {
-        let mut rng = SmallRng::seed_from_u64(stream_seed(seed, i as u64));
-        let mut budget = Budget::new(quota as f64 + 1.0);
-        SingleRw::with_start(StartPolicy::Fixed(vec![start])).sample_edges(
-            &g,
-            &CostModel::unit(),
-            &mut budget,
-            &mut rng,
-            |e| sequential.push((e.source.index(), e.target.index())),
-        );
-    }
-    let pooled: Vec<(usize, usize)> = one
-        .edges()
-        .map(|e| (e.source.index(), e.target.index()))
-        .collect();
-    assert_eq!(
-        pooled, sequential,
-        "pooled MultipleRW must replay the sequential per-walker walks"
     );
 }
 
@@ -359,65 +281,55 @@ fn pooled_chains_match_sequential_single_rw_and_mhrw() {
     assert!(one.iter().all(|c| !c.is_empty()));
 }
 
-/// Pooled FS is the Theorem 5.5 factorization of the same chain: its
+/// Windowed FS is the Theorem 5.5 factorization of the same chain: its
 /// per-vertex visit distribution must agree with sequential
 /// `FrontierSampler` (they are not bit-identical — the randomness is
 /// factored per walker — but the science must match).
 #[test]
-fn pooled_frontier_distribution_matches_sequential_fs() {
+fn windowed_frontier_distribution_matches_sequential_fs() {
     let g = fs_graph::graph_from_undirected_pairs(4, [(0, 1), (1, 2), (0, 2), (2, 3)]);
-    let steps = 200_000;
-    let mut pooled = [0f64; 4];
-    let mut budget = Budget::new(steps as f64);
-    let run = ParallelWalkerPool::with_threads(2).frontier(
-        &FrontierSampler::new(3),
-        &g,
-        &CostModel::unit(),
-        &mut budget,
-        41,
-    );
-    for e in run.edges() {
-        pooled[e.target.index()] += 1.0;
-    }
+    let steps = 200_000.0;
+    let mut windowed = [0f64; 4];
+    let spec = SamplerSpec::Frontier { m: 3 };
+    let mut run = ChunkedRunner::new(&spec, &g, &CostModel::unit(), steps, 41);
+    while run.run_chunk(usize::MAX, |s| {
+        if let Sample::Edge(e) = s {
+            windowed[e.target.index()] += 1.0
+        }
+    }) == ChunkStatus::InProgress
+    {}
     let mut sequential = [0f64; 4];
     let mut rng = SmallRng::seed_from_u64(42);
-    let mut budget = Budget::new(steps as f64);
+    let mut budget = Budget::new(steps);
     FrontierSampler::new(3).sample_edges(&g, &CostModel::unit(), &mut budget, &mut rng, |e| {
         sequential[e.target.index()] += 1.0
     });
-    let tp: f64 = pooled.iter().sum();
+    let tw: f64 = windowed.iter().sum();
     let ts: f64 = sequential.iter().sum();
     for v in 0..4 {
-        let (p, s) = (pooled[v] / tp, sequential[v] / ts);
-        assert!((p - s).abs() < 0.01, "vertex {v}: pooled {p} vs seq {s}");
+        let (w, s) = (windowed[v] / tw, sequential[v] / ts);
+        assert!((w - s).abs() < 0.01, "vertex {v}: windowed {w} vs seq {s}");
     }
 }
 
-/// The pool must also preserve fixed starts (used by the disconnected-
-/// component experiments) — and keep both components alive like
-/// sequential FS does.
+/// The Theorem 5.5 walkers must preserve fixed starts (used by the
+/// disconnected-component experiments) — and keep both components
+/// alive like sequential FS does.
 #[test]
-fn pooled_frontier_keeps_disconnected_components_alive() {
+fn independent_clock_frontier_keeps_disconnected_components_alive() {
     let g =
         fs_graph::graph_from_undirected_pairs(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]);
-    let sampler = FrontierSampler::new(2)
+    let sampler = DistributedFs::new(2)
         .with_start(StartPolicy::Fixed(vec![VertexId::new(0), VertexId::new(3)]));
     let mut budget = Budget::new(100_000.0);
-    let run = ParallelWalkerPool::with_threads(2).frontier(
-        &sampler,
-        &g,
-        &CostModel::unit(),
-        &mut budget,
-        17,
-    );
     let (mut in_a, mut in_b) = (0usize, 0usize);
-    for e in run.edges() {
+    sampler.sample_edges_seeded(&g, &CostModel::unit(), &mut budget, 17, |e| {
         if e.source.index() < 3 {
             in_a += 1;
         } else {
             in_b += 1;
         }
-    }
+    });
     let frac = in_a as f64 / (in_a + in_b) as f64;
     assert!(
         (frac - 0.5).abs() < 0.01,
@@ -516,41 +428,24 @@ fn mhrw_identical_over_mmap_and_csr() {
     assert!(!a.is_empty());
 }
 
-/// Pooled FS on the mmap backend: bit-identical at 1/2/8 threads
-/// (`MmapGraph` is `Sync`, so one mapping serves all walkers) and
-/// bit-identical to the pooled run over the in-memory CSR.
+/// Windowed FS on the mmap backend (`MmapGraph` is `Sync`, so one
+/// mapping serves all walkers) is bit-identical to the same run over
+/// the in-memory CSR.
 #[test]
-fn pooled_frontier_on_mmap_bit_identical_at_1_2_8_threads() {
+fn windowed_frontier_identical_over_mmap_and_csr() {
     let g = fixture();
-    let (_guard, mmap) = mmap_fixture("pool");
-    let fs = FrontierSampler::new(8);
-    let run = |threads: usize| {
-        let mut budget = Budget::new(5_000.0);
-        ParallelWalkerPool::with_threads(threads).frontier(
-            &fs,
-            &mmap,
-            &CostModel::unit(),
-            &mut budget,
-            7,
-        )
-    };
-    let one = run(1);
-    assert_eq!(one, run(2), "mmap pool: 1 vs 2 threads");
-    assert_eq!(one, run(8), "mmap pool: 1 vs 8 threads");
-    assert!(!one.steps.is_empty(), "pooled FS over mmap emitted nothing");
-    let mut budget = Budget::new(5_000.0);
-    let via_csr = ParallelWalkerPool::with_threads(4).frontier(
-        &fs,
-        &CsrAccess::new(&g),
-        &CostModel::unit(),
-        &mut budget,
-        7,
-    );
-    assert_eq!(one, via_csr, "pooled FS diverged between mmap and CSR");
+    let (_guard, mmap) = mmap_fixture("window");
+    let via_mmap = runner_fs(&mmap, 7);
+    assert!(!via_mmap.is_empty(), "FS over mmap emitted nothing");
+    let via_csr = runner_fs(&CsrAccess::new(&g), 7);
     assert_eq!(
-        pool_estimate(&mmap, &one),
-        pool_estimate(&g, &via_csr),
-        "pooled estimates diverged between mmap and CSR"
+        via_mmap, via_csr,
+        "windowed FS diverged between mmap and CSR"
+    );
+    assert_eq!(
+        fs_estimate(&mmap, &via_mmap),
+        fs_estimate(&g, &via_csr),
+        "estimates diverged between mmap and CSR"
     );
 }
 

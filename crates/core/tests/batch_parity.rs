@@ -3,19 +3,16 @@
 //! (not merely golden-equivalent distributions): per-walker RNG streams
 //! are pure functions of their seeds and the lockstep fill/apply phases
 //! consume each lane's stream in exactly the sequential draw order, so
-//! changing the batch width — or the thread count, or the runner's
-//! window schedule — must not move a single bit of the result.
+//! the runner's window schedule and chunk size must not move a single
+//! bit of the result.
 //!
 //! Per-lane parity against the one-shot library step
 //! (`walk::step_known`) is pinned by the `lockstep_matches_sequential_
-//! step_known` unit test in `src/batch.rs`; this file pins the
-//! composed engines.
+//! step_known` unit test in `src/batch.rs`; this file pins the composed
+//! engine against the heap-merged reference.
 
 use frontier_sampling::runner::{ChunkStatus, ChunkedRunner, Sample, SamplerSpec};
-use frontier_sampling::{
-    Budget, CostModel, FrontierSampler, MultipleRw, ParallelWalkerPool, PoolRun, Schedule,
-    StepOutcome,
-};
+use frontier_sampling::{Budget, CostModel, DistributedFs};
 use fs_graph::Graph;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -25,97 +22,34 @@ fn fixture() -> Graph {
     fs_gen::barabasi_albert(400, 3, &mut rng)
 }
 
-const WIDTHS: [usize; 3] = [1, 8, 16];
-
-fn fs_run(g: &Graph, width: usize, threads: usize, seed: u64) -> (PoolRun, f64) {
-    let mut budget = Budget::new(900.0);
-    let run = ParallelWalkerPool::with_threads(threads)
-        .with_batch_width(width)
-        .frontier(
-            &FrontierSampler::new(6),
-            g,
-            &CostModel::unit(),
-            &mut budget,
-            seed,
-        );
-    (run, budget.spent())
-}
-
 #[test]
-fn fs_pool_is_bit_identical_across_batch_widths_and_threads() {
+fn runner_fs_stream_is_bit_identical_to_the_reference_at_every_chunk_size() {
+    // The chunked runner replays the per-walker event streams window by
+    // window; the heap-merged reference fires one clock at a time. Chunk
+    // boundaries cut windows anywhere, so every chunk size must give the
+    // reference's stream and budget spend.
     let g = fixture();
-    for seed in [3u64, 71, 0xC0FFEE] {
-        let (reference, ref_spent) = fs_run(&g, WIDTHS[0], 1, seed);
-        assert!(!reference.steps.is_empty());
-        for width in WIDTHS {
-            for threads in [1usize, 3] {
-                let (run, spent) = fs_run(&g, width, threads, seed);
-                assert_eq!(
-                    run, reference,
-                    "FS diverged at width {width}, {threads} threads, seed {seed}"
-                );
-                assert_eq!(spent, ref_spent, "budget spend diverged at width {width}");
-            }
-        }
-    }
-}
-
-#[test]
-fn mrw_pool_is_bit_identical_across_batch_widths() {
-    let g = fixture();
-    for schedule in [Schedule::EqualSplit, Schedule::Interleaved] {
-        let sampler = MultipleRw::new(5).with_schedule(schedule);
-        let mut reference: Option<PoolRun> = None;
-        for width in WIDTHS {
-            let mut budget = Budget::new(700.0);
-            let run = ParallelWalkerPool::with_threads(2)
-                .with_batch_width(width)
-                .multiple_rw(&sampler, &g, &CostModel::unit(), &mut budget, 19);
-            match &reference {
-                None => {
-                    assert!(!run.steps.is_empty());
-                    reference = Some(run);
-                }
-                Some(expect) => assert_eq!(
-                    &run, expect,
-                    "MultipleRW ({schedule:?}) diverged at width {width}"
-                ),
-            }
-        }
-    }
-}
-
-#[test]
-fn runner_fs_stream_is_bit_identical_to_pool_at_every_width() {
-    // The chunked runner replays the pool's per-walker event streams
-    // window-by-window; the pool's output is width-invariant (test
-    // above), so the runner must match it at every width too.
-    let g = fixture();
-    let seed = 57;
     let spec = SamplerSpec::Frontier { m: 6 };
-    let mut runner = ChunkedRunner::new(&spec, &g, &CostModel::unit(), 900.0, seed);
-    let mut got = Vec::new();
-    while runner.run_chunk(64, |s| got.push(s)) == ChunkStatus::InProgress {}
-    for width in WIDTHS {
+    for seed in [3u64, 57, 71, 0xC0FFEE] {
         let mut budget = Budget::new(900.0);
-        let run = ParallelWalkerPool::with_threads(1)
-            .with_batch_width(width)
-            .frontier(
-                &FrontierSampler::new(6),
-                &g,
-                &CostModel::unit(),
-                &mut budget,
-                seed,
+        let mut expect = Vec::new();
+        DistributedFs::new(6).sample_edges_seeded(&g, &CostModel::unit(), &mut budget, seed, |e| {
+            expect.push(Sample::Edge(e))
+        });
+        assert!(!expect.is_empty());
+        for chunk in [1usize, 64, usize::MAX] {
+            let mut runner = ChunkedRunner::new(&spec, &g, &CostModel::unit(), 900.0, seed);
+            let mut got = Vec::new();
+            while runner.run_chunk(chunk, |s| got.push(s)) == ChunkStatus::InProgress {}
+            assert_eq!(
+                got, expect,
+                "runner vs reference at chunk {chunk}, seed {seed}"
             );
-        let expect: Vec<Sample> = run
-            .steps
-            .iter()
-            .filter_map(|s| match s.outcome {
-                StepOutcome::Edge(e) => Some(Sample::Edge(e)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(got, expect, "runner vs pool at width {width}");
-        assert_eq!(runner.budget_spent(), budget.spent());
+            assert_eq!(
+                runner.budget_spent(),
+                budget.spent(),
+                "budget at chunk {chunk}"
+            );
+        }
     }
 }

@@ -431,3 +431,52 @@ fn dense_mode_population_blob_keeps_its_universe_length() {
     let out_of_range = population_blob((9.0, 1.25), 1, 17, &entries, 1, 3);
     assert!(JobEstimator::resume(EstimatorSpec::PopulationSize, &spec, &out_of_range).is_err());
 }
+
+/// A resealed 27-byte FSEC blob — magic ‖ version ‖ degree_dist tag ‖
+/// edge degree-distribution state ‖ degree kind ‖ a length of 2^28 − 1
+/// weights ‖ checksum — holds no weights at all. Resume must refuse it
+/// before sizing a vector from the forged length.
+#[test]
+fn forged_fsec_vector_length_is_refused() {
+    use frontier_sampling::checkpoint::{CheckpointError, Encoder};
+    let mut enc = Encoder::with_header(*b"FSEC", 1);
+    enc.put_u8(1); // EstimatorSpec::DegreeDist
+    enc.put_u8(1); // edge degree-distribution state
+    enc.put_u8(0); // symmetric degrees
+    enc.put_u64((1 << 28) - 1);
+    let blob = enc.finish();
+    assert_eq!(blob.len(), 27);
+    let spec = SamplerSpec::Frontier { m: 4 };
+    assert!(matches!(
+        JobEstimator::resume(EstimatorSpec::DegreeDist, &spec, &blob),
+        Err(CheckpointError::Truncated)
+    ));
+}
+
+/// A resealed FSRC blob whose FS state claims 2^28 lanes (15 GiB of
+/// lane state) and then ends. Resume must refuse it before sizing the
+/// lane vector from the forged count.
+#[test]
+fn forged_fsrc_lane_count_is_refused() {
+    use frontier_sampling::checkpoint::{CheckpointError, Encoder};
+    let mut enc = Encoder::with_header(*b"FSRC", 1);
+    enc.put_u8(0); // SamplerSpec::Frontier
+    enc.put_u64(4); // m
+    for word in [1u64, 2, 3, 4] {
+        enc.put_u64(word); // base RNG state
+    }
+    enc.put_f64(1_000.0); // budget total
+    enc.put_f64(4.0); // budget spent
+    enc.put_f64(1.0); // step cost
+    enc.put_u64(0); // steps done
+    enc.put_u8(0); // not finished
+    enc.put_u8(2); // FS window walk
+    enc.put_u64(1 << 28); // lanes
+    let blob = enc.finish();
+    let g = fixture();
+    let spec = SamplerSpec::Frontier { m: 4 };
+    assert!(matches!(
+        ChunkedRunner::resume(&spec, &g, &blob),
+        Err(CheckpointError::Truncated)
+    ));
+}

@@ -5,15 +5,16 @@
 //! "server result == library result" guarantee rests on.
 //!
 //! Each sampler is one step machine, and the one-shot call and the
-//! runner are two drivers over it (for FS, the runner's window machine
-//! and the pool share one event engine). These tests stay as the
+//! runner are two drivers over it (for FS, the reference is the
+//! heap-merged `DistributedFs` on the same per-walker streams). These
+//! tests stay as the
 //! regression check that the two drivers agree, and pin the bytes the
 //! runner's checkpoint format writes.
 
 use frontier_sampling::runner::{ChunkStatus, ChunkedRunner, Sample, SamplerSpec};
 use frontier_sampling::{
-    Budget, CostModel, FrontierSampler, MetropolisHastingsRw, MultipleRw, NonBacktrackingRw,
-    ParallelWalkerPool, RandomWalkWithJumps, SingleRw, StepOutcome,
+    Budget, CostModel, DistributedFs, MetropolisHastingsRw, MultipleRw, NonBacktrackingRw,
+    RandomWalkWithJumps, SingleRw,
 };
 use fs_graph::Graph;
 use rand::rngs::SmallRng;
@@ -37,24 +38,15 @@ fn library_samples(
     let mut out = Vec::new();
     match *spec {
         SamplerSpec::Frontier { m } => {
-            // FS's reference is the exponential-clock pool (itself
-            // bit-identical at every thread count and batch width); the
-            // runner replays its per-walker streams and (time, walker)
-            // merge. Re-pinned from the sequential shared-RNG sampler
-            // when the runner moved to the batched engine — the two are
-            // distribution-identical but factorize randomness
+            // FS's reference is the exponential-clock process on
+            // per-walker streams (Theorem 5.5), merged by a heap of
+            // clocks; the runner replays the same (time, walker) stream
+            // window by window. Re-pinned from the sequential shared-RNG
+            // sampler when the runner moved to the batched engine — the
+            // two are distribution-identical but factorize randomness
             // differently.
-            let run = ParallelWalkerPool::new().frontier(
-                &FrontierSampler::new(m),
-                g,
-                &cost,
-                &mut budget,
-                seed,
-            );
-            out.extend(run.steps.iter().filter_map(|s| match s.outcome {
-                StepOutcome::Edge(e) => Some(Sample::Edge(e)),
-                _ => None,
-            }));
+            DistributedFs::new(m)
+                .sample_edges_seeded(g, &cost, &mut budget, seed, |e| out.push(Sample::Edge(e)));
         }
         SamplerSpec::Single => {
             SingleRw::new().sample_edges(g, &cost, &mut budget, &mut rng, |e| {

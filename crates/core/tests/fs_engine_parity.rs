@@ -1,12 +1,11 @@
-//! One FS engine, three drivers: the heap-merged
+//! One FS stream, two engines: the heap-merged
 //! `DistributedFs::sample_edges_seeded` (the engine-independent bit
-//! reference), the chunked runner and the pool's `frontier` (both
-//! driving the windowed engine) must emit the same sample stream and
-//! spend the same budget for the same seed, the pool at every thread
-//! count.
+//! reference) and the chunked runner (driving the windowed engine) must
+//! emit the same sample stream and spend the same budget for the same
+//! seed.
 
 use frontier_sampling::runner::{ChunkStatus, ChunkedRunner, Sample, SamplerSpec};
-use frontier_sampling::{Budget, CostModel, DistributedFs, FrontierSampler, ParallelWalkerPool};
+use frontier_sampling::{Budget, CostModel, DistributedFs};
 use fs_graph::Graph;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -45,33 +44,14 @@ fn runner(g: &Graph, m: usize, seed: u64) -> (Vec<Sample>, f64) {
     (out, run.budget_spent())
 }
 
-fn pool(g: &Graph, m: usize, seed: u64, threads: usize) -> (Vec<Sample>, f64) {
-    let mut budget = Budget::new(BUDGET);
-    let run = ParallelWalkerPool::with_threads(threads).frontier(
-        &FrontierSampler::new(m),
-        g,
-        &CostModel::unit(),
-        &mut budget,
-        seed,
-    );
-    (run.edges().map(Sample::Edge).collect(), budget.spent())
-}
-
 #[test]
-fn distributed_runner_and_pool_emit_one_stream() {
+fn distributed_and_runner_emit_one_stream() {
     for (name, g) in [("ba", ba_fixture()), ("two components", two_components())] {
         for m in [1usize, 6, 40] {
             let seed = 0xD15 + m as u64;
             let reference = distributed(&g, m, seed);
             assert!(!reference.0.is_empty(), "{name} m={m}: empty reference");
             assert_eq!(runner(&g, m, seed), reference, "{name} m={m}: runner");
-            for threads in [1usize, 2] {
-                assert_eq!(
-                    pool(&g, m, seed, threads),
-                    reference,
-                    "{name} m={m}: pool at {threads} threads"
-                );
-            }
         }
     }
 }

@@ -3,13 +3,14 @@
 //!
 //! These tests turn Lemma 5.3, Theorem 5.4, and the Section-5.1
 //! MultipleRW imbalance argument into executable checks on a small
-//! `G_AB`-style graph.
+//! `G_AB`-style graph, and Lemma 5.1 / Theorem 5.2 into checks on
+//! explicit Cartesian powers `G^m` of a tiny graph.
 
 use frontier_sampling::frontier::Frontier;
 use frontier_sampling::theory::{subset_degree_profile, total_variation};
 use frontier_sampling::{Budget, CostModel, WalkMethod};
 use fs_gen::composite::bridge_join;
-use fs_graph::{Graph, VertexId};
+use fs_graph::{graph_from_undirected_pairs, Graph, GraphBuilder, VertexId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -185,4 +186,189 @@ fn distributed_fs_matches_centralized_fs_on_kfs_distribution() {
         "FS share {fs} vs DFS share {dfs} — Theorem 5.5 violated"
     );
     let _ = prof; // profile retained for context/debugging
+}
+
+// ---------------------------------------------------------------------
+// Lemma 5.1 / Theorem 5.2 on explicit Cartesian powers `G^m`.
+//
+// `G^m = (V^m, E^m)` with `(v, u) ∈ E^m` iff `v` and `u` differ in
+// exactly one coordinate `i` and `(v_i, u_i) ∈ E`. Frontier Sampling is a
+// single random walk on `G^m` (Lemma 5.1); the tests below drive both
+// processes and compare their empirical state/edge distributions.
+//
+// State encoding: tuple `(v_1, …, v_m)` ↦ `Σ_i v_i · n^(i-1)` — mixed-
+// radix with base `n = |V|`. Only sensible for tiny `n^m`.
+// ---------------------------------------------------------------------
+
+/// Encodes a walker tuple as a `G^m` vertex index (mixed radix, base
+/// `n`).
+pub fn encode_state(positions: &[VertexId], n: usize) -> usize {
+    let mut idx = 0usize;
+    for &v in positions.iter().rev() {
+        idx = idx * n + v.index();
+    }
+    idx
+}
+
+/// Decodes a `G^m` vertex index back into the walker tuple.
+pub fn decode_state(mut idx: usize, n: usize, m: usize) -> Vec<VertexId> {
+    let mut out = Vec::with_capacity(m);
+    for _ in 0..m {
+        out.push(VertexId::new(idx % n));
+        idx /= n;
+    }
+    out
+}
+
+/// Builds the explicit `m`-th Cartesian power of `graph`.
+///
+/// # Panics
+/// Panics if `|V|^m` exceeds `max_states` (guard against accidental
+/// explosion; Lemma-validation tests use `n ≤ 10`, `m ≤ 3`).
+pub fn cartesian_power(graph: &Graph, m: usize, max_states: usize) -> Graph {
+    assert!(m >= 1);
+    let n = graph.num_vertices();
+    let states = n
+        .checked_pow(m as u32)
+        .filter(|&s| s <= max_states)
+        .unwrap_or_else(|| panic!("|V|^m exceeds the {max_states}-state guard"));
+
+    let mut b = GraphBuilder::new(states);
+    for idx in 0..states {
+        let tuple = decode_state(idx, n, m);
+        for (i, &vi) in tuple.iter().enumerate() {
+            for &w in graph.neighbors(vi) {
+                let mut next = tuple.clone();
+                next[i] = w;
+                let jdx = encode_state(&next, n);
+                // Directed arc; symmetry of G makes G^m symmetric too.
+                b.add_edge(VertexId::new(idx), VertexId::new(jdx));
+            }
+        }
+    }
+    b.build()
+}
+
+/// Theorem 5.2(II): closed-form stationary probability of FS state
+/// `(v_1, …, v_m)`:
+/// `P[L∞ = (v_1, …, v_m)] = Σ_i deg(v_i) / (m · |V|^{m−1} · vol(V))`.
+pub fn fs_stationary_probability(graph: &Graph, positions: &[VertexId]) -> f64 {
+    let m = positions.len();
+    let n = graph.num_vertices();
+    let deg_sum: usize = positions.iter().map(|&v| graph.degree(v)).sum();
+    deg_sum as f64 / (m as f64 * (n as f64).powi(m as i32 - 1) * graph.volume() as f64)
+}
+
+fn lollipop() -> Graph {
+    graph_from_undirected_pairs(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+}
+
+#[test]
+fn encode_decode_roundtrip() {
+    let n = 5;
+    for idx in 0..125 {
+        let t = decode_state(idx, n, 3);
+        assert_eq!(encode_state(&t, n), idx);
+    }
+}
+
+#[test]
+fn cartesian_power_m1_is_isomorphic_to_g() {
+    let g = lollipop();
+    let gm = cartesian_power(&g, 1, 1000);
+    assert_eq!(gm.num_vertices(), g.num_vertices());
+    assert_eq!(gm.num_arcs(), g.num_arcs());
+    for arc in g.arcs() {
+        assert!(gm.has_edge(arc.source, arc.target));
+    }
+}
+
+#[test]
+fn cartesian_power_edge_count_matches_formula() {
+    // |E^m| = m |V|^{m-1} |E| (proof of Theorem 5.2).
+    let g = lollipop();
+    for m in [1usize, 2, 3] {
+        let gm = cartesian_power(&g, m, 100_000);
+        let expect = m * g.num_vertices().pow(m as u32 - 1) * g.num_arcs();
+        assert_eq!(gm.num_arcs(), expect, "m = {m}");
+    }
+}
+
+#[test]
+fn fs_stationary_matches_rw_on_gm_degrees() {
+    // In a RW on G^m the stationary probability of a state is
+    // deg_{G^m}(state)/vol(G^m); Theorem 5.2(II) says that equals the
+    // closed form. Check state by state.
+    let g = lollipop();
+    let m = 2;
+    let gm = cartesian_power(&g, m, 10_000);
+    let vol = gm.volume() as f64;
+    for idx in 0..gm.num_vertices() {
+        let tuple = decode_state(idx, g.num_vertices(), m);
+        let rw_pi = gm.degree(VertexId::new(idx)) as f64 / vol;
+        let closed = fs_stationary_probability(&g, &tuple);
+        assert!(
+            (rw_pi - closed).abs() < 1e-12,
+            "state {tuple:?}: {rw_pi} vs {closed}"
+        );
+    }
+}
+
+#[test]
+fn lemma_5_1_fs_equals_rw_on_gm() {
+    // Drive FS on G and a plain RW on the explicit G^2; compare
+    // empirical state distributions.
+    let g = lollipop();
+    let n = g.num_vertices();
+    let m = 2;
+    let gm = cartesian_power(&g, m, 10_000);
+    let steps = 600_000usize;
+
+    // FS state occupancy.
+    let mut rng = SmallRng::seed_from_u64(261);
+    let mut fs_counts = vec![0u32; gm.num_vertices()];
+    let mut frontier = Frontier::from_positions(&g, vec![VertexId::new(0), VertexId::new(0)]);
+    for _ in 0..steps {
+        frontier.step(&g, &mut rng).unwrap();
+        fs_counts[encode_state(frontier.positions(), n)] += 1;
+    }
+
+    // Plain RW on G^m occupancy.
+    let mut rw_counts = vec![0u32; gm.num_vertices()];
+    let mut pos = VertexId::new(0);
+    for _ in 0..steps {
+        let e = frontier_sampling::walk::step(&gm, pos, &mut rng)
+            .sampled()
+            .unwrap();
+        pos = e.target;
+        rw_counts[pos.index()] += 1;
+    }
+
+    for idx in 0..gm.num_vertices() {
+        let a = fs_counts[idx] as f64 / steps as f64;
+        let b = rw_counts[idx] as f64 / steps as f64;
+        assert!(
+            (a - b).abs() < 0.012,
+            "state {idx}: FS {a} vs RW-on-G^m {b}"
+        );
+    }
+}
+
+#[test]
+fn figure_2_markov_chain_materialises() {
+    // Figure 2 illustrates the m = 2 chain where states are unordered
+    // pairs with transition probability 1/(deg u + deg v). Verify a
+    // couple of transition probabilities on the explicit chain.
+    let g = lollipop();
+    let gm = cartesian_power(&g, 2, 10_000);
+    // State (0, 1): deg 2 + 2 = 4 outgoing arcs.
+    let s = encode_state(&[VertexId::new(0), VertexId::new(1)], 4);
+    assert_eq!(gm.degree(VertexId::new(s)), 4);
+}
+
+#[test]
+#[should_panic(expected = "guard")]
+fn state_guard_panics() {
+    let g = lollipop();
+    let _ = cartesian_power(&g, 10, 1000);
 }

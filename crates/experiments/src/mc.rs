@@ -3,12 +3,12 @@
 //! The evaluation averages error metrics over thousands of independent
 //! runs ("CNMSE over 10,000 runs"). [`monte_carlo`] fans the runs out
 //! over all cores through
-//! [`frontier_sampling::parallel::ParallelWalkerPool`] — the same
-//! deterministic chain scheduler the sampling crate uses for multi-walker
-//! execution — so replications parallelize *across* runs here while each
-//! run body is free to parallelize *within* itself (e.g.
-//! `ParallelWalkerPool::frontier` for a large FS run — the derivation
-//! composes: nested streams never alias). Each run receives the stream
+//! [`frontier_sampling::parallel::ParallelWalkerPool::run_chains`], so
+//! replications parallelize *across* runs while each run body drives
+//! its sampler on its own thread (e.g. an FS run through
+//! [`frontier_sampling::runner::ChunkedRunner`], whose walkers derive
+//! their streams from the run's seed — the derivation composes: nested
+//! streams never alias). Each run receives the stream
 //! seed [`frontier_sampling::parallel::stream_seed`]`(base, run_index)` —
 //! the SplitMix64 output sequence seeded at `base` — so results are
 //! reproducible regardless of thread count or interleaving.

@@ -5,8 +5,7 @@
 //!
 //! Every job result in this system is a **pure function** of the store
 //! content, the job spec, and the seed: every job inherits the
-//! `ChunkedRunner` bit-identity contract, at any `pool_threads`. Ribeiro &
-//! Towsley's estimators depend only on the budget-`B` sample path, and
+//! `ChunkedRunner` bit-identity contract. Ribeiro & Towsley's estimators depend only on the budget-`B` sample path, and
 //! the sample path depends only on `(graph, spec, seed)` — so a cached
 //! response is byte-equal to a recomputed one, forever. The cache is an
 //! optimization with **zero** freshness semantics to manage.
@@ -26,10 +25,8 @@
 //! * `budget` by bit pattern, for the same reason;
 //! * the `seed` and the estimator variant.
 //!
-//! The store name and `pool_threads` are deliberately excluded: the
-//! digest already names the bytes, and `pool_threads` changes nothing
-//! about the run, so a pooled and a plain job of the same spec share
-//! one entry.
+//! The store name is deliberately excluded: the digest already names
+//! the bytes, so two names for one content share one entry.
 //!
 //! ## Bounds
 //!
@@ -59,7 +56,7 @@ pub struct CacheKey {
 
 impl CacheKey {
     /// The canonical key of `spec` run over the store content `digest`
-    /// (`spec.store` and `spec.pool_threads` do not enter it).
+    /// (`spec.store` does not enter it).
     pub fn new(digest: u64, spec: &JobSpec) -> CacheKey {
         let (name, m, alpha) = spec.sampler.wire();
         CacheKey {
@@ -269,7 +266,6 @@ mod tests {
             budget: 20_000.0,
             seed,
             estimator: EstimatorSpec::AverageDegree,
-            pool_threads: None,
         }
     }
 
@@ -318,10 +314,9 @@ mod tests {
     }
 
     #[test]
-    fn store_name_and_pool_threads_are_not_part_of_the_key() {
+    fn store_name_is_not_part_of_the_key() {
         let mut other = spec(7);
         other.store = "same-bytes.fsg".into();
-        other.pool_threads = Some(4);
         assert_eq!(CacheKey::new(1, &other), key(1, 7));
     }
 

@@ -4,8 +4,8 @@
 //!
 //! ## Lifecycle
 //!
-//! `submit` checks the spec (`validate`: budget, walker and thread
-//! limits, sampler/estimator pairing) and the store name, both failing
+//! `submit` checks the spec (`validate`: budget, walker limit,
+//! sampler/estimator pairing) and the store name, both failing
 //! fast with a client error, resolves the store to an `Arc<MmapGraph>`
 //! handle (held for the job's whole life, so registry eviction can
 //! never unmap it mid-run), and enqueues. `workers` threads pop jobs
@@ -27,12 +27,9 @@
 //! ## Determinism
 //!
 //! Jobs inherit the runner's contract: seed `s` ⇒ bit-identical to the
-//! library call with seed `s`. `pool_threads` (FS and MultipleRW only)
-//! is validated and kept in the journal, but every job runs its one
-//! sequential stream whatever it says. So a job's result is a pure
-//! function of `(store content, spec, seed)`, not of `pool_threads` or
-//! the server's thread schedule. Pinned end-to-end by the
-//! `determinism` integration test.
+//! library call with seed `s`, so a job's result is a pure function of
+//! `(store content, spec, seed)`, not of the server's thread schedule.
+//! Pinned end-to-end by the `determinism` integration test.
 
 use crate::cache::{CacheKey, CachedResult, ResultCache};
 use crate::journal::{JobCheckpoint, JobTerminal, Journal, Replay};
@@ -63,10 +60,6 @@ pub struct JobSpec {
     pub seed: u64,
     /// Which estimate to report.
     pub estimator: EstimatorSpec,
-    /// `Some(t)`: the client's thread request (accepted for FS and
-    /// MultipleRW, validated, and otherwise unused; the result does not
-    /// depend on it).
-    pub pool_threads: Option<usize>,
 }
 
 /// Where a job is in its life.
@@ -232,7 +225,7 @@ pub struct JobView {
 #[derive(Debug)]
 pub enum SubmitError {
     /// Spec invalid (bad sampler/estimator combination, bad budget,
-    /// `pool_threads` for an unsupported sampler).
+    /// too many walkers).
     Invalid(String),
     /// Store resolution failed.
     Store(RegistryError),
@@ -310,10 +303,6 @@ const RETENTION_SLACK: usize = 1_024;
 /// Upper bound on `m` for FS/MultipleRW jobs: walker state is `O(m)`,
 /// and `m` beyond the budget buys nothing (each start costs budget).
 const MAX_WALKERS: usize = 1_000_000;
-
-/// Upper bound on `pool_threads` (the value is unused, but there is no
-/// reason to accept absurd values).
-const MAX_POOL_THREADS: usize = 256;
 
 /// Jobs write a journal checkpoint every this many chunks
 /// (~32k attempts at the default chunk size): frequent enough that a
@@ -527,6 +516,12 @@ impl JobManager {
     ///   and re-enqueue (bypassing `max_queue`: these jobs were already
     ///   accepted once, back-pressure does not apply twice), carrying
     ///   their last checkpoint when one survived.
+    ///
+    /// Every replayed job enters exactly one durability counter:
+    /// `jobs_recovered` when its terminal record replays, `jobs_resumed`
+    /// when it is incomplete (even if it then fails here). So
+    /// `submitted + recovered + resumed = done + failed + cancelled +
+    /// in_flight` holds after any replay.
     pub fn restore(&self, replay: Replay) {
         // Ids handed out after restart must never collide with
         // journaled ones, even if replay itself then fails a job.
@@ -537,14 +532,13 @@ impl JobManager {
             if let Some(outcome) = job.terminal {
                 // Finished before the crash: re-register the outcome.
                 let (phase, steps_done) = (outcome.phase, outcome.steps_done);
-                // A done pooled MultipleRW record may come from the
-                // retired per-walker pool stream, not the sequential
-                // stream a submit of the same spec now computes. The
-                // journal cannot tell such records from ones this build
-                // wrote, so every one stays out of the cache on replay
-                // (a resubmit recomputes; the live run still caches).
-                let retired_stream = job.spec.pool_threads.is_some()
-                    && matches!(job.spec.sampler, SamplerSpec::Multiple { .. });
+                // A done MultipleRW record whose submit carried a thread
+                // count may come from the retired per-walker pool
+                // stream, not the sequential stream a submit of the same
+                // spec now computes, so it stays out of the cache (a
+                // resubmit recomputes).
+                let retired_stream =
+                    job.pooled && matches!(job.spec.sampler, SamplerSpec::Multiple { .. });
                 if let (JobPhase::Done, false, Some(snapshot)) =
                     (phase, retired_stream, &outcome.snapshot)
                 {
@@ -605,6 +599,9 @@ impl JobManager {
             let entry = Entry::Queued { steps_done, resume };
             let shared = JobShared::new(job.spec, job.digest, entry);
             self.insert_job(id, Arc::clone(&shared));
+            if let Some(stats) = &stats {
+                stats.jobs_resumed.fetch_add(1, Ordering::Relaxed);
+            }
             let graph = match pinned {
                 Ok(graph) => graph,
                 // Journaled, so the next restart reports the failure
@@ -619,9 +616,6 @@ impl JobManager {
                 .expect("manager poisoned")
                 .queue
                 .push_back((id, Arc::clone(&shared), graph));
-            if let Some(stats) = &stats {
-                stats.jobs_resumed.fetch_add(1, Ordering::Relaxed);
-            }
             if let Some(obs) = self.obs() {
                 obs.event(
                     "job.resumed",
@@ -1002,8 +996,7 @@ impl JobManager {
 
 /// The checks a spec must pass to run, at submit and again when journal
 /// replay resumes it: a finite budget ≥ 0, `m` within the server limit,
-/// `pool_threads` in bounds and only for FS/MultipleRW, and a valid
-/// (estimator, sampler) pairing. Returns the job's estimator.
+/// and a valid (estimator, sampler) pairing. Returns the job's estimator.
 fn validate(spec: &JobSpec) -> Result<JobEstimator, String> {
     if !(spec.budget.is_finite() && spec.budget >= 0.0) {
         return Err(format!(
@@ -1018,25 +1011,6 @@ fn validate(spec: &JobSpec) -> Result<JobEstimator, String> {
         if m > MAX_WALKERS {
             return Err(format!(
                 "m = {m} exceeds the server limit of {MAX_WALKERS} walkers"
-            ));
-        }
-    }
-    if let Some(t) = spec.pool_threads {
-        if t < 1 {
-            return Err("pool_threads must be >= 1".into());
-        }
-        if t > MAX_POOL_THREADS {
-            return Err(format!(
-                "pool_threads = {t} exceeds the server limit of {MAX_POOL_THREADS}"
-            ));
-        }
-        if !matches!(
-            spec.sampler,
-            SamplerSpec::Frontier { .. } | SamplerSpec::Multiple { .. }
-        ) {
-            return Err(format!(
-                "pooled execution supports frontier and multiple samplers, not '{}'",
-                spec.sampler.label()
             ));
         }
     }

@@ -28,6 +28,19 @@
 //! file back to the last good record — a torn record is never applied
 //! and never poisons later appends.
 //!
+//! Every integer is little-endian, and `bytes := len:u64 data:[u8; len]`.
+//! A submit payload is
+//!
+//! ```text
+//! id:u64 store:bytes digest:u64 sampler:bytes m:u64 alpha:f64
+//! budget:f64 seed:u64 estimator:bytes option:u8 [threads:u64]
+//! ```
+//!
+//! where `sampler` and `estimator` are wire names. This build writes
+//! `option = 0`. Journals written before the thread-count knob was
+//! retired may hold `option = 1` followed by the count; replay accepts
+//! them and flags the job as `pooled`.
+//!
 //! ## Fsync discipline
 //!
 //! * **submit** and **terminal** records are `fdatasync`ed before the
@@ -84,7 +97,8 @@ pub struct DurabilityStats {
     pub records_replayed: AtomicU64,
     /// Torn/corrupt tail records truncated during replay.
     pub torn_truncated: AtomicU64,
-    /// Incomplete jobs re-enqueued after replay.
+    /// Incomplete jobs replayed: re-enqueued, or failed at restore
+    /// because their store changed or vanished.
     pub jobs_resumed: AtomicU64,
     /// Terminal jobs re-registered from the journal.
     pub jobs_recovered: AtomicU64,
@@ -134,6 +148,8 @@ pub struct ReplayedJob {
     pub spec: JobSpec,
     /// Content digest of the store the job ran over.
     pub digest: u64,
+    /// The submit carried a legacy thread count (option tag `1`).
+    pub pooled: bool,
     /// Latest surviving checkpoint, if any.
     pub checkpoint: Option<JobCheckpoint>,
     /// Terminal record, if the job finished before the crash.
@@ -270,13 +286,7 @@ impl Journal {
         enc.put_f64(spec.budget);
         enc.put_u64(spec.seed);
         enc.put_bytes(spec.estimator.name().as_bytes());
-        match spec.pool_threads {
-            None => enc.put_u8(0),
-            Some(t) => {
-                enc.put_u8(1);
-                enc.put_usize(t);
-            }
-        }
+        enc.put_u8(0);
         self.append(TYPE_SUBMIT, &enc.into_bytes(), true);
     }
 
@@ -514,7 +524,7 @@ fn le_u64(bytes: &[u8], at: usize) -> Option<u64> {
 fn aggregate(records: Vec<RawRecord>, stats: &DurabilityStats) -> Replay {
     use std::collections::BTreeMap;
     struct Partial {
-        spec: Option<(JobSpec, u64)>,
+        spec: Option<(JobSpec, u64, bool)>,
         checkpoint: Option<JobCheckpoint>,
         terminal: Option<JobTerminal>,
     }
@@ -543,11 +553,12 @@ fn aggregate(records: Vec<RawRecord>, stats: &DurabilityStats) -> Replay {
     let jobs = by_id
         .into_iter()
         .filter_map(|(id, p)| {
-            let (spec, digest) = p.spec?;
+            let (spec, digest, pooled) = p.spec?;
             Some(ReplayedJob {
                 id,
                 spec,
                 digest,
+                pooled,
                 checkpoint: p.checkpoint,
                 terminal: p.terminal,
             })
@@ -556,7 +567,7 @@ fn aggregate(records: Vec<RawRecord>, stats: &DurabilityStats) -> Replay {
     Replay { jobs, next_id }
 }
 
-fn decode_submit(dec: &mut Decoder<'_>) -> Option<(JobSpec, u64)> {
+fn decode_submit(dec: &mut Decoder<'_>) -> Option<(JobSpec, u64, bool)> {
     let store = String::from_utf8(dec.take_bytes().ok()?.to_vec()).ok()?;
     let digest = dec.take_u64().ok()?;
     let sampler_name = String::from_utf8(dec.take_bytes().ok()?.to_vec()).ok()?;
@@ -565,9 +576,12 @@ fn decode_submit(dec: &mut Decoder<'_>) -> Option<(JobSpec, u64)> {
     let budget = dec.take_f64().ok()?;
     let seed = dec.take_u64().ok()?;
     let estimator_name = String::from_utf8(dec.take_bytes().ok()?.to_vec()).ok()?;
-    let pool_threads = match dec.take_u8().ok()? {
-        0 => None,
-        1 => Some(dec.take_usize().ok()?),
+    let pooled = match dec.take_u8().ok()? {
+        0 => false,
+        1 => {
+            dec.take_u64().ok()?; // the legacy thread count, unused
+            true
+        }
         _ => return None,
     };
     let sampler = SamplerSpec::parse(&sampler_name, m, alpha).ok()?;
@@ -579,9 +593,9 @@ fn decode_submit(dec: &mut Decoder<'_>) -> Option<(JobSpec, u64)> {
             budget,
             seed,
             estimator,
-            pool_threads,
         },
         digest,
+        pooled,
     ))
 }
 
@@ -618,10 +632,7 @@ fn decode_terminal(dec: &mut Decoder<'_>) -> Option<JobTerminal> {
             let vector = match dec.take_u8().ok()? {
                 0 => None,
                 1 => {
-                    let n = dec.take_usize().ok()?;
-                    if n > (MAX_RECORD_LEN as usize) / 8 {
-                        return None;
-                    }
+                    let n = dec.take_count(8).ok()?;
                     let mut v = Vec::with_capacity(n);
                     for _ in 0..n {
                         v.push(dec.take_f64().ok()?);
@@ -664,7 +675,6 @@ mod tests {
             budget: 1000.0,
             seed,
             estimator: EstimatorSpec::AverageDegree,
-            pool_threads: None,
         }
     }
 

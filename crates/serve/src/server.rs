@@ -16,8 +16,8 @@
 //!
 //! Job body: `{"store": "name.fsg", "sampler": "fs", "m": 16,
 //! "alpha": 1.0, "budget": 10000, "seed": 7, "estimator":
-//! "avg_degree", "pool_threads": 8}` — `m`/`alpha`/`pool_threads`
-//! optional where the sampler ignores them.
+//! "avg_degree"}` — `m`/`alpha` optional where the sampler ignores
+//! them.
 //!
 //! ## Job lifecycle status codes (pinned by `protocol.rs`)
 //!
@@ -343,7 +343,7 @@ fn register_derived_metrics(
             ),
             (
                 "fs_journal_jobs_resumed_total",
-                "Incomplete jobs re-enqueued after restart.",
+                "Incomplete jobs replayed after restart (re-enqueued, or failed when their store changed or vanished).",
                 |d| d.jobs_resumed.load(Ordering::Relaxed),
             ),
             (
@@ -685,20 +685,13 @@ fn parse_job_spec(doc: &Json) -> Result<JobSpec, String> {
         None | Some(Json::Null) => 0.0,
         Some(v) => v.as_f64().ok_or("field 'alpha' must be a number")?,
     };
-    let pool_threads = match doc.get("pool_threads") {
-        None | Some(Json::Null) => None,
-        Some(v) => Some(
-            v.as_u64()
-                .ok_or("field 'pool_threads' must be a non-negative integer")? as usize,
-        ),
-    };
     for (key, _) in match doc {
         Json::Obj(pairs) => pairs.iter(),
         _ => return Err("body must be a JSON object".into()),
     } {
         if !matches!(
             key.as_str(),
-            "store" | "sampler" | "estimator" | "budget" | "seed" | "m" | "alpha" | "pool_threads"
+            "store" | "sampler" | "estimator" | "budget" | "seed" | "m" | "alpha"
         ) {
             return Err(format!("unknown field '{key}'"));
         }
@@ -711,7 +704,6 @@ fn parse_job_spec(doc: &Json) -> Result<JobSpec, String> {
         budget,
         seed,
         estimator,
-        pool_threads,
     })
 }
 
@@ -734,7 +726,6 @@ fn job_doc(view: &JobView) -> String {
     doc.str("estimator", spec.estimator.name());
     doc.num("budget", spec.budget);
     doc.int("seed", spec.seed);
-    doc.opt_num("pool_threads", spec.pool_threads.map(|t| t as f64));
     doc.int("steps_done", view.steps_done);
     doc.num("progress", view.progress);
     doc.bool("cached", view.cached);
@@ -798,7 +789,6 @@ mod tests {
                 budget: 20_000.0,
                 seed: 424_242,
                 estimator: EstimatorSpec::Ccdf,
-                pool_threads: None,
             },
             store_digest: 0x00c0_ffee_1234_5678,
             phase: JobPhase::Queued,
@@ -923,13 +913,12 @@ mod tests {
             profile: profile(1, 0, 101, 100.0, 20_000.0),
             ..queued()
         };
-        let pooled = JobView {
+        let extremes = JobView {
             id: u64::from(u32::MAX) + 1,
             spec: JobSpec {
                 sampler: SamplerSpec::Multiple { m: 4 },
                 estimator: EstimatorSpec::Clustering,
                 seed: u64::MAX,
-                pool_threads: Some(8),
                 ..queued().spec
             },
             store_digest: u64::MAX,
@@ -950,7 +939,7 @@ mod tests {
             ("done_vector", done_vector),
             ("cached", cached),
             ("failed", failed),
-            ("pooled", pooled),
+            ("extremes", extremes),
         ]
     }
 
@@ -959,31 +948,31 @@ mod tests {
     const GOLDEN: [(&str, &str); 7] = [
         (
             "queued",
-            r#"{"id":7,"phase":"queued","error":null,"store":"ba_50k.fsg","store_digest":"00c0ffee12345678","sampler":"FS (m=16)","estimator":"ccdf","budget":20000,"seed":424242,"pool_threads":null,"steps_done":0,"progress":0,"cached":false,"profile":{"chunks":0,"busy_us":0,"queries":0,"steps_per_sec":null,"queries_per_step":null,"budget_spent":0,"budget_total":0,"budget_remaining":0},"final":false,"estimate":null}"#,
+            r#"{"id":7,"phase":"queued","error":null,"store":"ba_50k.fsg","store_digest":"00c0ffee12345678","sampler":"FS (m=16)","estimator":"ccdf","budget":20000,"seed":424242,"steps_done":0,"progress":0,"cached":false,"profile":{"chunks":0,"busy_us":0,"queries":0,"steps_per_sec":null,"queries_per_step":null,"budget_spent":0,"budget_total":0,"budget_remaining":0},"final":false,"estimate":null}"#,
         ),
         (
             "running",
-            r#"{"id":7,"phase":"running","error":null,"store":"ba_50k.fsg","store_digest":"00c0ffee12345678","sampler":"FS (m=16)","estimator":"ccdf","budget":20000,"seed":424242,"pool_threads":null,"steps_done":8192,"progress":0.4096,"cached":false,"profile":{"chunks":1,"busy_us":2345,"queries":8208,"steps_per_sec":3493390.1918976544,"queries_per_step":1.001953125,"budget_spent":8192,"budget_total":20000,"budget_remaining":11808},"final":false,"estimate":{"num_observed":8176,"scalar":null,"vector":[1,1,0.75,0.75,0.75,0.30000000000000004,0,0,-0,-0,0.000000025,9007199254740994,null,0]}}"#,
+            r#"{"id":7,"phase":"running","error":null,"store":"ba_50k.fsg","store_digest":"00c0ffee12345678","sampler":"FS (m=16)","estimator":"ccdf","budget":20000,"seed":424242,"steps_done":8192,"progress":0.4096,"cached":false,"profile":{"chunks":1,"busy_us":2345,"queries":8208,"steps_per_sec":3493390.1918976544,"queries_per_step":1.001953125,"budget_spent":8192,"budget_total":20000,"budget_remaining":11808},"final":false,"estimate":{"num_observed":8176,"scalar":null,"vector":[1,1,0.75,0.75,0.75,0.30000000000000004,0,0,-0,-0,0.000000025,9007199254740994,null,0]}}"#,
         ),
         (
             "done_scalar",
-            r#"{"id":7,"phase":"done","error":null,"store":"ba_50k.fsg","store_digest":"00c0ffee12345678","sampler":"SingleRW","estimator":"avg_degree","budget":5000.5,"seed":424242,"pool_threads":null,"steps_done":5000,"progress":1,"cached":false,"profile":{"chunks":3,"busy_us":1234,"queries":5016,"steps_per_sec":4051863.8573743924,"queries_per_step":1.0032,"budget_spent":5003,"budget_total":5000.5,"budget_remaining":0},"final":true,"estimate":{"num_observed":4999,"scalar":7.998765432101234,"vector":null}}"#,
+            r#"{"id":7,"phase":"done","error":null,"store":"ba_50k.fsg","store_digest":"00c0ffee12345678","sampler":"SingleRW","estimator":"avg_degree","budget":5000.5,"seed":424242,"steps_done":5000,"progress":1,"cached":false,"profile":{"chunks":3,"busy_us":1234,"queries":5016,"steps_per_sec":4051863.8573743924,"queries_per_step":1.0032,"budget_spent":5003,"budget_total":5000.5,"budget_remaining":0},"final":true,"estimate":{"num_observed":4999,"scalar":7.998765432101234,"vector":null}}"#,
         ),
         (
             "done_vector",
-            r#"{"id":7,"phase":"done","error":null,"store":"ba_50k.fsg","store_digest":"00c0ffee12345678","sampler":"FS (m=16)","estimator":"degree_dist","budget":20000,"seed":424242,"pool_threads":null,"steps_done":20000,"progress":1,"cached":false,"profile":{"chunks":3,"busy_us":9876,"queries":20016,"steps_per_sec":2025111.381125962,"queries_per_step":1.0008,"budget_spent":20000,"budget_total":20000,"budget_remaining":0},"final":true,"estimate":{"num_observed":19984,"scalar":null,"vector":[0,0,0,0,0.4123456789,0.2,0.2,0,0.0125,0,0,0.0125,0.3333333333333333]}}"#,
+            r#"{"id":7,"phase":"done","error":null,"store":"ba_50k.fsg","store_digest":"00c0ffee12345678","sampler":"FS (m=16)","estimator":"degree_dist","budget":20000,"seed":424242,"steps_done":20000,"progress":1,"cached":false,"profile":{"chunks":3,"busy_us":9876,"queries":20016,"steps_per_sec":2025111.381125962,"queries_per_step":1.0008,"budget_spent":20000,"budget_total":20000,"budget_remaining":0},"final":true,"estimate":{"num_observed":19984,"scalar":null,"vector":[0,0,0,0,0.4123456789,0.2,0.2,0,0.0125,0,0,0.0125,0.3333333333333333]}}"#,
         ),
         (
             "cached",
-            r#"{"id":9,"phase":"done","error":null,"store":"ba_50k.fsg","store_digest":"00c0ffee12345678","sampler":"FS (m=16)","estimator":"degree_dist","budget":20000,"seed":424242,"pool_threads":null,"steps_done":20000,"progress":1,"cached":true,"profile":{"chunks":0,"busy_us":0,"queries":0,"steps_per_sec":null,"queries_per_step":0,"budget_spent":0,"budget_total":0,"budget_remaining":0},"final":true,"estimate":{"num_observed":19984,"scalar":null,"vector":[0,0,0,0,0.4123456789,0.2,0.2,0,0.0125,0,0,0.0125,0.3333333333333333]}}"#,
+            r#"{"id":9,"phase":"done","error":null,"store":"ba_50k.fsg","store_digest":"00c0ffee12345678","sampler":"FS (m=16)","estimator":"degree_dist","budget":20000,"seed":424242,"steps_done":20000,"progress":1,"cached":true,"profile":{"chunks":0,"busy_us":0,"queries":0,"steps_per_sec":null,"queries_per_step":0,"budget_spent":0,"budget_total":0,"budget_remaining":0},"final":true,"estimate":{"num_observed":19984,"scalar":null,"vector":[0,0,0,0,0.4123456789,0.2,0.2,0,0.0125,0,0,0.0125,0.3333333333333333]}}"#,
         ),
         (
             "failed",
-            r#"{"id":7,"phase":"failed","error":"store \"grafo_é.fsg\" vanished:\nline two \u0001 end\\","store":"grafo_é.fsg","store_digest":"00c0ffee12345678","sampler":"RWJ (alpha=0.25)","estimator":"pop_size","budget":20000,"seed":424242,"pool_threads":null,"steps_done":100,"progress":0.005,"cached":false,"profile":{"chunks":1,"busy_us":0,"queries":101,"steps_per_sec":null,"queries_per_step":1.01,"budget_spent":100,"budget_total":20000,"budget_remaining":19900},"final":false,"estimate":null}"#,
+            r#"{"id":7,"phase":"failed","error":"store \"grafo_é.fsg\" vanished:\nline two \u0001 end\\","store":"grafo_é.fsg","store_digest":"00c0ffee12345678","sampler":"RWJ (alpha=0.25)","estimator":"pop_size","budget":20000,"seed":424242,"steps_done":100,"progress":0.005,"cached":false,"profile":{"chunks":1,"busy_us":0,"queries":101,"steps_per_sec":null,"queries_per_step":1.01,"budget_spent":100,"budget_total":20000,"budget_remaining":19900},"final":false,"estimate":null}"#,
         ),
         (
-            "pooled",
-            r#"{"id":4294967296,"phase":"cancelled","error":null,"store":"ba_50k.fsg","store_digest":"ffffffffffffffff","sampler":"MultipleRW (m=4)","estimator":"clustering","budget":20000,"seed":18446744073709552000,"pool_threads":8,"steps_done":12,"progress":0.0006,"cached":false,"profile":{"chunks":0,"busy_us":0,"queries":0,"steps_per_sec":null,"queries_per_step":0,"budget_spent":0,"budget_total":0,"budget_remaining":0},"final":false,"estimate":{"num_observed":0,"scalar":null,"vector":null}}"#,
+            "extremes",
+            r#"{"id":4294967296,"phase":"cancelled","error":null,"store":"ba_50k.fsg","store_digest":"ffffffffffffffff","sampler":"MultipleRW (m=4)","estimator":"clustering","budget":20000,"seed":18446744073709552000,"steps_done":12,"progress":0.0006,"cached":false,"profile":{"chunks":0,"busy_us":0,"queries":0,"steps_per_sec":null,"queries_per_step":0,"budget_spent":0,"budget_total":0,"budget_remaining":0},"final":false,"estimate":{"num_observed":0,"scalar":null,"vector":null}}"#,
         ),
     ];
 

@@ -1,6 +1,7 @@
 //! End-to-end determinism: a seeded estimation job submitted over HTTP
 //! returns results **bit-identical** to the equivalent direct library
-//! call — sequential, and pooled at 8 threads. This is the acceptance
+//! call, and an FS job to the engine-independent `DistributedFs`
+//! reference. This is the acceptance
 //! gate for the serving layer: floats cross the wire through the
 //! shortest-round-trip JSON encoding, so comparisons are on exact
 //! `f64::to_bits`, not epsilons.
@@ -11,7 +12,7 @@ use common::{parse, request, store_dir, wait_terminal};
 use frontier_sampling::runner::{
     ChunkStatus, ChunkedRunner, EstimateSnapshot, EstimatorSpec, JobEstimator, Sample, SamplerSpec,
 };
-use frontier_sampling::{Budget, CostModel, FrontierSampler, MultipleRw, ParallelWalkerPool};
+use frontier_sampling::{Budget, CostModel, DistributedFs};
 use fs_serve::{Config, Server};
 use fs_store::MmapGraph;
 
@@ -32,38 +33,20 @@ fn library_sequential(
     est.snapshot()
 }
 
-/// The direct pooled library call at a given thread count.
-fn library_pooled(
+/// FS through the heap-merged Theorem 5.5 reference, an engine
+/// independent of the windowed one every job runs.
+fn library_distributed_fs(
     graph: &MmapGraph,
-    sampler: &SamplerSpec,
+    m: usize,
     estimator: EstimatorSpec,
     budget: f64,
     seed: u64,
-    threads: usize,
 ) -> EstimateSnapshot {
-    let pool = ParallelWalkerPool::with_threads(threads);
+    let mut est = JobEstimator::new(estimator, &SamplerSpec::Frontier { m }).unwrap();
     let mut budget = Budget::new(budget);
-    let run = match *sampler {
-        SamplerSpec::Frontier { m } => pool.frontier(
-            &FrontierSampler::new(m),
-            graph,
-            &CostModel::unit(),
-            &mut budget,
-            seed,
-        ),
-        SamplerSpec::Multiple { m } => pool.multiple_rw(
-            &MultipleRw::new(m),
-            graph,
-            &CostModel::unit(),
-            &mut budget,
-            seed,
-        ),
-        _ => panic!("pooled supports fs/multiple"),
-    };
-    let mut est = JobEstimator::new(estimator, sampler).unwrap();
-    for edge in run.edges() {
-        est.observe(graph, Sample::Edge(edge));
-    }
+    DistributedFs::new(m).sample_edges_seeded(graph, &CostModel::unit(), &mut budget, seed, |e| {
+        est.observe(graph, Sample::Edge(e))
+    });
     est.snapshot()
 }
 
@@ -186,58 +169,26 @@ fn http_jobs_are_bit_identical_to_library_calls() {
 }
 
 #[test]
-fn pooled_jobs_are_bit_identical_at_8_threads() {
-    let dir = store_dir("det_pool", 2_000, 0xB00);
+fn fs_jobs_are_bit_identical_to_the_distributed_reference() {
+    let dir = store_dir("det_distributed", 2_000, 0xB00);
     let graph = MmapGraph::open(dir.join("ba.fsg")).unwrap();
     let server = Server::start(Config::new(&dir)).unwrap();
     let addr = server.addr();
-    let budget = 30_000.0;
-    let seed = 7u64;
-
-    for (wire_name, sampler) in [
-        ("fs", SamplerSpec::Frontier { m: 16 }),
-        ("multiple", SamplerSpec::Multiple { m: 8 }),
+    let (m, budget, seed) = (16, 30_000.0, 7u64);
+    for (est_name, estimator) in [
+        ("avg_degree", EstimatorSpec::AverageDegree),
+        ("degree_dist", EstimatorSpec::DegreeDist),
     ] {
-        let m = match sampler {
-            SamplerSpec::Frontier { m } | SamplerSpec::Multiple { m } => m,
-            _ => unreachable!(),
-        };
-        // The pooled library call is itself thread-count independent…
-        let at_1 = library_pooled(
-            &graph,
-            &sampler,
-            EstimatorSpec::AverageDegree,
-            budget,
-            seed,
-            1,
-        );
-        let at_8 = library_pooled(
-            &graph,
-            &sampler,
-            EstimatorSpec::AverageDegree,
-            budget,
-            seed,
-            8,
-        );
-        assert_eq!(at_1, at_8, "{wire_name}: pool not thread-count independent");
-
-        // …and the server job at pool_threads=8 reproduces it bit for bit.
         let body = format!(
-            "{{\"store\":\"ba.fsg\",\"sampler\":\"{wire_name}\",\"m\":{m},\
-             \"budget\":{budget},\"seed\":{seed},\"estimator\":\"avg_degree\",\
-             \"pool_threads\":8}}"
+            "{{\"store\":\"ba.fsg\",\"sampler\":\"fs\",\"m\":{m},\
+             \"budget\":{budget},\"seed\":{seed},\"estimator\":\"{est_name}\"}}"
         );
-        // A pooled MultipleRW job runs the sequential MultipleRW stream.
-        let expect = match sampler {
-            SamplerSpec::Multiple { .. } => {
-                library_sequential(&graph, &sampler, EstimatorSpec::AverageDegree, budget, seed)
-            }
-            _ => at_8,
-        };
         let id = submit(addr, &body);
         let doc = wait_terminal(addr, id);
         assert_eq!(doc.get("phase").unwrap().as_str().unwrap(), "done");
-        assert_bit_identical(&format!("{wire_name} pooled"), wire_estimate(&doc), &expect);
+        let expect = library_distributed_fs(&graph, m, estimator, budget, seed);
+        assert!(expect.num_observed > 0, "{est_name}: reference run empty");
+        assert_bit_identical(&format!("fs/{est_name}"), wire_estimate(&doc), &expect);
     }
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();

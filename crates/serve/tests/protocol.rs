@@ -88,9 +88,10 @@ fn bad_job_specs_are_client_errors() {
             "MHRW",
         ),
         (
-            "{\"store\":\"ba.fsg\",\"sampler\":\"mhrw\",\"budget\":10,\"seed\":1,\"estimator\":\"avg_degree\",\"pool_threads\":4}",
+            // The retired thread-count knob is no longer a field.
+            "{\"store\":\"ba.fsg\",\"sampler\":\"fs\",\"m\":4,\"budget\":10,\"seed\":1,\"estimator\":\"avg_degree\",\"pool_threads\":4}",
             400,
-            "pooled execution",
+            "unknown field 'pool_threads'",
         ),
         (
             "{\"store\":\"ba.fsg\",\"sampler\":\"fs\",\"m\":4,\"budget\":1e999,\"seed\":1,\"estimator\":\"avg_degree\"}",
@@ -144,14 +145,14 @@ fn bad_job_specs_are_client_errors() {
 }
 
 #[test]
-fn pooled_job_takes_any_budget_and_cancels_promptly() {
-    // A pooled job runs the chunked runner like any other, so it needs
-    // no budget cap: it starts, and a cancel lands at the next chunk.
-    let dir = store_dir("proto_pooled_cancel", 2_000, 4);
+fn huge_budget_job_starts_and_cancels_promptly() {
+    // A job runs the chunked runner, so it needs no budget cap: it
+    // starts, and a cancel lands at the next chunk.
+    let dir = store_dir("proto_huge_cancel", 2_000, 4);
     let server = Server::start(Config::new(&dir)).unwrap();
     let addr = server.addr();
     let body = "{\"store\":\"ba.fsg\",\"sampler\":\"fs\",\"m\":4,\"budget\":1000000000,\
-                \"seed\":1,\"estimator\":\"avg_degree\",\"pool_threads\":2}";
+                \"seed\":1,\"estimator\":\"avg_degree\"}";
     let (status, text) = request(addr, "POST", "/v1/jobs", Some(body));
     assert_eq!(status, 202, "{text}");
     let id = parse(&text).get("id").unwrap().as_u64().unwrap();
@@ -378,7 +379,6 @@ fn manager_level_shutdown_cancels_in_flight_jobs() {
             budget: 1e9,
             seed: 1,
             estimator: EstimatorSpec::AverageDegree,
-            pool_threads: None,
         })
         .unwrap();
     let queued = manager
@@ -388,7 +388,6 @@ fn manager_level_shutdown_cancels_in_flight_jobs() {
             budget: 100.0,
             seed: 2,
             estimator: EstimatorSpec::AverageDegree,
-            pool_threads: None,
         })
         .unwrap();
     // Wait for the first job to start.
@@ -407,7 +406,6 @@ fn manager_level_shutdown_cancels_in_flight_jobs() {
         budget: 10.0,
         seed: 3,
         estimator: EstimatorSpec::AverageDegree,
-        pool_threads: None,
     });
     assert!(matches!(refused, Err(SubmitError::ShuttingDown)));
     std::fs::remove_dir_all(&dir).ok();

@@ -46,7 +46,6 @@ fn spec(seed: u64) -> JobSpec {
         budget: BUDGET,
         seed,
         estimator: EstimatorSpec::AverageDegree,
-        pool_threads: None,
     }
 }
 
@@ -332,10 +331,10 @@ fn replayed_job_with_unsupported_spec_fails_cleanly() {
     let store_path = dir.join("ba.fsg");
     let digest = fs_store::file_digest(&store_path).unwrap();
 
-    // Specs submit validation rejects, resurrected via the journal —
+    // A spec submit validation rejects, resurrected via the journal —
     // exactly what a journal written by a different build (or edited
-    // by hand) can hand this server. Both must land as clean journaled
-    // `failed` jobs, never a worker panic.
+    // by hand) can hand this server. It must land as a clean journaled
+    // `failed` job, never a worker panic.
     {
         let (journal, _) = Journal::open(
             &dir.join("journal"),
@@ -352,20 +351,6 @@ fn replayed_job_with_unsupported_spec_fails_cleanly() {
                 budget: BUDGET,
                 seed: 1,
                 estimator: EstimatorSpec::Clustering,
-                pool_threads: None,
-            },
-            digest,
-        );
-        // Valid pair, but the walker pool only runs fs/multiple.
-        journal.submit(
-            2,
-            &JobSpec {
-                store: "ba.fsg".into(),
-                sampler: SamplerSpec::Mhrw,
-                budget: BUDGET,
-                seed: 1,
-                estimator: EstimatorSpec::AverageDegree,
-                pool_threads: Some(2),
             },
             digest,
         );
@@ -391,20 +376,7 @@ fn replayed_job_with_unsupported_spec_fails_cleanly() {
         "must degrade, not catch a panic: {error}"
     );
 
-    let doc = wait_terminal(addr, 2);
-    assert_eq!(
-        doc.get("phase").unwrap().as_str(),
-        Some("failed"),
-        "{doc:?}"
-    );
-    let error = doc.get("error").unwrap().as_str().unwrap().to_string();
-    assert!(
-        error.contains("pooled execution supports frontier and multiple"),
-        "wrong error: {error}"
-    );
-    assert!(!error.contains("internal error"), "{error}");
-
-    // The failures are journaled: a second restart replays them as
+    // The failure is journaled: a second restart replays it as
     // terminal and re-runs nothing.
     server.shutdown();
     let server = server_over(&dir);
@@ -581,12 +553,31 @@ fn each_terminal_path_counts_and_journals_once() {
     let _guard = lock();
     let dir = store_dir("recovery_terminal_paths", 2_000, 27);
     let digest = fs_store::file_digest(dir.join("ba.fsg")).unwrap();
-    // Job 1: replayed, then failed by the spec check.
-    let too_wide = JobSpec {
-        sampler: SamplerSpec::Frontier { m: 1_000_001 },
-        ..spec(1)
-    };
-    journal_unfinished(&dir, digest, &[too_wide]);
+    {
+        let (journal, _) =
+            Journal::open(&dir.join("journal"), Arc::new(DurabilityStats::default())).unwrap();
+        // Job 1: replayed, then failed by the spec check.
+        let too_wide = JobSpec {
+            sampler: SamplerSpec::Frontier { m: 1_000_001 },
+            ..spec(1)
+        };
+        journal.submit(1, &too_wide, digest);
+        // Job 2: finished before the restart; replay recovers it.
+        journal.submit(2, &spec(2), digest);
+        let snapshot = EstimateSnapshot {
+            num_observed: 1,
+            scalar: Some(4.0),
+            vector: None,
+        };
+        journal.terminal(2, JobPhase::Done, None, 1, Some(&snapshot));
+        // Job 3: its store is gone, so restore fails it.
+        let gone = JobSpec {
+            store: "gone.fsg".into(),
+            ..spec(3)
+        };
+        journal.submit(3, &gone, digest);
+    }
+    let recovered = 2;
     let trace_log = dir.join("trace.ndjson");
     let mut config = Config::new(&dir);
     config.journal_dir = Some(dir.join("journal"));
@@ -595,10 +586,13 @@ fn each_terminal_path_counts_and_journals_once() {
     let server = Server::start(config).expect("start server");
     let addr = server.addr();
     wait_ready(addr);
-    assert_eq!(
-        wait_terminal(addr, 1).get("phase").unwrap().as_str(),
-        Some("failed")
-    );
+    for id in [1, 3] {
+        assert_eq!(
+            wait_terminal(addr, id).get("phase").unwrap().as_str(),
+            Some("failed")
+        );
+    }
+    assert_eq!(phase(addr, recovered), "done");
 
     // An endless budget in wire terms: runs until cancelled.
     let endless = 1e15;
@@ -626,8 +620,9 @@ fn each_terminal_path_counts_and_journals_once() {
     let (status, exposition) = request(addr, "GET", "/metrics", None);
     assert_eq!(status, 200);
     let count = |name: &str| metric(&exposition, name);
-    let (submitted, resumed) = (
+    let (submitted, recovered_n, resumed) = (
         count("fs_jobs_submitted_total"),
+        count("fs_journal_jobs_recovered_total"),
         count("fs_journal_jobs_resumed_total"),
     );
     let (done_n, failed, cancelled, in_flight) = (
@@ -636,18 +631,24 @@ fn each_terminal_path_counts_and_journals_once() {
         count("fs_jobs_cancelled_total"),
         count("fs_jobs_in_flight"),
     );
-    // A replayed job enters through the journal, not submit.
-    assert_eq!((submitted, resumed), (5, 1));
-    assert_eq!((done_n, failed, cancelled, in_flight), (1, 1, 2, 2));
-    assert_eq!(submitted + resumed, done_n + failed + cancelled + in_flight);
+    // A replayed job enters through the journal, not submit: recovered
+    // when its terminal record replays, resumed when it is incomplete
+    // (also when restore fails it).
+    assert_eq!((submitted, recovered_n, resumed), (5, 1, 2));
+    assert_eq!((done_n, failed, cancelled, in_flight), (2, 2, 2, 2));
+    assert_eq!(
+        submitted + recovered_n + resumed,
+        done_n + failed + cancelled + in_flight
+    );
 
     // Shutdown cancels the running job and drains the queued one.
     server.shutdown();
 
-    let ids = [1, done, queued, running, next, drained];
+    // The recovered job ends no transition here, so it has no event.
+    let ids = [1, 3, done, queued, running, next, drained];
     let expect = |id: u64| match id {
-        1 => "job.failed",
-        id if id == done => "job.done",
+        1 | 3 => "job.failed",
+        id if id == done || id == recovered => "job.done",
         _ => "job.cancelled",
     };
     let mut events: BTreeMap<u64, Vec<Json>> = BTreeMap::new();
@@ -671,17 +672,17 @@ fn each_terminal_path_counts_and_journals_once() {
         assert!(event.get("steps").is_some(), "{event:?}");
         assert_eq!(
             event.get("reason").is_some(),
-            id == 1,
-            "only the failure carries a reason: {event:?}"
+            expect(id) == "job.failed",
+            "only a failure carries a reason: {event:?}"
         );
     }
 
     let journal_dir = dir.join("journal");
     let records = terminal_records(&journal_dir.join("jobs.fsjl"));
-    assert_eq!(
-        records.keys().copied().collect::<Vec<_>>(),
-        events.keys().copied().collect::<Vec<_>>()
-    );
+    let mut with_recovered: Vec<u64> = events.keys().copied().collect();
+    with_recovered.push(recovered);
+    with_recovered.sort_unstable();
+    assert_eq!(records.keys().copied().collect::<Vec<_>>(), with_recovered);
     assert!(records.values().all(|&n| n == 1), "{records:?}");
     let (_journal, replay) =
         Journal::open(&journal_dir, Arc::new(DurabilityStats::default())).unwrap();

@@ -191,49 +191,20 @@ fn cache_hit_is_byte_identical_and_counted() {
 }
 
 #[test]
-fn pooled_and_plain_fs_jobs_share_one_cache_entry() {
-    // pool_threads only spreads FS event generation over threads, so a
-    // plain job of a pooled job's spec is answered from its entry.
-    let dir = store_dir("cache_pooled", 1_500, 26);
-    let server = Server::start(Config::new(&dir)).unwrap();
-    let addr = server.addr();
-    let plain = "{\"store\":\"ba.fsg\",\"sampler\":\"fs\",\"m\":16,\"budget\":120000,\
-                 \"seed\":41,\"estimator\":\"degree_dist\"}";
-    let pooled = plain.replace('}', ",\"pool_threads\":4}");
-
-    let pooled_id = submit(addr, &pooled).get("id").unwrap().as_u64().unwrap();
-    let pooled_doc = wait_terminal(addr, pooled_id);
-    assert_eq!(pooled_doc.get("phase").unwrap().as_str(), Some("done"));
-    let (_, pooled_body) = request(addr, "GET", &format!("/v1/jobs/{pooled_id}"), None);
-
-    let hit = submit(addr, plain);
-    let hit_id = hit.get("id").unwrap().as_u64().unwrap();
-    let (_, hit_body) = request(addr, "GET", &format!("/v1/jobs/{hit_id}"), None);
-    assert_eq!(
-        parse(&hit_body).get("cached").unwrap().as_bool(),
-        Some(true)
-    );
-    assert_eq!(
-        estimate_bytes(&pooled_body),
-        estimate_bytes(&hit_body),
-        "plain twin of a pooled FS job must get its exact estimate"
-    );
-    server.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
 fn replayed_pooled_multiple_rw_result_stays_out_of_the_cache() {
     // A journal written before pooled MultipleRW joined the sequential
-    // stream holds a done record with the old per-walker pool's
-    // estimate. Replay must not serve it to a plain submit of the same
-    // spec, which now computes the sequential stream.
+    // stream holds a submit carrying a thread count (option tag 1) and a
+    // done record with the old per-walker pool's estimate. Replay must
+    // not serve it to a plain submit of the same spec, which computes
+    // the sequential stream.
+    use frontier_sampling::checkpoint::fnv1a64;
     use frontier_sampling::runner::{
-        ChunkStatus, ChunkedRunner, EstimatorSpec, JobEstimator, Sample, SamplerSpec,
+        ChunkStatus, ChunkedRunner, EstimatorSpec, JobEstimator, SamplerSpec,
     };
-    use frontier_sampling::{Budget, CostModel, MultipleRw, ParallelWalkerPool};
+    use frontier_sampling::CostModel;
     use fs_serve::journal::{DurabilityStats, Journal};
-    use fs_serve::{JobPhase, JobSpec};
+    use fs_serve::JobPhase;
+    use std::io::Write;
 
     let dir = store_dir("replay_pooled_mrw", 2_000, 27);
     let store_path = dir.join("ba.fsg");
@@ -242,55 +213,73 @@ fn replayed_pooled_multiple_rw_result_stays_out_of_the_cache() {
     let (budget, seed) = (30_000.0, 31u64);
     let sampler = SamplerSpec::Multiple { m: 8 };
     let estimator = EstimatorSpec::AverageDegree;
+    let run = |seed: u64| {
+        let mut est = JobEstimator::new(estimator, &sampler).unwrap();
+        let mut runner = ChunkedRunner::new(&sampler, &graph, &CostModel::unit(), budget, seed);
+        while runner.run_chunk(usize::MAX, |s| est.observe(&graph, s)) == ChunkStatus::InProgress {}
+        est.snapshot()
+    };
+    // Any estimate but the sequential one stands in for the retired
+    // stream's.
+    let retired = run(seed + 1);
+    let sequential = run(seed);
+    assert_ne!(retired, sequential, "the two estimates must differ");
 
-    let mut pooled_budget = Budget::new(budget);
-    let run = ParallelWalkerPool::with_threads(2).multiple_rw(
-        &MultipleRw::new(8),
-        &graph,
-        &CostModel::unit(),
-        &mut pooled_budget,
-        seed,
-    );
-    let mut est = JobEstimator::new(estimator, &sampler).unwrap();
-    for edge in run.edges() {
-        est.observe(&graph, Sample::Edge(edge));
-    }
-    let retired = est.snapshot();
-
-    let mut est = JobEstimator::new(estimator, &sampler).unwrap();
-    let mut runner = ChunkedRunner::new(&sampler, &graph, &CostModel::unit(), budget, seed);
-    while runner.run_chunk(usize::MAX, |s| est.observe(&graph, s)) == ChunkStatus::InProgress {}
-    let sequential = est.snapshot();
-    assert_ne!(retired, sequential, "the two streams must differ");
-
+    let journal_dir = dir.join("journal");
     {
         let (journal, _) = Journal::open(
-            &dir.join("journal"),
+            &journal_dir,
             std::sync::Arc::new(DurabilityStats::default()),
         )
         .unwrap();
-        let spec = JobSpec {
-            store: "ba.fsg".into(),
-            sampler: sampler.clone(),
-            budget,
-            seed,
-            estimator,
-            pool_threads: Some(4),
-        };
-        journal.submit(5, &spec, digest);
-        journal.terminal(
-            5,
-            JobPhase::Done,
-            None,
-            run.steps.len() as u64,
-            Some(&retired),
-        );
+        journal.terminal(5, JobPhase::Done, None, 29_992, Some(&retired));
     }
+    // The legacy submit, framed by hand from the documented `jobs.fsjl`
+    // layout (replay aggregates per id, so it may follow the terminal).
+    let mut payload = Vec::new();
+    let put_bytes = |payload: &mut Vec<u8>, b: &[u8]| {
+        payload.extend_from_slice(&(b.len() as u64).to_le_bytes());
+        payload.extend_from_slice(b);
+    };
+    payload.extend_from_slice(&5u64.to_le_bytes());
+    put_bytes(&mut payload, b"ba.fsg");
+    payload.extend_from_slice(&digest.to_le_bytes());
+    put_bytes(&mut payload, b"multiple");
+    payload.extend_from_slice(&8u64.to_le_bytes());
+    payload.extend_from_slice(&0f64.to_le_bytes());
+    payload.extend_from_slice(&budget.to_le_bytes());
+    payload.extend_from_slice(&seed.to_le_bytes());
+    put_bytes(&mut payload, b"avg_degree");
+    payload.push(1);
+    payload.extend_from_slice(&4u64.to_le_bytes());
+    let mut frame = vec![1u8];
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    let sum = fnv1a64(&frame);
+    frame.extend_from_slice(&sum.to_le_bytes());
+    std::fs::OpenOptions::new()
+        .append(true)
+        .open(journal_dir.join("jobs.fsjl"))
+        .unwrap()
+        .write_all(&frame)
+        .unwrap();
+
     let mut config = Config::new(&dir);
     config.journal_dir = Some(dir.join("journal"));
     let server = Server::start(config).unwrap();
     let addr = server.addr();
     wait_ready(addr);
+    // The legacy record replayed: job 5 is back with its estimate.
+    let replayed = wait_terminal(addr, 5);
+    assert_eq!(replayed.get("phase").unwrap().as_str(), Some("done"));
+    assert_eq!(
+        replayed
+            .get("estimate")
+            .and_then(|e| e.get("scalar"))
+            .and_then(|v| v.as_f64())
+            .map(f64::to_bits),
+        retired.scalar.map(f64::to_bits)
+    );
 
     let plain = format!(
         "{{\"store\":\"ba.fsg\",\"sampler\":\"multiple\",\"m\":8,\"budget\":{budget},\

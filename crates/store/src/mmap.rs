@@ -378,7 +378,7 @@ impl View {
 /// numerics as the in-memory CSR backends, so seeded walks are
 /// **bit-identical** to [`fs_graph::CsrAccess`] on the same graph
 /// (pinned by `backend_parity`). The type is `Sync`: one open store can
-/// serve every walker of a `ParallelWalkerPool` concurrently.
+/// serve many jobs' walkers concurrently.
 #[derive(Debug)]
 pub struct MmapGraph {
     map: Mmap,
