@@ -480,3 +480,85 @@ fn forged_fsrc_lane_count_is_refused() {
         Err(CheckpointError::Truncated)
     ));
 }
+
+/// Every (sampler, estimator) pair [`JobEstimator::new`] accepts over
+/// [`all_specs`], in a fixed order: 4 edge samplers × 6 estimators plus
+/// MHRW and RWJ × 3. Together they cover every FSEC state shape.
+fn all_pairs() -> Vec<(SamplerSpec, EstimatorSpec)> {
+    all_specs()
+        .into_iter()
+        .flat_map(|spec| {
+            supported_estimators(&spec)
+                .into_iter()
+                .map(move |est| (spec.clone(), est))
+        })
+        .collect()
+}
+
+/// An FSEC blob of `(spec, est)` after three 64-attempt chunks of a
+/// seeded run over the fixture: the journal's mid-run checkpoint.
+fn mid_run_estimator_blob(spec: &SamplerSpec, est: EstimatorSpec) -> Vec<u8> {
+    let g = fixture();
+    let mut runner = ChunkedRunner::new(spec, &g, &CostModel::unit(), 600.0, 42);
+    let mut estimator = JobEstimator::new(est, spec).expect("supported pairing");
+    for _ in 0..3 {
+        assert_eq!(
+            runner.run_chunk(64, |s| estimator.observe(&g, s)),
+            ChunkStatus::InProgress,
+            "{} / {} finished early",
+            spec.label(),
+            est.name()
+        );
+    }
+    estimator.serialize()
+}
+
+/// (length, FNV-1a-64) of every pair's mid-run FSEC blob, keyed by
+/// wire names (fs m = 5, multiple m = 4, rwj α = 2). The journal
+/// persists these bytes, so no estimator's layout may move.
+#[test]
+fn every_estimator_checkpoint_is_byte_stable() {
+    let want: [(&str, &str, usize, u64); 30] = [
+        ("fs", "avg_degree", 42, 0xd17f_8e94_6dc7_5a15),
+        ("fs", "degree_dist", 387, 0x669e_1d93_055d_c3f1),
+        ("fs", "ccdf", 387, 0x1aa7_042b_b469_d6fa),
+        ("fs", "assortativity", 74, 0x8aad_af57_dedf_cd04),
+        ("fs", "clustering", 42, 0xd56a_de48_4a26_0857),
+        ("fs", "pop_size", 1303, 0xd888_e18b_a9c9_2c14),
+        ("single", "avg_degree", 42, 0x7982_08fa_b350_459a),
+        ("single", "degree_dist", 387, 0x1ea7_7a3c_62b6_907b),
+        ("single", "ccdf", 387, 0xf267_1590_879f_a6d4),
+        ("single", "assortativity", 74, 0x3a7d_a759_2e02_7e53),
+        ("single", "clustering", 42, 0x2012_acc9_6ebf_0fd0),
+        ("single", "pop_size", 1255, 0xaaf1_20d1_f94d_f2ea),
+        ("multiple", "avg_degree", 42, 0x556e_6a4c_8e59_94ed),
+        ("multiple", "degree_dist", 387, 0x6779_4b4a_08e2_36ae),
+        ("multiple", "ccdf", 387, 0xb0a7_fb42_922f_4910),
+        ("multiple", "assortativity", 74, 0xde64_551f_132b_06bd),
+        ("multiple", "clustering", 42, 0x567a_0862_072b_093f),
+        ("multiple", "pop_size", 1291, 0x0aba_202d_10de_e7e6),
+        ("mhrw", "avg_degree", 34, 0x14cc_3eae_93e3_c859),
+        ("mhrw", "degree_dist", 331, 0xf12d_41e5_257c_e3e9),
+        ("mhrw", "ccdf", 331, 0x6a58_b304_9e29_90d3),
+        ("nbrw", "avg_degree", 42, 0xbbed_5c87_e00c_8287),
+        ("nbrw", "degree_dist", 387, 0xc4a6_8a6d_eb60_0bee),
+        ("nbrw", "ccdf", 387, 0xed2e_0fb6_37db_be15),
+        ("nbrw", "assortativity", 74, 0xa807_d728_d6ca_50ea),
+        ("nbrw", "clustering", 42, 0x3728_811e_ebdc_6f88),
+        ("nbrw", "pop_size", 1507, 0xa1fb_df12_c1cf_23a0),
+        ("rwj", "avg_degree", 50, 0x02a4_a9e9_2ac3_8025),
+        ("rwj", "degree_dist", 395, 0xce7f_69e9_a8ce_4833),
+        ("rwj", "ccdf", 395, 0x28fe_2580_5d77_0101),
+    ];
+    let pairs = all_pairs();
+    assert_eq!(pairs.len(), 30);
+    for ((spec, est), (sampler, name, len, hash)) in pairs.iter().zip(want) {
+        assert_eq!((spec.wire().0, est.name()), (sampler, name));
+        let blob = mid_run_estimator_blob(spec, *est);
+        assert_eq!(
+            (blob.len(), fnv1a64(&blob)),
+            (len, hash),
+            "{sampler} / {name}"
+        );
+    }
+}
