@@ -1,67 +1,52 @@
-//! SoA walker batches stepped in lockstep over the batched backend
-//! query.
+//! Frontier Sampling's walkers as SoA lanes stepped in lockstep over
+//! the batched backend query.
 //!
 //! A single walker's step is a dependent two-load chain
 //! (`targets[row + i]` → `offsets[t..t+2]`), so one walker at a time is
 //! memory-*latency*-bound: on graphs that outgrow the last-level cache
 //! the core sits idle for the full round-trip of every load. The fix is
 //! memory-level parallelism — keep many independent walkers' loads in
-//! flight at once. [`WalkerBatch`] holds the walkers' hot state as
+//! flight at once. [`FsEventBatch`] holds the walkers' hot state as
 //! parallel arrays (structure-of-arrays: `vertex[]`, `degree[]`,
-//! `row[]`, `rng[]`) and [`WalkerBatch::step_lanes`] advances a chosen
-//! set of lanes by exactly one step each through
-//! [`GraphAccess::step_query_batch`], which prefetches every lane's
-//! cache lines before any dependent load executes (see
-//! `fs_graph::csr::STEP_PIPELINE_WIDTH`).
+//! `row[]`, `rng[]`, `next_fire[]`) and each round of
+//! [`FsEventBatch::advance`] steps every lane whose clock is due by
+//! exactly one step through [`GraphAccess::step_query_batch`], which
+//! prefetches every lane's cache lines before any dependent load
+//! executes (see `fs_graph::csr::STEP_PIPELINE_WIDTH`).
+//!
+//! Each lane is one FS walker under the Theorem 5.5 exponential-clock
+//! schedule, generating `(event time, outcome)` pairs up to a
+//! virtual-time horizon. `FsWindowWalk` merges those streams window by
+//! window in `(time, walker)` order. It is the one windowed FS engine,
+//! and the chunked runner drives it; both encode their own fields into
+//! the runner checkpoint.
 //!
 //! ## Determinism
 //!
 //! Lockstep batching is **bit-identical** to stepping the same walkers
-//! one at a time: every walker draws from its own RNG stream, and
-//! `step_lanes` preserves each lane's per-walker draw order (the
-//! neighbor pick in the fill pass, then whatever the `apply` callback
-//! draws — e.g. an exponential holding time — in the resolve pass).
-//! Cross-walker interleaving therefore never touches any walker's
-//! stream, which is what lets [`crate::runner::ChunkedRunner`] adopt the
-//! batched engine without re-pinning its bit-identity tests.
-//!
-//! [`FsEventBatch`] layers the Theorem 5.5 exponential-clock schedule on
-//! top: each lane is one FS walker generating `(event time, outcome)`
-//! pairs, advanced in lockstep up to a virtual-time horizon.
-//! `FsWindowWalk` merges those streams window by window in
-//! `(time, walker)` order. It is the one windowed FS engine, and the
-//! chunked runner drives it.
+//! one at a time: every walker draws from its own RNG stream, and a
+//! round preserves each lane's per-walker draw order (the neighbor pick
+//! in the fill pass, then the exponential holding time in the resolve
+//! pass). Cross-walker interleaving therefore never touches any
+//! walker's stream, which is what lets [`crate::runner::ChunkedRunner`]
+//! match [`crate::distributed::DistributedFs`] bit for bit.
 
 use crate::budget::Budget;
 use crate::checkpoint::{put_vertex, take_vertex, CheckpointError, Decoder, Encoder};
 use crate::parallel::stream_seed;
-use crate::walk::{self, StepOutcome, Stepped};
+use crate::walk::{self, StepOutcome};
 use fs_graph::{Arc, GraphAccess, StepSlot, VertexId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-/// One lane's full resumable state, as captured by
-/// [`WalkerBatch::lane_states`] and restored by
-/// [`WalkerBatch::from_lane_states`]. Degree and row are stored
-/// verbatim (not re-derived from the backend) so a restored lane
-/// continues exactly the trajectory it was on — including lanes whose
-/// replies came from a degraded backend.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct LaneState {
-    /// Current vertex.
-    pub vertex: VertexId,
-    /// Degree of `vertex` as last reported to this lane.
-    pub degree: usize,
-    /// Backend row handle of `vertex` as last reported.
-    pub row: usize,
-    /// The lane's RNG stream state ([`SmallRng::state`]).
-    pub rng: [u64; 4],
-}
-
-/// Hot walker state as parallel arrays, stepped in lockstep. See the
+/// A group of FS walkers under the Theorem 5.5 exponential-clock
+/// factorization, generating `(event time, outcome)` streams in
+/// batched lockstep. Lane `i`'s stream is a pure function of its seed —
+/// identical to the sequential per-walker generator — so outputs are
+/// invariant to horizon schedule and grouping. See the
 /// [module docs](self).
 #[derive(Debug)]
-pub struct WalkerBatch {
+pub struct FsEventBatch {
     /// Current vertex of each lane.
     vertex: Vec<VertexId>,
     /// Degree of `vertex[lane]`, threaded from the previous reply.
@@ -70,150 +55,13 @@ pub struct WalkerBatch {
     row: Vec<usize>,
     /// Per-lane RNG stream state.
     rng: Vec<SmallRng>,
+    /// Absolute time of each lane's next step; `None` once stuck on a
+    /// degree-0 vertex (rate 0 → the clock never fires again).
+    next_fire: Vec<Option<f64>>,
     /// Scratch: pending combined queries of the current lockstep round.
     slots: Vec<StepSlot>,
     /// Scratch: `slot_lanes[k]` is the lane that owns `slots[k]`.
     slot_lanes: Vec<usize>,
-}
-
-impl WalkerBatch {
-    /// Builds a batch with lane `i` at `starts[i]`, drawing from a fresh
-    /// [`SmallRng`] seeded with `seeds[i]` (callers derive these via
-    /// [`crate::parallel::stream_seed`]).
-    ///
-    /// # Panics
-    /// Panics if `starts` and `seeds` differ in length.
-    pub fn new<A: GraphAccess + ?Sized>(access: &A, starts: &[VertexId], seeds: &[u64]) -> Self {
-        assert_eq!(starts.len(), seeds.len(), "one seed per walker");
-        WalkerBatch {
-            vertex: starts.to_vec(),
-            degree: starts.iter().map(|&v| access.degree(v)).collect(),
-            row: starts.iter().map(|&v| access.vertex_row(v)).collect(),
-            rng: seeds.iter().map(|&s| SmallRng::seed_from_u64(s)).collect(),
-            slots: Vec::new(),
-            slot_lanes: Vec::new(),
-        }
-    }
-
-    /// Captures every lane's resumable state for checkpointing.
-    pub fn lane_states(&self) -> Vec<LaneState> {
-        (0..self.len())
-            .map(|lane| LaneState {
-                vertex: self.vertex[lane],
-                degree: self.degree[lane],
-                row: self.row[lane],
-                rng: self.rng[lane].state(),
-            })
-            .collect()
-    }
-
-    /// Rebuilds a batch from captured lane states. The scratch arrays
-    /// start empty (they are per-call state), so stepping a restored
-    /// batch is bit-identical to stepping the original.
-    pub fn from_lane_states(lanes: &[LaneState]) -> Self {
-        WalkerBatch {
-            vertex: lanes.iter().map(|l| l.vertex).collect(),
-            degree: lanes.iter().map(|l| l.degree).collect(),
-            row: lanes.iter().map(|l| l.row).collect(),
-            rng: lanes.iter().map(|l| SmallRng::from_state(l.rng)).collect(),
-            slots: Vec::new(),
-            slot_lanes: Vec::new(),
-        }
-    }
-
-    /// Number of lanes.
-    pub fn len(&self) -> usize {
-        self.vertex.len()
-    }
-
-    /// Whether the batch has zero lanes.
-    pub fn is_empty(&self) -> bool {
-        self.vertex.is_empty()
-    }
-
-    /// Current degree of `lane` (0 once the walker is stuck).
-    #[inline]
-    pub fn degree(&self, lane: usize) -> usize {
-        self.degree[lane]
-    }
-
-    /// Mutable access to a lane's RNG (for draws that precede the first
-    /// step, e.g. the initial exponential holding time).
-    #[inline]
-    pub fn rng_mut(&mut self, lane: usize) -> &mut SmallRng {
-        &mut self.rng[lane]
-    }
-
-    /// Advances each listed lane by exactly one step, batching the
-    /// backend queries. For every lane, in lane-list order per phase:
-    ///
-    /// 1. *Fill*: draw the uniform neighbor pick from the lane's RNG and
-    ///    queue the combined query (isolated lanes draw nothing and
-    ///    resolve immediately, mirroring [`walk::step_known`]).
-    /// 2. *Resolve*: the backend answers all queued queries in one
-    ///    [`GraphAccess::step_query_batch`]; each lane's SoA state is
-    ///    updated and `apply(lane, stepped, rng)` runs with the lane's
-    ///    RNG borrowed for follow-up draws.
-    ///
-    /// Each lane must appear at most once per call (its state advances
-    /// once). Per-lane RNG order is pick-then-apply, identical to the
-    /// sequential `step_known` + caller-draw loop.
-    pub fn step_lanes<A: GraphAccess + ?Sized>(
-        &mut self,
-        access: &A,
-        lanes: &[usize],
-        mut apply: impl FnMut(usize, Stepped, &mut SmallRng),
-    ) {
-        self.slots.clear();
-        self.slot_lanes.clear();
-        for &lane in lanes {
-            let d = self.degree[lane];
-            if d == 0 {
-                apply(
-                    lane,
-                    Stepped {
-                        outcome: StepOutcome::Isolated,
-                        degree_after: 0,
-                        row_after: self.row[lane],
-                    },
-                    &mut self.rng[lane],
-                );
-                continue;
-            }
-            let pick = self.rng[lane].gen_range(0..d);
-            self.slots
-                .push(StepSlot::new(self.vertex[lane], self.row[lane], pick));
-            self.slot_lanes.push(lane);
-        }
-        access.step_query_batch(&mut self.slots);
-        for (slot, &lane) in self.slots.iter().zip(self.slot_lanes.iter()) {
-            let stepped = walk::resolve_stepped(
-                self.vertex[lane],
-                self.degree[lane],
-                self.row[lane],
-                slot.reply,
-            );
-            self.vertex[lane] = stepped.outcome.position_after(self.vertex[lane]);
-            self.degree[lane] = stepped.degree_after;
-            self.row[lane] = stepped.row_after;
-            apply(lane, stepped, &mut self.rng[lane]);
-        }
-    }
-}
-
-/// A group of FS walkers under the Theorem 5.5 exponential-clock
-/// factorization, generating `(event time, outcome)` streams in
-/// batched lockstep. Lane `i`'s stream is a pure function of its seed —
-/// identical to the sequential per-walker generator — so outputs are
-/// invariant to horizon schedule, grouping, and thread placement.
-#[derive(Debug)]
-pub struct FsEventBatch {
-    batch: WalkerBatch,
-    /// Absolute time of each lane's next step; `None` once stuck on a
-    /// degree-0 vertex (rate 0 → the clock never fires again).
-    next_fire: Vec<Option<f64>>,
-    /// Scratch: lanes due in the current lockstep round.
-    due: Vec<usize>,
 }
 
 impl FsEventBatch {
@@ -221,37 +69,24 @@ impl FsEventBatch {
     /// stream seeded `seeds[i]`. Each lane draws its initial holding
     /// time exactly like the sequential generator (one exponential draw,
     /// none for isolated starts).
-    pub fn new<A: GraphAccess + ?Sized>(access: &A, starts: &[VertexId], seeds: &[u64]) -> Self {
-        let mut batch = WalkerBatch::new(access, starts, seeds);
-        let next_fire = (0..batch.len())
-            .map(|lane| {
-                let d = batch.degree(lane);
-                walk::exp_holding_time(d, batch.rng_mut(lane))
-            })
-            .collect();
-        FsEventBatch {
-            batch,
-            next_fire,
-            due: Vec::new(),
-        }
-    }
-
-    /// Captures the group's resumable state: each lane's walker state
-    /// plus its pending clock.
-    pub fn checkpoint(&self) -> (Vec<LaneState>, Vec<Option<f64>>) {
-        (self.batch.lane_states(), self.next_fire.clone())
-    }
-
-    /// Rebuilds a group from [`FsEventBatch::checkpoint`] output.
     ///
     /// # Panics
-    /// Panics if `lanes` and `next_fire` differ in length.
-    pub fn from_checkpoint(lanes: &[LaneState], next_fire: Vec<Option<f64>>) -> Self {
-        assert_eq!(lanes.len(), next_fire.len(), "one clock per lane");
+    /// Panics if `starts` and `seeds` differ in length.
+    pub fn new<A: GraphAccess + ?Sized>(access: &A, starts: &[VertexId], seeds: &[u64]) -> Self {
+        assert_eq!(starts.len(), seeds.len(), "one seed per walker");
+        let degree: Vec<usize> = starts.iter().map(|&v| access.degree(v)).collect();
+        let mut rng: Vec<SmallRng> = seeds.iter().map(|&s| SmallRng::seed_from_u64(s)).collect();
+        let next_fire = (degree.iter().zip(&mut rng))
+            .map(|(&d, rng)| walk::exp_holding_time(d, rng))
+            .collect();
         FsEventBatch {
-            batch: WalkerBatch::from_lane_states(lanes),
+            vertex: starts.to_vec(),
+            row: starts.iter().map(|&v| access.vertex_row(v)).collect(),
+            degree,
+            rng,
             next_fire,
-            due: Vec::new(),
+            slots: Vec::new(),
+            slot_lanes: Vec::new(),
         }
     }
 
@@ -270,11 +105,9 @@ impl FsEventBatch {
     /// (each lane fires at rate `deg`). Horizon schedulers use this to
     /// size windows so speculative overshoot stays small.
     pub fn rate(&self) -> f64 {
-        self.next_fire
-            .iter()
-            .zip(0..self.batch.len())
+        (self.next_fire.iter().zip(&self.degree))
             .filter(|(fire, _)| fire.is_some())
-            .map(|(_, lane)| self.batch.degree(lane) as f64)
+            .map(|(_, &d)| d as f64)
             .sum()
     }
 
@@ -285,6 +118,16 @@ impl FsEventBatch {
     /// lane's time order (cross-lane ordering is the caller's merge).
     /// Resumable: later calls with a larger horizon continue each lane's
     /// stream exactly where it stopped.
+    ///
+    /// A round has two passes over the due lanes, in lane order:
+    ///
+    /// 1. *Fill*: draw the uniform neighbor pick from the lane's RNG and
+    ///    queue the combined query (an isolated lane draws nothing,
+    ///    emits [`StepOutcome::Isolated`] and stops its clock, mirroring
+    ///    [`walk::step_known`]).
+    /// 2. *Resolve*: the backend answers every queued query in one
+    ///    [`GraphAccess::step_query_batch`]; each lane moves, emits its
+    ///    outcome and draws its next holding time.
     pub fn advance<A: GraphAccess + ?Sized>(
         &mut self,
         access: &A,
@@ -292,27 +135,128 @@ impl FsEventBatch {
         mut emit: impl FnMut(usize, f64, StepOutcome),
     ) {
         loop {
-            self.due.clear();
-            for (lane, fire) in self.next_fire.iter().enumerate() {
-                if fire.is_some_and(|t| t <= t_hi) {
-                    self.due.push(lane);
+            self.slots.clear();
+            self.slot_lanes.clear();
+            let mut any_due = false;
+            for lane in 0..self.vertex.len() {
+                let Some(t) = self.next_fire[lane].filter(|&t| t <= t_hi) else {
+                    continue;
+                };
+                any_due = true;
+                let d = self.degree[lane];
+                if d == 0 {
+                    emit(lane, t, StepOutcome::Isolated);
+                    self.next_fire[lane] = None;
+                    continue;
                 }
+                let pick = self.rng[lane].gen_range(0..d);
+                self.slots
+                    .push(StepSlot::new(self.vertex[lane], self.row[lane], pick));
+                self.slot_lanes.push(lane);
             }
-            if self.due.is_empty() {
+            if !any_due {
                 return;
             }
-            let next_fire = &mut self.next_fire;
-            self.batch
-                .step_lanes(access, &self.due, |lane, stepped, rng| {
-                    let t = next_fire[lane].expect("due lane has a pending clock");
-                    emit(lane, t, stepped.outcome);
-                    next_fire[lane] = if stepped.outcome == StepOutcome::Isolated {
-                        None
-                    } else {
-                        walk::exp_holding_time(stepped.degree_after, rng).map(|dt| t + dt)
-                    };
-                });
+            access.step_query_batch(&mut self.slots);
+            for (slot, &lane) in self.slots.iter().zip(&self.slot_lanes) {
+                let stepped = walk::resolve_stepped(
+                    self.vertex[lane],
+                    self.degree[lane],
+                    self.row[lane],
+                    slot.reply,
+                );
+                self.vertex[lane] = stepped.outcome.position_after(self.vertex[lane]);
+                self.degree[lane] = stepped.degree_after;
+                self.row[lane] = stepped.row_after;
+                let t = self.next_fire[lane].expect("due lane has a pending clock");
+                emit(lane, t, stepped.outcome);
+                self.next_fire[lane] = if stepped.outcome == StepOutcome::Isolated {
+                    None
+                } else {
+                    walk::exp_holding_time(stepped.degree_after, &mut self.rng[lane])
+                        .map(|dt| t + dt)
+                };
+            }
         }
+    }
+
+    /// Writes every lane's walker state, then every lane's clock.
+    /// Degree and row are stored verbatim (not re-derived from the
+    /// backend) so a restored lane continues exactly the trajectory it
+    /// was on — including lanes whose replies came from a degraded
+    /// backend.
+    fn encode(&self, enc: &mut Encoder) {
+        enc.put_usize(self.vertex.len());
+        for lane in 0..self.vertex.len() {
+            put_vertex(enc, self.vertex[lane]);
+            enc.put_usize(self.degree[lane]);
+            enc.put_usize(self.row[lane]);
+            for word in self.rng[lane].state() {
+                enc.put_u64(word);
+            }
+        }
+        for fire in &self.next_fire {
+            match *fire {
+                Some(t) => {
+                    enc.put_u8(1);
+                    enc.put_f64(t);
+                }
+                None => enc.put_u8(0),
+            }
+        }
+    }
+
+    /// Decodes [`FsEventBatch::encode`] output, refusing a lane count
+    /// outside `1..=m` and a clock outside `[0, MAX_FS_CLOCK]`: a NaN
+    /// clock is never due, and one past [`MAX_FS_CLOCK`] may stop
+    /// moving, so either could keep a window filling forever. The
+    /// scratch arrays start empty (they are per-round state), so a
+    /// restored group steps bit-identically to the original.
+    fn decode(dec: &mut Decoder<'_>, m: usize) -> Result<Self, CheckpointError> {
+        // A lane is 56 bytes of state plus at least its clock's tag byte.
+        let n = dec.take_count(56 + 1)?;
+        if !(1..=m).contains(&n) {
+            return Err(CheckpointError::Malformed(format!(
+                "{n} walkers outside 1..={m}"
+            )));
+        }
+        let mut batch = FsEventBatch {
+            vertex: Vec::with_capacity(n),
+            degree: Vec::with_capacity(n),
+            row: Vec::with_capacity(n),
+            rng: Vec::with_capacity(n),
+            next_fire: Vec::with_capacity(n),
+            slots: Vec::new(),
+            slot_lanes: Vec::new(),
+        };
+        for _ in 0..n {
+            batch.vertex.push(take_vertex(dec)?);
+            batch.degree.push(dec.take_usize()?);
+            batch.row.push(dec.take_usize()?);
+            let mut state = [0u64; 4];
+            for word in &mut state {
+                *word = dec.take_u64()?;
+            }
+            batch.rng.push(SmallRng::from_state(state));
+        }
+        for _ in 0..n {
+            let fire = match dec.take_u8()? {
+                0 => None,
+                1 => Some(dec.take_f64()?),
+                t => {
+                    return Err(CheckpointError::Malformed(format!(
+                        "unknown option tag {t}"
+                    )))
+                }
+            };
+            if !fire.is_none_or(valid_time) {
+                return Err(CheckpointError::Malformed(
+                    "walker clock out of range".into(),
+                ));
+            }
+            batch.next_fire.push(fire);
+        }
+        Ok(batch)
     }
 }
 
@@ -336,6 +280,11 @@ const FS_WINDOW_HEADROOM: f64 = 1.10;
 /// times of high-degree vertices, so `t + dt` can round back to `t` and
 /// a walker's clock stop moving inside a window.
 const MAX_FS_CLOCK: f64 = (1u64 << 40) as f64;
+
+/// Whether a checkpointed clock or horizon is one `step` can run from.
+fn valid_time(t: f64) -> bool {
+    (0.0..=MAX_FS_CLOCK).contains(&t)
+}
 
 /// Frontier Sampling as a resumable step machine: the one windowed FS
 /// engine, driven chunk by chunk by [`crate::runner::ChunkedRunner`].
@@ -455,25 +404,7 @@ impl FsWindowWalk {
     }
 
     pub(crate) fn encode(&self, enc: &mut Encoder) {
-        let (lanes, fires) = self.engine.checkpoint();
-        enc.put_usize(lanes.len());
-        for lane in &lanes {
-            put_vertex(enc, lane.vertex);
-            enc.put_usize(lane.degree);
-            enc.put_usize(lane.row);
-            for word in lane.rng {
-                enc.put_u64(word);
-            }
-        }
-        for fire in &fires {
-            match *fire {
-                Some(t) => {
-                    enc.put_u8(1);
-                    enc.put_f64(t);
-                }
-                None => enc.put_u8(0),
-            }
-        }
+        self.engine.encode(enc);
         enc.put_f64(self.t_hi);
         enc.put_f64(self.volume);
         enc.put_u64(self.generated);
@@ -488,46 +419,13 @@ impl FsWindowWalk {
         enc.put_usize(self.emitted);
     }
 
-    /// Decodes [`FsWindowWalk::encode`] output. Rejects clocks and
-    /// horizons the encoder never writes and `step` could not run: a
-    /// NaN clock is never due, and a clock past [`MAX_FS_CLOCK`] may
-    /// stop moving, so either could keep a window filling forever.
-    pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<Self, CheckpointError> {
+    /// Decodes [`FsWindowWalk::encode`] output for a job of `m`
+    /// walkers. Rejects lanes, clocks and horizons the encoder never
+    /// writes and `step` could not run (see [`FsEventBatch::decode`]).
+    pub(crate) fn decode(dec: &mut Decoder<'_>, m: usize) -> Result<Self, CheckpointError> {
         let malformed = |what: &str| Err(CheckpointError::Malformed(what.into()));
-        let valid_time = |t: f64| (0.0..=MAX_FS_CLOCK).contains(&t);
-        // A lane is 56 bytes of state plus at least its clock's tag byte.
-        let n_lanes = dec.take_count(56 + 1)?;
-        let mut lanes = Vec::with_capacity(n_lanes);
-        for _ in 0..n_lanes {
-            let vertex = take_vertex(dec)?;
-            let degree = dec.take_usize()?;
-            let row = dec.take_usize()?;
-            let mut rng = [0u64; 4];
-            for word in &mut rng {
-                *word = dec.take_u64()?;
-            }
-            lanes.push(LaneState {
-                vertex,
-                degree,
-                row,
-                rng,
-            });
-        }
-        let mut fires = Vec::with_capacity(n_lanes);
-        for _ in 0..n_lanes {
-            fires.push(match dec.take_u8()? {
-                0 => None,
-                1 => Some(dec.take_f64()?),
-                t => {
-                    return Err(CheckpointError::Malformed(format!(
-                        "unknown option tag {t}"
-                    )))
-                }
-            });
-        }
-        if !fires.iter().flatten().all(|&t| valid_time(t)) {
-            return malformed("walker clock out of range");
-        }
+        let engine = FsEventBatch::decode(dec, m)?;
+        let n_lanes = engine.vertex.len();
         let t_hi = dec.take_f64()?;
         let volume = dec.take_f64()?;
         if !(valid_time(t_hi) && volume.is_finite() && volume >= 0.0) {
@@ -550,7 +448,7 @@ impl FsWindowWalk {
             return malformed("buffer cursor past end");
         }
         Ok(FsWindowWalk {
-            engine: FsEventBatch::from_checkpoint(&lanes, fires),
+            engine,
             t_hi,
             volume,
             generated,
@@ -603,59 +501,76 @@ mod tests {
 
     #[test]
     fn lockstep_matches_sequential_step_known() {
-        // Stepping 5 walkers in lockstep must reproduce each walker's
-        // sequential trajectory bit-for-bit.
+        // Five lanes advanced in lockstep must reproduce each walker's
+        // sequential trajectory bit for bit: the clock draw, then per
+        // event the `step_known` pick and the next holding time, all on
+        // the walker's own stream.
         let g = graph_from_undirected_pairs(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5)]);
         let starts: Vec<VertexId> = [0usize, 1, 2, 3, 4]
             .iter()
             .map(|&v| VertexId::new(v))
             .collect();
         let seeds: Vec<u64> = (0..5).map(|i| stream_seed(777, i)).collect();
+        let horizon = 20.0;
 
-        let mut expected: Vec<Vec<StepOutcome>> = Vec::new();
+        let mut expected: Vec<Vec<(u64, StepOutcome)>> = Vec::new();
         for (&s, &seed) in starts.iter().zip(seeds.iter()) {
             let mut rng = SmallRng::seed_from_u64(seed);
             let (mut v, mut d, mut row) = (s, g.degree(s), g.row_start(s));
+            let mut fire = walk::exp_holding_time(d, &mut rng);
             let mut trace = Vec::new();
-            for _ in 0..40 {
+            while let Some(t) = fire.filter(|&t| t <= horizon) {
                 let stepped = walk::step_known(&g, v, d, row, &mut rng);
-                trace.push(stepped.outcome);
+                trace.push((t.to_bits(), stepped.outcome));
                 v = stepped.outcome.position_after(v);
                 d = stepped.degree_after;
                 row = stepped.row_after;
+                fire = walk::exp_holding_time(d, &mut rng).map(|dt| t + dt);
             }
             expected.push(trace);
         }
 
-        let mut batch = WalkerBatch::new(&g, &starts, &seeds);
-        let mut traces: Vec<Vec<StepOutcome>> = vec![Vec::new(); 5];
-        let lanes: Vec<usize> = (0..5).collect();
-        for _ in 0..40 {
-            batch.step_lanes(&g, &lanes, |lane, stepped, _| {
-                traces[lane].push(stepped.outcome)
-            });
-        }
+        let mut batch = FsEventBatch::new(&g, &starts, &seeds);
+        let mut traces: Vec<Vec<(u64, StepOutcome)>> = vec![Vec::new(); 5];
+        batch.advance(&g, horizon, |lane, t, o| {
+            traces[lane].push((t.to_bits(), o))
+        });
         assert_eq!(traces, expected);
+        assert!(expected.iter().all(|trace| trace.len() >= 10));
     }
 
     #[test]
     fn isolated_lanes_resolve_without_rng() {
+        // An isolated start draws no clock and never fires. A lane left
+        // on a degree-0 vertex with a pending clock emits one `Isolated`
+        // event and stops, drawing nothing. The live lane keeps walking.
         let g = graph_from_undirected_pairs(3, [(0, 1)]);
         let starts = [VertexId::new(2), VertexId::new(0)];
         let seeds = [stream_seed(5, 0), stream_seed(5, 1)];
-        let mut batch = WalkerBatch::new(&g, &starts, &seeds);
+        let mut batch = FsEventBatch::new(&g, &starts, &seeds);
+        assert_eq!(batch.next_fire[0], None);
+        assert_eq!(batch.rate(), 1.0);
         let mut outcomes = Vec::new();
-        batch.step_lanes(&g, &[0, 1], |lane, stepped, _| {
-            outcomes.push((lane, stepped.outcome))
-        });
-        assert_eq!(outcomes[0], (0, StepOutcome::Isolated));
-        assert!(matches!(outcomes[1], (1, StepOutcome::Edge(_))));
-        // The isolated lane stays isolated; the live lane keeps walking.
-        batch.step_lanes(&g, &[0, 1], |lane, stepped, _| {
+        batch.advance(&g, 5.0, |lane, _, o| outcomes.push((lane, o)));
+        assert!(!outcomes.is_empty());
+        assert!(outcomes
+            .iter()
+            .all(|&(lane, o)| lane == 1 && matches!(o, StepOutcome::Edge(_))));
+
+        batch.next_fire[0] = Some(6.0);
+        let mut isolated = Vec::new();
+        batch.advance(&g, 7.0, |lane, t, o| {
             if lane == 0 {
-                assert_eq!(stepped.outcome, StepOutcome::Isolated);
+                isolated.push((t, o))
             }
         });
+        assert_eq!(isolated, [(6.0, StepOutcome::Isolated)]);
+        assert_eq!(batch.next_fire[0], None);
+        assert_eq!(
+            batch.rng[0].state(),
+            SmallRng::seed_from_u64(seeds[0]).state()
+        );
+        assert!(!batch.all_stuck());
     }
 
     #[test]
@@ -714,7 +629,7 @@ mod tests {
 
     #[test]
     fn decode_rejects_window_states_that_cannot_run() {
-        let decode = |blob: Vec<u8>| FsWindowWalk::decode(&mut Decoder::new(&blob)).map(|_| ());
+        let decode = |blob: Vec<u8>| FsWindowWalk::decode(&mut Decoder::new(&blob), 1).map(|_| ());
         assert_eq!(decode(window_blob(1.0, 0.5, 2.0, 1, 0)), Ok(()));
         let bad = [
             ("NaN clock", window_blob(f64::NAN, 0.5, 2.0, 1, 0)),
@@ -750,7 +665,7 @@ mod tests {
         let g = graph_from_undirected_pairs(3, [(0, 1), (0, 2)]);
         for (fire, t_hi, generated) in [(1e9, 1.0, 1 << 50), (1.0, 0.0, 1)] {
             let blob = window_blob(fire, t_hi, 2.0, generated, 0);
-            let mut walk = FsWindowWalk::decode(&mut Decoder::new(&blob)).expect("valid blob");
+            let mut walk = FsWindowWalk::decode(&mut Decoder::new(&blob), 1).expect("valid blob");
             let mut budget = Budget::new(1e6);
             let mut emitted = 0;
             let done = (0..=100).any(|_| walk.step(&g, &mut budget, 1.0, |_, _| emitted += 1));

@@ -7,7 +7,10 @@
 //! bit. This module provides the codec that
 //! [`crate::runner::ChunkedRunner::serialize`] and
 //! [`crate::runner::JobEstimator::serialize`] build on, plus the error
-//! taxonomy their `resume` constructors report.
+//! taxonomy their `resume` constructors report. Each walk machine and
+//! each estimator encodes and decodes its own fields in its own module;
+//! the field codecs they share (vertex ids, degree kinds, runs of
+//! `f64`, checked sums, configuration checks) live here.
 //!
 //! ## Format
 //!
@@ -23,10 +26,14 @@
 //! magic, or trailing garbage each yields a distinct
 //! [`CheckpointError`] — a corrupt checkpoint must never resume into a
 //! silently wrong state machine (pinned by the corruption proptests in
-//! `tests/checkpoint_resume.rs`). Callers that hold a journal can then
-//! fall back to re-running from scratch, which the determinism contract
-//! makes equally correct, just slower.
+//! `tests/checkpoint_resume.rs`). A checkpoint that contradicts the job
+//! it resumes (another sampler's walk, another α or degree kind) or
+//! holds what no run can reach (a NaN or negative sum, a clock out of
+//! range) is refused the same way, as `Malformed`. Callers that hold a
+//! journal can then fall back to re-running from scratch, which the
+//! determinism contract makes equally correct, just slower.
 
+use fs_graph::stats::DegreeKind;
 use fs_graph::VertexId;
 use std::fmt;
 
@@ -282,10 +289,6 @@ impl<'a> Decoder<'a> {
     }
 }
 
-/// Decode-time plausibility bound on the pop_size visit table's dense
-/// universe length, which sizes no allocation of its own.
-pub(crate) const MAX_CHECKPOINT_BUFFER: usize = 1 << 28;
-
 /// Appends a vertex id as its `usize` index.
 pub(crate) fn put_vertex(enc: &mut Encoder, v: VertexId) {
     enc.put_usize(v.index());
@@ -294,6 +297,72 @@ pub(crate) fn put_vertex(enc: &mut Encoder, v: VertexId) {
 /// Inverse of [`put_vertex`].
 pub(crate) fn take_vertex(dec: &mut Decoder<'_>) -> Result<VertexId, CheckpointError> {
     Ok(VertexId::new(dec.take_usize()?))
+}
+
+/// Appends a degree notion as its one-byte tag.
+pub(crate) fn put_degree_kind(enc: &mut Encoder, kind: DegreeKind) {
+    enc.put_u8(match kind {
+        DegreeKind::Symmetric => 0,
+        DegreeKind::InOriginal => 1,
+        DegreeKind::OutOriginal => 2,
+    });
+}
+
+/// Inverse of [`put_degree_kind`].
+pub(crate) fn take_degree_kind(dec: &mut Decoder<'_>) -> Result<DegreeKind, CheckpointError> {
+    Ok(match dec.take_u8()? {
+        0 => DegreeKind::Symmetric,
+        1 => DegreeKind::InOriginal,
+        2 => DegreeKind::OutOriginal,
+        t => {
+            return Err(CheckpointError::Malformed(format!(
+                "unknown degree kind {t}"
+            )))
+        }
+    })
+}
+
+/// Appends a length-prefixed run of `f64`s.
+pub(crate) fn put_f64_slice(enc: &mut Encoder, v: &[f64]) {
+    enc.put_usize(v.len());
+    for &x in v {
+        enc.put_f64(x);
+    }
+}
+
+/// Reads an accumulated sum of nonnegative terms, refusing what no run
+/// can accumulate: a NaN, an infinity or a negative value.
+pub(crate) fn take_sum(dec: &mut Decoder<'_>) -> Result<f64, CheckpointError> {
+    let x = dec.take_f64()?;
+    if x.is_finite() && x >= 0.0 {
+        Ok(x)
+    } else {
+        Err(CheckpointError::Malformed(format!(
+            "invalid accumulator {x}"
+        )))
+    }
+}
+
+/// Reads a [`put_f64_slice`] run of sums, each checked as [`take_sum`].
+pub(crate) fn take_sums(dec: &mut Decoder<'_>) -> Result<Vec<f64>, CheckpointError> {
+    let n = dec.take_count(8)?;
+    (0..n).map(|_| take_sum(dec)).collect()
+}
+
+/// Refuses a checkpoint whose stored `what` differs from the resuming
+/// job's own: a blob never changes how a machine is configured.
+pub(crate) fn expect_same<T: PartialEq + fmt::Debug>(
+    what: &str,
+    stored: T,
+    job: T,
+) -> Result<(), CheckpointError> {
+    if stored == job {
+        Ok(())
+    } else {
+        Err(CheckpointError::Malformed(format!(
+            "checkpoint {what} {stored:?} differs from the job's {job:?}"
+        )))
+    }
 }
 
 #[cfg(test)]

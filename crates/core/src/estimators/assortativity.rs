@@ -10,6 +10,7 @@
 //! and `r̂ → r` almost surely.
 
 use super::EdgeEstimator;
+use crate::checkpoint::{take_sum, CheckpointError, Decoder, Encoder};
 use fs_graph::assortativity::MomentAccumulator;
 use fs_graph::{Arc, GraphAccess};
 
@@ -42,17 +43,24 @@ impl AssortativityEstimator {
         self.observed
     }
 
-    /// Raw accumulators for exact checkpointing (runner serialization).
-    pub(crate) fn checkpoint_state(&self) -> ([f64; 6], usize) {
-        (self.moments.state(), self.observed)
+    /// Writes the six moment sums' exact bits, then the count: this
+    /// state's FSEC layout.
+    pub(crate) fn encode(&self, enc: &mut Encoder) {
+        for m in self.moments.state() {
+            enc.put_f64(m);
+        }
+        enc.put_usize(self.observed);
     }
 
-    /// Rebuilds the estimator from checkpointed accumulators.
-    pub(crate) fn from_checkpoint_state(moments: [f64; 6], observed: usize) -> Self {
-        AssortativityEstimator {
-            moments: MomentAccumulator::from_state(moments),
-            observed,
+    /// Restores [`Self::encode`]'s accumulators into this estimator.
+    pub(crate) fn decode(&mut self, dec: &mut Decoder<'_>) -> Result<(), CheckpointError> {
+        let mut moments = [0.0f64; 6];
+        for m in &mut moments {
+            *m = take_sum(dec)?;
         }
+        self.moments = MomentAccumulator::from_state(moments);
+        self.observed = dec.take_usize()?;
+        Ok(())
     }
 }
 

@@ -9,6 +9,7 @@
 //! *degree-biased* mean `E[deg²]/E[deg]`.
 
 use super::EdgeEstimator;
+use crate::checkpoint::{take_sum, CheckpointError, Decoder, Encoder};
 use fs_graph::{Arc, GraphAccess};
 
 /// Streaming estimator of the average (symmetric) degree.
@@ -52,22 +53,19 @@ impl AverageDegreeEstimator {
         self.observed
     }
 
-    /// Raw accumulators for exact checkpointing (runner serialization).
-    pub(crate) fn checkpoint_state(&self) -> (f64, f64, usize) {
-        (self.inv_degree_sum, self.degree_sum, self.observed)
+    /// Writes the accumulators' exact bits: this state's FSEC layout.
+    pub(crate) fn encode(&self, enc: &mut Encoder) {
+        enc.put_f64(self.inv_degree_sum);
+        enc.put_f64(self.degree_sum);
+        enc.put_usize(self.observed);
     }
 
-    /// Rebuilds the estimator from checkpointed accumulators.
-    pub(crate) fn from_checkpoint_state(
-        inv_degree_sum: f64,
-        degree_sum: f64,
-        observed: usize,
-    ) -> Self {
-        AverageDegreeEstimator {
-            inv_degree_sum,
-            degree_sum,
-            observed,
-        }
+    /// Restores [`Self::encode`]'s accumulators into this estimator.
+    pub(crate) fn decode(&mut self, dec: &mut Decoder<'_>) -> Result<(), CheckpointError> {
+        self.inv_degree_sum = take_sum(dec)?;
+        self.degree_sum = take_sum(dec)?;
+        self.observed = dec.take_usize()?;
+        Ok(())
     }
 }
 

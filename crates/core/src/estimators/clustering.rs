@@ -30,6 +30,7 @@
 //! tests verify against exact triangle counts.
 
 use super::EdgeEstimator;
+use crate::checkpoint::{take_sum, CheckpointError, Decoder, Encoder};
 use fs_graph::triangles::binom2;
 use fs_graph::{shared_neighbors_via, Arc, GraphAccess};
 
@@ -61,18 +62,19 @@ impl ClusteringEstimator {
         self.observed
     }
 
-    /// Raw accumulators for exact checkpointing (runner serialization).
-    pub(crate) fn checkpoint_state(&self) -> (f64, f64, usize) {
-        (self.numerator, self.denominator, self.observed)
+    /// Writes the accumulators' exact bits: this state's FSEC layout.
+    pub(crate) fn encode(&self, enc: &mut Encoder) {
+        enc.put_f64(self.numerator);
+        enc.put_f64(self.denominator);
+        enc.put_usize(self.observed);
     }
 
-    /// Rebuilds the estimator from checkpointed accumulators.
-    pub(crate) fn from_checkpoint_state(numerator: f64, denominator: f64, observed: usize) -> Self {
-        ClusteringEstimator {
-            numerator,
-            denominator,
-            observed,
-        }
+    /// Restores [`Self::encode`]'s accumulators into this estimator.
+    pub(crate) fn decode(&mut self, dec: &mut Decoder<'_>) -> Result<(), CheckpointError> {
+        self.numerator = take_sum(dec)?;
+        self.denominator = take_sum(dec)?;
+        self.observed = dec.take_usize()?;
+        Ok(())
     }
 }
 

@@ -15,6 +15,10 @@
 //! Figures 12–13).
 
 use super::EdgeEstimator;
+use crate::checkpoint::{
+    expect_same, put_degree_kind, put_f64_slice, take_degree_kind, take_sum, take_sums,
+    CheckpointError, Decoder, Encoder,
+};
 use fs_graph::stats::DegreeKind;
 use fs_graph::{Arc, GraphAccess, VertexId};
 
@@ -85,29 +89,23 @@ impl DegreeDistributionEstimator {
         self.observed
     }
 
-    /// Raw accumulators for exact checkpointing (runner serialization).
-    pub(crate) fn checkpoint_state(&self) -> (DegreeKind, &[f64], f64, usize) {
-        (
-            self.kind,
-            &self.weighted,
-            self.inv_degree_sum,
-            self.observed,
-        )
+    /// Writes the degree kind and the accumulators' exact bits: this
+    /// state's FSEC layout.
+    pub(crate) fn encode(&self, enc: &mut Encoder) {
+        put_degree_kind(enc, self.kind);
+        put_f64_slice(enc, &self.weighted);
+        enc.put_f64(self.inv_degree_sum);
+        enc.put_usize(self.observed);
     }
 
-    /// Rebuilds the estimator from checkpointed accumulators.
-    pub(crate) fn from_checkpoint_state(
-        kind: DegreeKind,
-        weighted: Vec<f64>,
-        inv_degree_sum: f64,
-        observed: usize,
-    ) -> Self {
-        DegreeDistributionEstimator {
-            kind,
-            weighted,
-            inv_degree_sum,
-            observed,
-        }
+    /// Restores [`Self::encode`]'s accumulators into this estimator,
+    /// refusing a blob of another degree kind.
+    pub(crate) fn decode(&mut self, dec: &mut Decoder<'_>) -> Result<(), CheckpointError> {
+        expect_same("degree kind", take_degree_kind(dec)?, self.kind)?;
+        self.weighted = take_sums(dec)?;
+        self.inv_degree_sum = take_sum(dec)?;
+        self.observed = dec.take_usize()?;
+        Ok(())
     }
 }
 
@@ -191,18 +189,25 @@ impl VertexSampleDegreeEstimator {
         self.total
     }
 
-    /// Raw accumulators for exact checkpointing (runner serialization).
-    pub(crate) fn checkpoint_state(&self) -> (DegreeKind, &[u64], u64) {
-        (self.kind, &self.counts, self.total)
+    /// Writes the degree kind, the histogram and its total: this
+    /// state's FSEC layout.
+    pub(crate) fn encode(&self, enc: &mut Encoder) {
+        put_degree_kind(enc, self.kind);
+        enc.put_usize(self.counts.len());
+        for &c in &self.counts {
+            enc.put_u64(c);
+        }
+        enc.put_u64(self.total);
     }
 
-    /// Rebuilds the estimator from checkpointed accumulators.
-    pub(crate) fn from_checkpoint_state(kind: DegreeKind, counts: Vec<u64>, total: u64) -> Self {
-        VertexSampleDegreeEstimator {
-            kind,
-            counts,
-            total,
-        }
+    /// Restores [`Self::encode`]'s histogram into this estimator,
+    /// refusing a blob of another degree kind.
+    pub(crate) fn decode(&mut self, dec: &mut Decoder<'_>) -> Result<(), CheckpointError> {
+        expect_same("degree kind", take_degree_kind(dec)?, self.kind)?;
+        let n = dec.take_count(8)?;
+        self.counts = (0..n).map(|_| dec.take_u64()).collect::<Result<_, _>>()?;
+        self.total = dec.take_u64()?;
+        Ok(())
     }
 }
 

@@ -28,6 +28,7 @@
 //! so journals resume across builds.
 
 use super::EdgeEstimator;
+use crate::checkpoint::{take_sum, CheckpointError, Decoder, Encoder};
 use fs_graph::{Arc, GraphAccess, VertexId};
 
 /// Largest universe (at the first observation) whose checkpoint is
@@ -159,11 +160,12 @@ impl PopulationSizeEstimator {
         self.observed
     }
 
-    /// Raw accumulators for exact checkpointing (runner serialization).
-    /// The visit counters are captured as their mode (see the module
-    /// docs) plus the `(vertex index, count)` entries sorted by index,
-    /// so the encoding is canonical whatever the table's slot order.
-    pub(crate) fn checkpoint_state(&self) -> PopulationCheckpoint {
+    /// Writes the sums, the visit counters and the collision and sample
+    /// counts: this state's FSEC layout. The counters are their mode
+    /// (see the module docs) plus the `(vertex index, count)` entries
+    /// sorted by index, so the bytes are canonical whatever the table's
+    /// slot order.
+    pub(crate) fn encode(&self, enc: &mut Encoder) {
         let mut entries: Vec<(u64, u32)> = (self.counts.slots.iter())
             .filter(|&&s| s != 0)
             .map(|&s| (s >> 32, s as u32))
@@ -175,64 +177,59 @@ impl PopulationSizeEstimator {
             Some(len) => (1, len.max(past_largest)),
             None => (2, 0),
         };
-        PopulationCheckpoint {
-            degree_sum: self.degree_sum,
-            inv_degree_sum: self.inv_degree_sum,
-            counts_mode,
-            dense_len,
-            entries,
-            collisions: self.collisions,
-            observed: self.observed,
+        enc.put_f64(self.degree_sum);
+        enc.put_f64(self.inv_degree_sum);
+        enc.put_u8(counts_mode);
+        enc.put_usize(dense_len);
+        enc.put_usize(entries.len());
+        for (i, c) in entries {
+            enc.put_u64(i);
+            enc.put_u32(c);
         }
+        enc.put_u64(self.collisions);
+        enc.put_usize(self.observed);
     }
 
-    /// Rebuilds the estimator from checkpointed accumulators; `Err` on
-    /// an unknown mode byte, or on entries that are not nonzero, strictly
+    /// Restores [`Self::encode`]'s state into this estimator; refuses an
+    /// unknown mode byte, and entries that are not nonzero, strictly
     /// increasing by index and in the mode's range.
-    pub(crate) fn from_checkpoint_state(ck: PopulationCheckpoint) -> Result<Self, String> {
-        let (n, len) = (ck.entries.len(), ck.dense_len);
-        let (mut counts, limit) = match ck.counts_mode {
+    pub(crate) fn decode(&mut self, dec: &mut Decoder<'_>) -> Result<(), CheckpointError> {
+        let malformed = |what: &str| Err(CheckpointError::Malformed(what.into()));
+        self.degree_sum = take_sum(dec)?;
+        self.inv_degree_sum = take_sum(dec)?;
+        let counts_mode = dec.take_u8()?;
+        let len = dec.take_usize()?;
+        // An entry is a u64 index and a u32 count.
+        let n = dec.take_count(8 + 4)?;
+        let (mut counts, limit) = match counts_mode {
             0 => (VisitCounts::default(), 0),
             1 => (
                 VisitCounts::with_capacity(n, Some(len)),
                 (len as u64).min(1 << 32),
             ),
             2 => (VisitCounts::with_capacity(n, None), 1 << 32),
-            other => return Err(format!("unknown visit-counter mode {other}")),
+            other => {
+                return Err(CheckpointError::Malformed(format!(
+                    "unknown visit-counter mode {other}"
+                )))
+            }
         };
         let mut next = 0u64;
-        for &(i, c) in &ck.entries {
+        for _ in 0..n {
+            let (i, c) = (dec.take_u64()?, dec.take_u32()?);
             if i < next || i >= limit || c == 0 {
-                return Err("visit entries not nonzero, sorted and in range".into());
+                return malformed("visit entries not nonzero, sorted and in range");
             }
             let (slot, _) = counts.find(i as u32);
             counts.slots[slot] = i << 32 | u64::from(c);
             counts.len += 1;
             next = i + 1;
         }
-        Ok(PopulationSizeEstimator {
-            degree_sum: ck.degree_sum,
-            inv_degree_sum: ck.inv_degree_sum,
-            counts,
-            collisions: ck.collisions,
-            observed: ck.observed,
-        })
+        self.counts = counts;
+        self.collisions = dec.take_u64()?;
+        self.observed = dec.take_usize()?;
+        Ok(())
     }
-}
-
-/// Exact checkpoint of a [`PopulationSizeEstimator`] (crate-internal;
-/// see [`crate::runner::JobEstimator`] serialization).
-pub(crate) struct PopulationCheckpoint {
-    pub degree_sum: f64,
-    pub inv_degree_sum: f64,
-    /// 0 = undecided, 1 = dense, 2 = sparse (see the module docs).
-    pub counts_mode: u8,
-    /// Universe length (mode 1 only).
-    pub dense_len: usize,
-    /// Nonzero `(vertex index, count)` pairs, sorted by index.
-    pub entries: Vec<(u64, u32)>,
-    pub collisions: u64,
-    pub observed: usize,
 }
 
 impl<A: GraphAccess + ?Sized> EdgeEstimator<A> for PopulationSizeEstimator {
@@ -300,13 +297,51 @@ mod tests {
 
     /// Round-trips the counters through the estimator checkpoint.
     fn round_trip(counts: VisitCounts) -> VisitCounts {
-        let est = PopulationSizeEstimator {
+        let mut enc = Encoder::new();
+        PopulationSizeEstimator {
             counts,
             ..PopulationSizeEstimator::default()
-        };
-        PopulationSizeEstimator::from_checkpoint_state(est.checkpoint_state())
-            .expect("own checkpoint resumes")
-            .counts
+        }
+        .encode(&mut enc);
+        let mut est = PopulationSizeEstimator::new();
+        est.decode(&mut Decoder::new(&enc.into_bytes()))
+            .expect("own checkpoint resumes");
+        est.counts
+    }
+
+    /// The counters' checkpoint as (mode, universe length, entries).
+    fn encoded_counts(counts: VisitCounts) -> (u8, u64, Vec<(u64, u32)>) {
+        let mut enc = Encoder::new();
+        PopulationSizeEstimator {
+            counts,
+            ..PopulationSizeEstimator::default()
+        }
+        .encode(&mut enc);
+        let bytes = enc.into_bytes();
+        let mut dec = Decoder::new(&bytes[16..]); // past the two sums
+        let (mode, len) = (dec.take_u8().unwrap(), dec.take_u64().unwrap());
+        let n = dec.take_u64().unwrap();
+        let entries = (0..n)
+            .map(|_| (dec.take_u64().unwrap(), dec.take_u32().unwrap()))
+            .collect();
+        (mode, len, entries)
+    }
+
+    /// A population state with the given counters and zero sums.
+    fn population_body(counts_mode: u8, dense_len: u64, entries: &[(u64, u32)]) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        enc.put_f64(0.0);
+        enc.put_f64(0.0);
+        enc.put_u8(counts_mode);
+        enc.put_u64(dense_len);
+        enc.put_usize(entries.len());
+        for &(i, c) in entries {
+            enc.put_u64(i);
+            enc.put_u32(c);
+        }
+        enc.put_u64(0);
+        enc.put_u64(0);
+        enc.into_bytes()
     }
 
     #[test]
@@ -346,21 +381,14 @@ mod tests {
                 collisions,
                 reference.values().map(|&c| pairs(c)).sum::<u64>()
             );
-            let ck = PopulationSizeEstimator {
-                counts,
-                ..PopulationSizeEstimator::default()
-            }
-            .checkpoint_state();
+            let (mode, dense_len, entries) = encoded_counts(counts);
             let want: Vec<(u64, u32)> = reference.iter().map(|(&i, &c)| (i.into(), c)).collect();
-            assert_eq!(ck.entries, want, "seed {seed}");
+            assert_eq!(entries, want, "seed {seed}");
             let largest = *reference.keys().next_back().unwrap() as usize;
             if universe <= DENSE_UNIVERSE_MAX {
-                assert_eq!(
-                    (ck.counts_mode, ck.dense_len),
-                    (1, universe.max(largest + 1))
-                );
+                assert_eq!((mode, dense_len), (1, universe.max(largest + 1) as u64));
             } else {
-                assert_eq!((ck.counts_mode, ck.dense_len), (2, 0));
+                assert_eq!((mode, dense_len), (2, 0));
             }
         }
     }
@@ -379,16 +407,11 @@ mod tests {
 
     #[test]
     fn malformed_counter_checkpoints_are_rejected() {
-        let ck = |counts_mode, dense_len, entries: &[(u64, u32)]| PopulationCheckpoint {
-            degree_sum: 0.0,
-            inv_degree_sum: 0.0,
-            counts_mode,
-            dense_len,
-            entries: entries.to_vec(),
-            collisions: 0,
-            observed: 0,
+        let ck = population_body;
+        let resume = |body: Vec<u8>| {
+            let mut dec = Decoder::new(&body);
+            PopulationSizeEstimator::new().decode(&mut dec).is_ok()
         };
-        let resume = |c| PopulationSizeEstimator::from_checkpoint_state(c).is_ok();
         assert!(resume(ck(1, 10, &[(2, 1), (9, 3)])));
         assert!(resume(ck(2, 0, &[(2, 1), (u32::MAX.into(), 3)])));
         assert!(!resume(ck(0, 0, &[(2, 1)])), "undecided with entries");

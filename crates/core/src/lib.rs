@@ -44,8 +44,11 @@
 //! * Execution: the chunked runner ([`ChunkedRunner`], [`runner`]) drives
 //!   every sampler as a resumable step machine, chunk by chunk; the
 //!   server runs every job through it. FS has one windowed event engine
-//!   ([`batch`]) behind the runner, on the calling thread, and
-//!   [`DistributedFs`] is its bit-exact heap-based reference.
+//!   over the SoA walker lanes of [`FsEventBatch`] ([`batch`]) behind
+//!   the runner, on the calling thread, and [`DistributedFs`] is its
+//!   bit-exact heap-based reference. Runs and estimators checkpoint
+//!   into versioned blobs ([`checkpoint`]); each machine and estimator
+//!   encodes its own fields.
 //!   [`ParallelWalkerPool::run_chains`] ([`parallel`]) runs independent
 //!   chains for replication and diagnostics across threads on
 //!   SplitMix-derived RNG streams, bit-identical for 1, 2, or N threads.
@@ -114,7 +117,7 @@ pub use ablation::UniformSelectWalkers;
 pub use adaptive::{AdaptiveFrontier, AdaptiveOutcome};
 pub use alias::AliasTable;
 pub use backend::{CachedAccess, CrawlAccess, CrawlStats};
-pub use batch::{FsEventBatch, LaneState, WalkerBatch};
+pub use batch::FsEventBatch;
 pub use budget::{Budget, CostModel};
 pub use checkpoint::CheckpointError;
 pub use coverage::CoverageTracker;

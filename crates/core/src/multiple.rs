@@ -195,8 +195,15 @@ impl MultipleRwWalk {
         self.pos.encode(enc);
     }
 
-    pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<Self, CheckpointError> {
+    /// Decodes [`MultipleRwWalk::encode`] output, refusing a walk with
+    /// no starts or more than the job's `m`.
+    pub(crate) fn decode(dec: &mut Decoder<'_>, m: usize) -> Result<Self, CheckpointError> {
         let n_starts = dec.take_count(8)?;
+        if !(1..=m).contains(&n_starts) {
+            return Err(CheckpointError::Malformed(format!(
+                "{n_starts} walkers outside 1..={m}"
+            )));
+        }
         let mut starts = Vec::with_capacity(n_starts);
         for _ in 0..n_starts {
             starts.push(take_vertex(dec)?);

@@ -40,8 +40,7 @@
 
 use crate::batch::FsWindowWalk;
 use crate::budget::{Budget, CostModel};
-use crate::checkpoint::{CheckpointError, Decoder, Encoder, MAX_CHECKPOINT_BUFFER};
-use crate::estimators::population::PopulationCheckpoint;
+use crate::checkpoint::{expect_same, take_sum, CheckpointError, Decoder, Encoder};
 use crate::estimators::{
     AssortativityEstimator, AverageDegreeEstimator, ClusteringEstimator,
     DegreeDistributionEstimator, EdgeEstimator, PopulationSizeEstimator,
@@ -482,10 +481,11 @@ impl<'a, A: GraphAccess + ?Sized> ChunkedRunner<'a, A> {
     /// Rebuilds a runner from [`ChunkedRunner::serialize`] bytes,
     /// continuing the run bit-identically to never having paused.
     ///
-    /// `spec` must be the sampler the checkpoint was taken for and
-    /// `access` must present the **same graph content** the original
-    /// run observed (the serving layer enforces this by store digest);
-    /// a spec mismatch is detected here, a corrupt blob is rejected by
+    /// `spec` must be the sampler the checkpoint was taken for, and the
+    /// stored walk that sampler's machine with at most `m` walkers and
+    /// the spec's α; `access` must present the **same graph content**
+    /// the original run observed (the serving layer enforces this by
+    /// store digest). A mismatch is refused here, a corrupt blob by
     /// checksum before any field is trusted.
     pub fn resume(
         spec: &SamplerSpec,
@@ -523,17 +523,24 @@ impl<'a, A: GraphAccess + ?Sized> ChunkedRunner<'a, A> {
                 )))
             }
         };
-        let state = match dec.take_u8()? {
-            0 => State::Drained,
-            1 => State::Single(SingleRwWalk(Position::decode(&mut dec)?)),
-            2 => State::Frontier(FsWindowWalk::decode(&mut dec)?),
-            3 => State::Multiple(MultipleRwWalk::decode(&mut dec)?),
-            4 => State::Mhrw(MhrwWalk(Position::decode(&mut dec)?)),
-            5 => State::Nbrw(NbrwWalk::decode(&mut dec)?),
-            6 => State::Rwj(RwjWalk::decode(&mut dec)?),
-            t => {
+        // A stored walk must be the spec's own machine (or none at all),
+        // configured as the spec says.
+        let state = match (dec.take_u8()?, spec) {
+            (0, _) => State::Drained,
+            (1, SamplerSpec::Single) => State::Single(SingleRwWalk(Position::decode(&mut dec)?)),
+            (2, &SamplerSpec::Frontier { m }) => {
+                State::Frontier(FsWindowWalk::decode(&mut dec, m)?)
+            }
+            (3, &SamplerSpec::Multiple { m }) => {
+                State::Multiple(MultipleRwWalk::decode(&mut dec, m)?)
+            }
+            (4, SamplerSpec::Mhrw) => State::Mhrw(MhrwWalk(Position::decode(&mut dec)?)),
+            (5, SamplerSpec::Nbrw) => State::Nbrw(NbrwWalk::decode(&mut dec)?),
+            (6, &SamplerSpec::Rwj { alpha }) => State::Rwj(RwjWalk::decode(&mut dec, alpha)?),
+            (t, _) => {
                 return Err(CheckpointError::Malformed(format!(
-                    "unknown runner state tag {t}"
+                    "runner state tag {t} is not a {} walk",
+                    spec.label()
                 )))
             }
         };
@@ -569,20 +576,23 @@ pub enum EstimatorSpec {
 }
 
 impl EstimatorSpec {
+    /// Every estimator in declaration order, which is the checkpoint's
+    /// tag order (`spec as u8`).
+    const ALL: [EstimatorSpec; 6] = [
+        EstimatorSpec::AverageDegree,
+        EstimatorSpec::DegreeDist,
+        EstimatorSpec::Ccdf,
+        EstimatorSpec::Assortativity,
+        EstimatorSpec::Clustering,
+        EstimatorSpec::PopulationSize,
+    ];
+
     /// Parses the wire name used by the serving layer.
     pub fn parse(name: &str) -> Result<EstimatorSpec, String> {
-        Ok(match name {
-            "avg_degree" => EstimatorSpec::AverageDegree,
-            "degree_dist" => EstimatorSpec::DegreeDist,
-            "ccdf" => EstimatorSpec::Ccdf,
-            "assortativity" => EstimatorSpec::Assortativity,
-            "clustering" => EstimatorSpec::Clustering,
-            "pop_size" => EstimatorSpec::PopulationSize,
-            other => {
-                return Err(format!(
-                    "unknown estimator '{other}' (expected avg_degree|degree_dist|ccdf|assortativity|clustering|pop_size)"
-                ))
-            }
+        Self::ALL.into_iter().find(|e| e.name() == name).ok_or_else(|| {
+            format!(
+                "unknown estimator '{name}' (expected avg_degree|degree_dist|ccdf|assortativity|clustering|pop_size)"
+            )
         })
     }
 
@@ -812,84 +822,26 @@ impl JobEstimator {
     /// snapshot bit-for-bit.
     pub fn serialize(&self) -> Vec<u8> {
         let mut enc = Encoder::with_header(ESTIMATOR_MAGIC, ESTIMATOR_VERSION);
-        enc.put_u8(self.spec.checkpoint_tag());
+        enc.put_u8(self.spec as u8);
+        enc.put_u8(self.state.tag());
         match &self.state {
-            EstState::EdgeAvgDeg(e) => {
-                enc.put_u8(0);
-                let (inv_degree_sum, degree_sum, observed) = e.checkpoint_state();
-                enc.put_f64(inv_degree_sum);
-                enc.put_f64(degree_sum);
-                enc.put_usize(observed);
-            }
-            EstState::EdgeDegreeDist(e) => {
-                enc.put_u8(1);
-                let (kind, weighted, inv_degree_sum, observed) = e.checkpoint_state();
-                put_degree_kind(&mut enc, kind);
-                put_f64_slice(&mut enc, weighted);
-                enc.put_f64(inv_degree_sum);
-                enc.put_usize(observed);
-            }
-            EstState::EdgeAssort(e) => {
-                enc.put_u8(2);
-                let (moments, observed) = e.checkpoint_state();
-                for m in moments {
-                    enc.put_f64(m);
-                }
-                enc.put_usize(observed);
-            }
-            EstState::EdgeClust(e) => {
-                enc.put_u8(3);
-                let (numerator, denominator, observed) = e.checkpoint_state();
-                enc.put_f64(numerator);
-                enc.put_f64(denominator);
-                enc.put_usize(observed);
-            }
-            EstState::EdgePop(e) => {
-                enc.put_u8(4);
-                let ck = e.checkpoint_state();
-                enc.put_f64(ck.degree_sum);
-                enc.put_f64(ck.inv_degree_sum);
-                enc.put_u8(ck.counts_mode);
-                enc.put_usize(ck.dense_len);
-                enc.put_usize(ck.entries.len());
-                for &(i, c) in &ck.entries {
-                    enc.put_u64(i);
-                    enc.put_u32(c);
-                }
-                enc.put_u64(ck.collisions);
-                enc.put_usize(ck.observed);
-            }
-            EstState::MhrwDegreeDist(e) => {
-                enc.put_u8(5);
-                let (kind, counts, total) = e.checkpoint_state();
-                put_degree_kind(&mut enc, kind);
-                enc.put_usize(counts.len());
-                for &c in counts {
-                    enc.put_u64(c);
-                }
-                enc.put_u64(total);
-            }
+            EstState::EdgeAvgDeg(e) => e.encode(&mut enc),
+            EstState::EdgeDegreeDist(e) => e.encode(&mut enc),
+            EstState::EdgeAssort(e) => e.encode(&mut enc),
+            EstState::EdgeClust(e) => e.encode(&mut enc),
+            EstState::EdgePop(e) => e.encode(&mut enc),
+            EstState::MhrwDegreeDist(e) => e.encode(&mut enc),
             EstState::MhrwAvgDeg { sum, n } => {
-                enc.put_u8(6);
                 enc.put_f64(*sum);
                 enc.put_u64(*n);
             }
-            EstState::RwjDegreeDist(e) => {
-                enc.put_u8(7);
-                let (alpha, kind, weighted, weight_sum, observed) = e.checkpoint_state();
-                enc.put_f64(alpha);
-                put_degree_kind(&mut enc, kind);
-                put_f64_slice(&mut enc, weighted);
-                enc.put_f64(weight_sum);
-                enc.put_usize(observed);
-            }
+            EstState::RwjDegreeDist(e) => e.encode(&mut enc),
             EstState::RwjAvgDeg {
                 alpha,
                 weighted_degree,
                 weight_sum,
                 n,
             } => {
-                enc.put_u8(8);
                 enc.put_f64(*alpha);
                 enc.put_f64(*weighted_degree);
                 enc.put_f64(*weight_sum);
@@ -900,10 +852,12 @@ impl JobEstimator {
     }
 
     /// Rebuilds an estimator from [`JobEstimator::serialize`] bytes.
-    /// The stored estimator spec must match `spec`, and the stored
-    /// state shape must be the one [`JobEstimator::new`] would choose
-    /// for `(spec, sampler)` — so a checkpoint can never be replayed
-    /// into a statistically different reweighting.
+    /// Resume starts from the estimator [`JobEstimator::new`] builds for
+    /// `(spec, sampler)`: the stored estimator spec and state shape must
+    /// be that estimator's, and its own decode refuses a stored
+    /// configuration (degree kind, α) other than its own — so a
+    /// checkpoint can never be replayed into a statistically different
+    /// reweighting.
     pub fn resume(
         spec: EstimatorSpec,
         sampler: &SamplerSpec,
@@ -912,9 +866,11 @@ impl JobEstimator {
         let (mut dec, _version) =
             Decoder::with_checked_header(bytes, ESTIMATOR_MAGIC, ESTIMATOR_VERSION)?;
         let stored_tag = dec.take_u8()?;
-        let stored = EstimatorSpec::from_checkpoint_tag(stored_tag).ok_or_else(|| {
-            CheckpointError::Malformed(format!("unknown estimator tag {stored_tag}"))
-        })?;
+        let stored = *EstimatorSpec::ALL
+            .get(usize::from(stored_tag))
+            .ok_or_else(|| {
+                CheckpointError::Malformed(format!("unknown estimator tag {stored_tag}"))
+            })?;
         if stored != spec {
             return Err(CheckpointError::Malformed(format!(
                 "checkpoint was taken for estimator '{}' but resume requested '{}'",
@@ -922,128 +878,55 @@ impl JobEstimator {
                 spec.name()
             )));
         }
-        let template = JobEstimator::new(spec, sampler).map_err(CheckpointError::Malformed)?;
-        let state = match dec.take_u8()? {
-            0 => {
-                let inv_degree_sum = dec.take_f64()?;
-                let degree_sum = dec.take_f64()?;
-                let observed = dec.take_usize()?;
-                EstState::EdgeAvgDeg(AverageDegreeEstimator::from_checkpoint_state(
-                    inv_degree_sum,
-                    degree_sum,
-                    observed,
-                ))
-            }
-            1 => {
-                let kind = take_degree_kind(&mut dec)?;
-                let weighted = take_f64_vec(&mut dec)?;
-                let inv_degree_sum = dec.take_f64()?;
-                let observed = dec.take_usize()?;
-                EstState::EdgeDegreeDist(DegreeDistributionEstimator::from_checkpoint_state(
-                    kind,
-                    weighted,
-                    inv_degree_sum,
-                    observed,
-                ))
-            }
-            2 => {
-                let mut moments = [0.0f64; 6];
-                for m in &mut moments {
-                    *m = dec.take_f64()?;
-                }
-                let observed = dec.take_usize()?;
-                EstState::EdgeAssort(AssortativityEstimator::from_checkpoint_state(
-                    moments, observed,
-                ))
-            }
-            3 => {
-                let numerator = dec.take_f64()?;
-                let denominator = dec.take_f64()?;
-                let observed = dec.take_usize()?;
-                EstState::EdgeClust(ClusteringEstimator::from_checkpoint_state(
-                    numerator,
-                    denominator,
-                    observed,
-                ))
-            }
-            4 => {
-                let degree_sum = dec.take_f64()?;
-                let inv_degree_sum = dec.take_f64()?;
-                let counts_mode = dec.take_u8()?;
-                let dense_len = dec.take_usize()?;
-                // An entry is a u64 index and a u32 count.
-                let n_entries = dec.take_count(8 + 4)?;
-                if dense_len > MAX_CHECKPOINT_BUFFER {
-                    return Err(CheckpointError::Malformed(
-                        "implausible visit-counter size".into(),
-                    ));
-                }
-                let mut entries = Vec::with_capacity(n_entries);
-                for _ in 0..n_entries {
-                    let i = dec.take_u64()?;
-                    let c = dec.take_u32()?;
-                    entries.push((i, c));
-                }
-                let collisions = dec.take_u64()?;
-                let observed = dec.take_usize()?;
-                EstState::EdgePop(
-                    PopulationSizeEstimator::from_checkpoint_state(PopulationCheckpoint {
-                        degree_sum,
-                        inv_degree_sum,
-                        counts_mode,
-                        dense_len,
-                        entries,
-                        collisions,
-                        observed,
-                    })
-                    .map_err(CheckpointError::Malformed)?,
-                )
-            }
-            5 => {
-                let kind = take_degree_kind(&mut dec)?;
-                let n_counts = dec.take_count(8)?;
-                let mut counts = Vec::with_capacity(n_counts);
-                for _ in 0..n_counts {
-                    counts.push(dec.take_u64()?);
-                }
-                let total = dec.take_u64()?;
-                EstState::MhrwDegreeDist(VertexSampleDegreeEstimator::from_checkpoint_state(
-                    kind, counts, total,
-                ))
-            }
-            6 => EstState::MhrwAvgDeg {
-                sum: dec.take_f64()?,
-                n: dec.take_u64()?,
-            },
-            7 => {
-                let alpha = dec.take_f64()?;
-                let kind = take_degree_kind(&mut dec)?;
-                let weighted = take_f64_vec(&mut dec)?;
-                let weight_sum = dec.take_f64()?;
-                let observed = dec.take_usize()?;
-                EstState::RwjDegreeDist(RwjDegreeDistributionEstimator::from_checkpoint_state(
-                    alpha, kind, weighted, weight_sum, observed,
-                ))
-            }
-            8 => EstState::RwjAvgDeg {
-                alpha: dec.take_f64()?,
-                weighted_degree: dec.take_f64()?,
-                weight_sum: dec.take_f64()?,
-                n: dec.take_u64()?,
-            },
-            t => {
-                return Err(CheckpointError::Malformed(format!(
-                    "unknown estimator state tag {t}"
-                )))
-            }
-        };
-        if std::mem::discriminant(&state) != std::mem::discriminant(&template.state) {
+        let mut est = JobEstimator::new(spec, sampler).map_err(CheckpointError::Malformed)?;
+        if dec.take_u8()? != est.state.tag() {
             return Err(CheckpointError::Malformed(
                 "checkpointed state does not match the (sampler, estimator) pairing".into(),
             ));
         }
+        match &mut est.state {
+            EstState::EdgeAvgDeg(e) => e.decode(&mut dec)?,
+            EstState::EdgeDegreeDist(e) => e.decode(&mut dec)?,
+            EstState::EdgeAssort(e) => e.decode(&mut dec)?,
+            EstState::EdgeClust(e) => e.decode(&mut dec)?,
+            EstState::EdgePop(e) => e.decode(&mut dec)?,
+            EstState::MhrwDegreeDist(e) => e.decode(&mut dec)?,
+            EstState::MhrwAvgDeg { sum, n } => {
+                *sum = take_sum(&mut dec)?;
+                *n = dec.take_u64()?;
+            }
+            EstState::RwjDegreeDist(e) => e.decode(&mut dec)?,
+            EstState::RwjAvgDeg {
+                alpha,
+                weighted_degree,
+                weight_sum,
+                n,
+            } => {
+                expect_same("alpha", dec.take_f64()?, *alpha)?;
+                *weighted_degree = take_sum(&mut dec)?;
+                *weight_sum = take_sum(&mut dec)?;
+                *n = dec.take_u64()?;
+            }
+        }
         dec.finish()?;
-        Ok(JobEstimator { spec, state })
+        Ok(est)
+    }
+}
+
+impl EstState {
+    /// The FSEC state tag, in variant order.
+    fn tag(&self) -> u8 {
+        match self {
+            EstState::EdgeAvgDeg(_) => 0,
+            EstState::EdgeDegreeDist(_) => 1,
+            EstState::EdgeAssort(_) => 2,
+            EstState::EdgeClust(_) => 3,
+            EstState::EdgePop(_) => 4,
+            EstState::MhrwDegreeDist(_) => 5,
+            EstState::MhrwAvgDeg { .. } => 6,
+            EstState::RwjDegreeDist(_) => 7,
+            EstState::RwjAvgDeg { .. } => 8,
+        }
     }
 }
 
@@ -1051,70 +934,6 @@ impl JobEstimator {
 const ESTIMATOR_MAGIC: [u8; 4] = *b"FSEC";
 /// Newest estimator checkpoint layout this build reads and writes.
 const ESTIMATOR_VERSION: u32 = 1;
-
-fn put_degree_kind(enc: &mut Encoder, kind: DegreeKind) {
-    enc.put_u8(match kind {
-        DegreeKind::Symmetric => 0,
-        DegreeKind::InOriginal => 1,
-        DegreeKind::OutOriginal => 2,
-    });
-}
-
-fn take_degree_kind(dec: &mut Decoder<'_>) -> Result<DegreeKind, CheckpointError> {
-    Ok(match dec.take_u8()? {
-        0 => DegreeKind::Symmetric,
-        1 => DegreeKind::InOriginal,
-        2 => DegreeKind::OutOriginal,
-        t => {
-            return Err(CheckpointError::Malformed(format!(
-                "unknown degree kind {t}"
-            )))
-        }
-    })
-}
-
-fn put_f64_slice(enc: &mut Encoder, v: &[f64]) {
-    enc.put_usize(v.len());
-    for &x in v {
-        enc.put_f64(x);
-    }
-}
-
-fn take_f64_vec(dec: &mut Decoder<'_>) -> Result<Vec<f64>, CheckpointError> {
-    let n = dec.take_count(8)?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(dec.take_f64()?);
-    }
-    Ok(v)
-}
-
-impl EstimatorSpec {
-    /// Stable one-byte tag used by the checkpoint format.
-    fn checkpoint_tag(self) -> u8 {
-        match self {
-            EstimatorSpec::AverageDegree => 0,
-            EstimatorSpec::DegreeDist => 1,
-            EstimatorSpec::Ccdf => 2,
-            EstimatorSpec::Assortativity => 3,
-            EstimatorSpec::Clustering => 4,
-            EstimatorSpec::PopulationSize => 5,
-        }
-    }
-
-    /// Inverse of [`EstimatorSpec::checkpoint_tag`].
-    fn from_checkpoint_tag(tag: u8) -> Option<EstimatorSpec> {
-        Some(match tag {
-            0 => EstimatorSpec::AverageDegree,
-            1 => EstimatorSpec::DegreeDist,
-            2 => EstimatorSpec::Ccdf,
-            3 => EstimatorSpec::Assortativity,
-            4 => EstimatorSpec::Clustering,
-            5 => EstimatorSpec::PopulationSize,
-            _ => return None,
-        })
-    }
-}
 
 fn nonempty(v: Vec<f64>) -> Option<Vec<f64>> {
     if v.is_empty() {

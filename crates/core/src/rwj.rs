@@ -27,7 +27,10 @@
 //! experiment quantifies that trade-off on the `G_AB` graph.
 
 use crate::budget::{Budget, CostModel};
-use crate::checkpoint::{CheckpointError, Decoder, Encoder};
+use crate::checkpoint::{
+    expect_same, put_degree_kind, put_f64_slice, take_degree_kind, take_sum, take_sums,
+    CheckpointError, Decoder, Encoder,
+};
 use crate::start::StartPolicy;
 use crate::walk::{Position, StepOutcome};
 use fs_graph::stats::DegreeKind;
@@ -233,9 +236,12 @@ impl RwjWalk {
         self.pos.encode(enc);
     }
 
-    pub(crate) fn decode(dec: &mut Decoder<'_>) -> Result<Self, CheckpointError> {
+    /// Decodes [`RwjWalk::encode`] output, refusing a walk whose α is
+    /// not the job's `alpha`.
+    pub(crate) fn decode(dec: &mut Decoder<'_>, alpha: f64) -> Result<Self, CheckpointError> {
+        expect_same("alpha", dec.take_f64()?, alpha)?;
         Ok(RwjWalk {
-            alpha: dec.take_f64()?,
+            alpha,
             jump_cost: dec.take_f64()?,
             pos: Position::decode(dec)?,
         })
@@ -288,32 +294,25 @@ impl RwjDegreeDistributionEstimator {
         self.observed
     }
 
-    /// Raw accumulators for exact checkpointing (runner serialization).
-    pub(crate) fn checkpoint_state(&self) -> (f64, DegreeKind, &[f64], f64, usize) {
-        (
-            self.alpha,
-            self.kind,
-            &self.weighted,
-            self.weight_sum,
-            self.observed,
-        )
+    /// Writes α, the degree kind and the accumulators' exact bits: this
+    /// state's FSEC layout.
+    pub(crate) fn encode(&self, enc: &mut Encoder) {
+        enc.put_f64(self.alpha);
+        put_degree_kind(enc, self.kind);
+        put_f64_slice(enc, &self.weighted);
+        enc.put_f64(self.weight_sum);
+        enc.put_usize(self.observed);
     }
 
-    /// Rebuilds the estimator from checkpointed accumulators.
-    pub(crate) fn from_checkpoint_state(
-        alpha: f64,
-        kind: DegreeKind,
-        weighted: Vec<f64>,
-        weight_sum: f64,
-        observed: usize,
-    ) -> Self {
-        RwjDegreeDistributionEstimator {
-            alpha,
-            kind,
-            weighted,
-            weight_sum,
-            observed,
-        }
+    /// Restores [`Self::encode`]'s accumulators into this estimator,
+    /// refusing a blob of another α or degree kind.
+    pub(crate) fn decode(&mut self, dec: &mut Decoder<'_>) -> Result<(), CheckpointError> {
+        expect_same("alpha", dec.take_f64()?, self.alpha)?;
+        expect_same("degree kind", take_degree_kind(dec)?, self.kind)?;
+        self.weighted = take_sums(dec)?;
+        self.weight_sum = take_sum(dec)?;
+        self.observed = dec.take_usize()?;
+        Ok(())
     }
 
     /// Estimated distribution `θ̂` (index = degree).

@@ -562,3 +562,171 @@ fn every_estimator_checkpoint_is_byte_stable() {
         );
     }
 }
+
+/// An FSRC blob of `spec` after three 64-attempt chunks of the seeded
+/// run [`mid_run_estimator_blob`] checkpoints.
+fn mid_run_runner_blob(spec: &SamplerSpec) -> Vec<u8> {
+    let g = fixture();
+    let mut runner = ChunkedRunner::new(spec, &g, &CostModel::unit(), 600.0, 42);
+    for _ in 0..3 {
+        assert_eq!(runner.run_chunk(64, |_| {}), ChunkStatus::InProgress);
+    }
+    runner.serialize()
+}
+
+/// `blob` with `bytes` written at offset `at` and its FNV-1a-64 trailer
+/// recomputed, so only the field checks can refuse it.
+fn resealed(blob: &[u8], at: usize, bytes: &[u8]) -> Vec<u8> {
+    let mut content = blob[..blob.len() - 8].to_vec();
+    content[at..at + bytes.len()].copy_from_slice(bytes);
+    let sum = fnv1a64(&content);
+    content.extend_from_slice(&sum.to_le_bytes());
+    content
+}
+
+/// FSRC offsets: magic (4) ‖ version (4) ‖ sampler tag (1), then `m` or
+/// α (8) for fs, multiple and rwj ‖ RNG (32) ‖ budget total, spent and
+/// step cost (24) ‖ steps done (8) ‖ finished (1) ‖ state tag.
+const SPEC_PARAM_AT: usize = 9;
+const SINGLE_STATE_TAG_AT: usize = 74;
+const PARAM_STATE_TAG_AT: usize = 82;
+
+/// Resealed runner blobs that contradict the resume spec: a walk of
+/// another sampler, more FS lanes or MultipleRW starts than `m`, and an
+/// RWJ walk whose own α differs from the spec's.
+#[test]
+fn runner_checkpoints_the_spec_contradicts_are_refused() {
+    use frontier_sampling::checkpoint::CheckpointError;
+    let g = fixture();
+    let single = mid_run_runner_blob(&SamplerSpec::Single);
+    assert_eq!(single[SINGLE_STATE_TAG_AT], 1, "SingleRW state tag");
+    let fs = mid_run_runner_blob(&SamplerSpec::Frontier { m: 5 });
+    let multiple = mid_run_runner_blob(&SamplerSpec::Multiple { m: 4 });
+    let rwj = mid_run_runner_blob(&SamplerSpec::Rwj { alpha: 2.0 });
+    let walk_alpha_at = PARAM_STATE_TAG_AT + 1;
+    let cases = [
+        (
+            "an MHRW walk under single",
+            SamplerSpec::Single,
+            resealed(&single, SINGLE_STATE_TAG_AT, &[4]),
+        ),
+        (
+            "5 FS lanes under m = 4",
+            SamplerSpec::Frontier { m: 4 },
+            resealed(&fs, SPEC_PARAM_AT, &[4]),
+        ),
+        (
+            "4 MultipleRW starts under m = 3",
+            SamplerSpec::Multiple { m: 3 },
+            resealed(&multiple, SPEC_PARAM_AT, &[3]),
+        ),
+        (
+            "an RWJ walk with α = 1 under α = 2",
+            SamplerSpec::Rwj { alpha: 2.0 },
+            resealed(&rwj, walk_alpha_at, &1.0f64.to_le_bytes()),
+        ),
+    ];
+    for (what, spec, blob) in cases {
+        assert!(
+            matches!(
+                ChunkedRunner::resume(&spec, &g, &blob),
+                Err(CheckpointError::Malformed(_))
+            ),
+            "{what} resumed"
+        );
+    }
+}
+
+/// Estimator blobs whose configuration contradicts the resuming job: an
+/// honest RWJ(α = 2) blob resumed under α = 1, and resealed
+/// degree-distribution blobs whose degree kind is not the symmetric one
+/// every job uses.
+#[test]
+fn estimator_checkpoints_the_job_contradicts_are_refused() {
+    use frontier_sampling::checkpoint::CheckpointError;
+    let rwj2 = SamplerSpec::Rwj { alpha: 2.0 };
+    let rwj1 = SamplerSpec::Rwj { alpha: 1.0 };
+    let mut cases = Vec::new();
+    for est in supported_estimators(&rwj2) {
+        let blob = mid_run_estimator_blob(&rwj2, est);
+        cases.push((
+            format!("rwj α = 2 {} under α = 1", est.name()),
+            rwj1.clone(),
+            est,
+            blob,
+        ));
+    }
+    // Degree kind offsets: after the two tags, and after RWJ's α.
+    for (spec, kind_at) in [
+        (SamplerSpec::Frontier { m: 5 }, 10),
+        (SamplerSpec::Mhrw, 10),
+        (rwj2.clone(), 18),
+    ] {
+        for est in [EstimatorSpec::DegreeDist, EstimatorSpec::Ccdf] {
+            let blob = mid_run_estimator_blob(&spec, est);
+            assert_eq!(blob[kind_at], 0, "symmetric degree kind");
+            let what = format!("{} {} with in-degrees", spec.wire().0, est.name());
+            cases.push((what, spec.clone(), est, resealed(&blob, kind_at, &[1])));
+        }
+    }
+    for (what, spec, est, blob) in cases {
+        assert!(
+            matches!(
+                JobEstimator::resume(est, &spec, &blob),
+                Err(CheckpointError::Malformed(_))
+            ),
+            "{what} resumed"
+        );
+    }
+}
+
+/// FSEC accumulators hold sums of positive terms, so a NaN, infinite or
+/// negative one cannot come from a run: resume refuses it rather than
+/// serve `null`. Each case overwrites one f64 of a real mid-run blob
+/// (offsets after magic, version and the two tags) and reseals it.
+#[test]
+fn non_finite_or_negative_accumulators_are_refused() {
+    use frontier_sampling::checkpoint::CheckpointError;
+    let fs = SamplerSpec::Frontier { m: 5 };
+    let rwj = SamplerSpec::Rwj { alpha: 2.0 };
+    // (sampler, estimator, accumulator, offset; negative = from the end)
+    let cases: [(&SamplerSpec, EstimatorSpec, &str, isize); 14] = [
+        (&fs, EstimatorSpec::AverageDegree, "inv_degree_sum", 10),
+        (&fs, EstimatorSpec::AverageDegree, "degree_sum", 18),
+        (&fs, EstimatorSpec::DegreeDist, "weighted[0]", 19),
+        (&fs, EstimatorSpec::DegreeDist, "inv_degree_sum", -24),
+        (&fs, EstimatorSpec::Assortativity, "moment n", 10),
+        (&fs, EstimatorSpec::Assortativity, "moment sxy", 50),
+        (&fs, EstimatorSpec::Clustering, "numerator", 10),
+        (&fs, EstimatorSpec::Clustering, "denominator", 18),
+        (&fs, EstimatorSpec::PopulationSize, "degree_sum", 10),
+        (&fs, EstimatorSpec::PopulationSize, "inv_degree_sum", 18),
+        (&SamplerSpec::Mhrw, EstimatorSpec::AverageDegree, "sum", 10),
+        (&rwj, EstimatorSpec::AverageDegree, "weight_sum", 26),
+        (&rwj, EstimatorSpec::DegreeDist, "weighted[0]", 27),
+        (&rwj, EstimatorSpec::Ccdf, "weight_sum", -24),
+    ];
+    for (spec, est, field, at) in cases {
+        let blob = mid_run_estimator_blob(spec, est);
+        let at = if at < 0 {
+            blob.len() - at.unsigned_abs()
+        } else {
+            at as usize
+        };
+        let honest = f64::from_le_bytes(blob[at..at + 8].try_into().unwrap());
+        assert!(honest.is_finite() && honest >= 0.0, "{field} offset");
+        let ok = resealed(&blob, at, &honest.to_le_bytes());
+        assert!(JobEstimator::resume(est, spec, &ok).is_ok());
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0] {
+            let what = format!("{} {} {field} = {bad}", spec.wire().0, est.name());
+            let blob = resealed(&blob, at, &bad.to_le_bytes());
+            assert!(
+                matches!(
+                    JobEstimator::resume(est, spec, &blob),
+                    Err(CheckpointError::Malformed(_))
+                ),
+                "{what} resumed"
+            );
+        }
+    }
+}
