@@ -194,7 +194,6 @@ impl PopulationSizeEstimator {
     /// unknown mode byte, and entries that are not nonzero, strictly
     /// increasing by index and in the mode's range.
     pub(crate) fn decode(&mut self, dec: &mut Decoder<'_>) -> Result<(), CheckpointError> {
-        let malformed = |what: &str| Err(CheckpointError::Malformed(what.into()));
         self.degree_sum = take_sum(dec)?;
         self.inv_degree_sum = take_sum(dec)?;
         let counts_mode = dec.take_u8()?;
@@ -218,7 +217,9 @@ impl PopulationSizeEstimator {
         for _ in 0..n {
             let (i, c) = (dec.take_u64()?, dec.take_u32()?);
             if i < next || i >= limit || c == 0 {
-                return malformed("visit entries not nonzero, sorted and in range");
+                return Err(CheckpointError::Malformed(
+                    "visit entries not nonzero, sorted and in range".into(),
+                ));
             }
             let (slot, _) = counts.find(i as u32);
             counts.slots[slot] = i << 32 | u64::from(c);
