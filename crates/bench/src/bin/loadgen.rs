@@ -687,7 +687,6 @@ fn main() {
             std::process::exit(2);
         };
         let mut config = fs_serve::Config::new(root);
-        config.conn_workers = 8;
         config.job_workers = 4;
         let server = fs_serve::Server::start(config).expect("start server");
         eprintln!("spawned server on {}", server.addr());

@@ -39,9 +39,9 @@
 //! the mmap backend is bit-identical to the CSR backend. The committed
 //! numbers pin the "binary store ≥ 10x faster than text parse" claim.
 //!
-//! The batched cells (`@batch`, `@mmap+thp`) run the lockstep SoA
-//! engine on one thread, so their delta against the sequential rows is
-//! the batching/prefetch win; a query-accounting gate aborts the run if
+//! The batched cell (`@batch`) runs the lockstep SoA engine on one
+//! thread, so its delta against the sequential rows is the
+//! batching/prefetch win; a query-accounting gate aborts the run if
 //! the batched engine ever issues materially more backend queries per
 //! retained step than the sequential loop. A `header` object records
 //! git revision, core count and hugepage status so two baseline files
@@ -468,18 +468,16 @@ fn fs_batch_trace<A: GraphAccess + ?Sized>(access: &A, steps: usize, seed: u64) 
 }
 
 /// The storage-layer measurements for one scale: loader timings, the
-/// FS-over-mmap throughput cells (plain and hugepage-advised), and the
-/// untimed round-trip/parity assertions. Returns (mmap FS cells,
-/// loader row).
+/// FS-over-mmap throughput cell, and the untimed round-trip/parity
+/// assertions. Returns (mmap FS cell, loader row).
 fn storage_cells(
     graph_label: &str,
     graph: &Graph,
     steps: usize,
     reps: usize,
     fs_qps: f64,
-    fs_batch_qps: f64,
     dir: &std::path::Path,
-) -> (Vec<Cell>, LoaderCell) {
+) -> (Cell, LoaderCell) {
     let text_path = dir.join(format!("{graph_label}.el"));
     let store_path = dir.join(format!("{graph_label}.fsg"));
     fs_graph::io::save_edge_list(graph, &text_path).expect("write text edge list");
@@ -559,41 +557,17 @@ fn storage_cells(
         "  {:<22} {graph_label:<8} {:>10.0} steps/s (best)  {:.3} queries/step",
         "FS (m=100) @mmap", cell.best_steps_per_sec, cell.queries_per_step
     );
-    let mut out_cells = vec![cell];
 
-    // Batched FS over a hugepage-advised mapping. `Try` degrades to a
-    // plain file mapping when the machine has no hugepage pool (the
-    // JSON header records which case this run hit), so the cell always
-    // measures — and the walk must be bit-identical either way.
-    let mmap_thp = fs_store::MmapGraph::open_with(&store_path, fs_store::HugepageMode::Try)
-        .expect("open store with hugepage advice");
+    // The batched engine must walk the mapping bit-identically too.
     assert_eq!(
         fs_batch_trace(graph, probe_steps, 7),
-        fs_batch_trace(&mmap_thp, probe_steps, 7),
-        "{graph_label}: batched FS walk on {:?}-backed mmap diverged from CSR",
-        mmap_thp.backing()
+        fs_batch_trace(&mmap, probe_steps, 7),
+        "{graph_label}: batched FS walk on mmap diverged from CSR"
     );
-    let cell = measure(
-        "FS (m=100) @mmap+thp",
-        graph_label,
-        graph,
-        steps,
-        reps,
-        &mut || fs_batch_once(&mmap_thp, steps, 7),
-        fs_batch_qps,
-    );
-    eprintln!(
-        "  {:<22} {graph_label:<8} {:>10.0} steps/s (best)  {:.3} queries/step  [{:?}]",
-        "FS (m=100) @mmap+thp",
-        cell.best_steps_per_sec,
-        cell.queries_per_step,
-        mmap_thp.backing()
-    );
-    out_cells.push(cell);
 
     std::fs::remove_file(&text_path).ok();
     std::fs::remove_file(&store_path).ok();
-    (out_cells, loader)
+    (cell, loader)
 }
 
 fn main() {
@@ -609,7 +583,6 @@ fn main() {
         let mut g_rng = SmallRng::seed_from_u64(0x5CA1E);
         let graph = fs_gen::barabasi_albert(n, ba_m, &mut g_rng);
         let mut fs_qps = 1.0;
-        let fs_batch_qps;
 
         for (label, method) in methods() {
             // Query accounting on the counting crawler (exact, not timed).
@@ -647,7 +620,6 @@ fn main() {
             // final-window slack covers the unused tail of the last
             // window, the only overshoot.
             gate_queries_per_step("FS (m=100) @batch", qps, 100, taken, 1.15);
-            fs_batch_qps = qps;
             let cell = measure(
                 "FS (m=100) @batch",
                 graph_label,
@@ -683,17 +655,10 @@ fn main() {
         );
         cells.push(cell);
 
-        // Storage layer: loader timings + FS over the mmap backends.
-        let (store_cells, loader) = storage_cells(
-            graph_label,
-            &graph,
-            steps,
-            cfg.reps,
-            fs_qps,
-            fs_batch_qps,
-            &tmp_dir,
-        );
-        cells.extend(store_cells);
+        // Storage layer: loader timings + FS over the mmap backend.
+        let (store_cell, loader) =
+            storage_cells(graph_label, &graph, steps, cfg.reps, fs_qps, &tmp_dir);
+        cells.push(store_cell);
         loaders.push(loader);
 
         // Instrumentation-overhead A/B: the serving tier's armed

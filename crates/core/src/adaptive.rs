@@ -5,7 +5,7 @@
 //! is guesswork when the graph's size and mixing structure are unknown.
 //! The production-friendly alternative is *sequential*: keep walking
 //! until the effective sample size ([`crate::diagnostics::ess`], Geyer
-//! 1992 — the paper's reference [14]) of a monitored functional reaches
+//! 1992 — the paper's reference \[14\]) of a monitored functional reaches
 //! a target, then stop. The budget becomes a *cap*, not a guess.
 //!
 //! [`AdaptiveFrontier`] wraps [`FrontierSampler`] with that rule. ESS is

@@ -4,7 +4,7 @@
 //! `τ = 1 + 2 Σ_{k≥1} ρ(k)` carries the information of `n/τ` independent
 //! samples. Summing the empirical ACF naively diverges (the tail is pure
 //! noise); Geyer (*Practical Markov Chain Monte Carlo*, 1992 — the
-//! paper's reference [14]) proved that for reversible chains the sums of
+//! paper's reference \[14\]) proved that for reversible chains the sums of
 //! adjacent autocorrelation pairs `Γ_k = ρ(2k) + ρ(2k+1)` are positive
 //! and decreasing, which yields the standard truncation rule implemented
 //! here: accumulate `Γ_k` while positive, clamping each term to be no

@@ -22,8 +22,8 @@
 //! O(|V|). The checkpoint holds a mode byte, a length and the nonzero
 //! `(vertex index, count)` entries sorted by index: mode 0 before the
 //! first observation; mode 1 if the universe then was at most
-//! [`DENSE_UNIVERSE_MAX`], with length max(that universe, largest id +
-//! 1), as the graph may grow; mode 2 above that, with length 0. Earlier
+//! `DENSE_UNIVERSE_MAX` (2^24), with length max(that universe, largest
+//! id + 1), as the graph may grow; mode 2 above that, with length 0. Earlier
 //! builds held mode 1 in a per-vertex array and wrote the same bytes,
 //! so journals resume across builds.
 

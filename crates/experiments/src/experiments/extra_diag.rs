@@ -6,7 +6,7 @@
 //! reweighting term shared by every eq.-7 estimator), and compute:
 //!
 //! * **ESS/n** — effective samples per step (Geyer's estimator; the
-//!   paper's reference [14]). Low values mean the walk is locally
+//!   paper's reference \[14\]). Low values mean the walk is locally
 //!   trapped and each step buys little information.
 //! * **split-`R̂`** — do the replicas agree? On a loosely connected
 //!   graph, SingleRW replicas land in different components and their

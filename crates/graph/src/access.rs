@@ -11,7 +11,7 @@
 //! closure `G`), and *every query has a cost* charged against a fixed
 //! sampling budget `B`.
 //!
-//! The in-memory CSR [`Graph`](crate::Graph) is therefore *not* the
+//! The in-memory CSR [`Graph`] is therefore *not* the
 //! paper's object of study — it is the simulator's ground truth. This
 //! trait abstracts the three primitives the paper's crawler actually has,
 //! so samplers can run unchanged over an in-memory graph, a simulated

@@ -41,7 +41,7 @@ pub enum Fault {
     /// Out of space (`ENOSPC`) — a persistent, non-retryable append
     /// failure.
     Enospc,
-    /// Generic hard error (used for mmap-open and store-access faults).
+    /// Generic hard error (used for mmap-open and store-write faults).
     Error,
 }
 
@@ -181,14 +181,29 @@ pub fn configure(spec: &str, seed: u64) -> Result<(), String> {
     Ok(())
 }
 
+/// Parses `spec` and refuses any site outside `sites`, naming it. This
+/// is the pure half of [`configure_from_env`]: it arms nothing.
+pub fn validate_spec(spec: &str, sites: &[&str]) -> Result<(), String> {
+    let parsed = parse_spec(spec)?;
+    match parsed.keys().filter(|s| !sites.contains(&s.as_str())).min() {
+        Some(site) => Err(format!(
+            "failpoint site '{site}' is never consulted (known sites: {})",
+            sites.join(", ")
+        )),
+        None => Ok(()),
+    }
+}
+
 /// Arms the registry from `FS_FAILPOINTS` (spec) and `FS_FAILPOINT_SEED`
 /// (decimal u64, default 0). Returns whether anything was armed; a
-/// malformed spec is reported as `Err` so servers can refuse to start
-/// half-armed.
-pub fn configure_from_env() -> Result<bool, String> {
+/// malformed spec, or one naming a site outside `sites` (the sites the
+/// calling binary consults), is reported as `Err` so servers can refuse
+/// to start half-armed.
+pub fn configure_from_env(sites: &[&str]) -> Result<bool, String> {
     // fs-lint: allow(determinism) — chaos injection is explicitly opt-in; deterministic runs leave FS_FAILPOINTS unset
     match std::env::var("FS_FAILPOINTS") {
         Ok(spec) if !spec.trim().is_empty() => {
+            validate_spec(&spec, sites)?;
             // fs-lint: allow(determinism) — seed for the opt-in chaos schedule, not for sampling
             let seed = std::env::var("FS_FAILPOINT_SEED")
                 .ok()
@@ -380,5 +395,20 @@ mod tests {
         assert!(configure("a=eintr:nan?", 0).is_err());
         // A rejected spec must not leave the registry half-armed.
         assert!(!armed());
+    }
+
+    #[test]
+    fn spec_naming_an_unconsulted_site_is_refused() {
+        let sites = ["io.read", "io.write"];
+        assert_eq!(
+            validate_spec("io.read=eintr:0.5;io.write=enospc:0.1", &sites),
+            Ok(())
+        );
+        let err = validate_spec("io.read=eintr:0.5;io.raed=error:1.0", &sites).unwrap_err();
+        assert!(err.contains("'io.raed'"), "{err}");
+        // Grammar errors still surface first.
+        assert!(validate_spec("io.read=weird:0.5", &sites)
+            .unwrap_err()
+            .contains("unknown fault kind"));
     }
 }

@@ -1,4 +1,4 @@
-//! The rule engines. Each rule is a pure function from a [`FileCx`]
+//! The rule engines. Each rule is a pure function from a [`FileCx`](crate::context::FileCx)
 //! to diagnostics; policy scoping (which files a rule runs on) happens
 //! in the driver, `#[cfg(test)]` scoping and waivers happen here.
 

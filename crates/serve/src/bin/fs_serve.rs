@@ -2,9 +2,8 @@
 //! stores.
 //!
 //! ```text
-//! fs-serve --root stores [--addr 127.0.0.1:8080] [--conn-workers 4]
-//!          [--job-workers 2] [--max-queue 256] [--store-capacity 8]
-//!          [--hugepages off|try|require] [--cache-capacity 4096]
+//! fs-serve --root stores [--addr 127.0.0.1:8080] [--job-workers 2]
+//!          [--max-queue 256] [--store-capacity 8] [--cache-capacity 4096]
 //!          [--cache-mb 64] [--journal-dir DIR] [--trace-log FILE]
 //! ```
 //!
@@ -26,20 +25,16 @@
 //!
 //! The chaos harness arms from the environment: `FS_FAILPOINTS`
 //! (`site=fault:prob,…;…`) and `FS_FAILPOINT_SEED` inject
-//! deterministic I/O faults at the registered sites (`reactor.read`,
-//! `reactor.write`, `journal.append`, `store.step`, `store.mmap_open`,
-//! `store.write`). A malformed spec refuses startup — a chaos run
-//! should never silently run fault-free.
+//! deterministic I/O faults at the sites the server consults
+//! ([`fs_serve::FAILPOINT_SITES`]: `reactor.read`, `reactor.write`,
+//! `journal.append`, `store.mmap_open`). A malformed spec, or one that
+//! names any other site, refuses startup — a chaos run should never
+//! silently run fault-free.
 //!
 //! `--cache-capacity` bounds the deterministic result cache in entries
 //! (`0` disables caching), `--cache-mb` in megabytes; a repeated
 //! `(store, spec, seed)` submit completes instantly with the cached —
 //! byte-identical — estimate.
-//!
-//! `--hugepages try` backs store mappings with 2 MiB pages when the
-//! kernel provides them (explicit `MAP_HUGETLB` pool, else transparent
-//! hugepage advice) and silently falls back to plain mappings
-//! otherwise; `require` fails the job instead of falling back.
 //!
 //! Prints `listening on <addr>` to stderr once bound (port 0 picks an
 //! ephemeral port — useful for scripts). Runs until `POST
@@ -53,9 +48,8 @@ use std::io::BufRead;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: fs-serve --root DIR [--addr HOST:PORT] [--conn-workers N] \
-         [--job-workers N] [--max-queue N] [--store-capacity N] \
-         [--hugepages off|try|require] [--cache-capacity N] [--cache-mb N] \
+        "usage: fs-serve --root DIR [--addr HOST:PORT] [--job-workers N] \
+         [--max-queue N] [--store-capacity N] [--cache-capacity N] [--cache-mb N] \
          [--journal-dir DIR] [--trace-log FILE] [--no-stdin]"
     );
     std::process::exit(2);
@@ -64,11 +58,9 @@ fn usage() -> ! {
 fn main() {
     let mut root: Option<String> = None;
     let mut addr = "127.0.0.1:8080".to_string();
-    let mut conn_workers = 4usize;
     let mut job_workers = 2usize;
     let mut max_queue = 256usize;
     let mut store_capacity = 8usize;
-    let mut hugepages = fs_store::HugepageMode::Off;
     let mut cache_capacity = 4_096usize;
     let mut cache_mb = 64usize;
     let mut journal_dir: Option<String> = None;
@@ -92,7 +84,6 @@ fn main() {
         match a.as_str() {
             "--root" => root = args.next(),
             "--addr" => addr = parsed(args.next(), "--addr"),
-            "--conn-workers" => conn_workers = parsed(args.next(), "--conn-workers"),
             "--job-workers" => job_workers = parsed(args.next(), "--job-workers"),
             "--max-queue" => max_queue = parsed(args.next(), "--max-queue"),
             "--store-capacity" => store_capacity = parsed(args.next(), "--store-capacity"),
@@ -100,17 +91,6 @@ fn main() {
             "--cache-mb" => cache_mb = parsed(args.next(), "--cache-mb"),
             "--journal-dir" => journal_dir = args.next(),
             "--trace-log" => trace_log = args.next(),
-            "--hugepages" => {
-                hugepages = match args.next().as_deref() {
-                    Some("off") => fs_store::HugepageMode::Off,
-                    Some("try") => fs_store::HugepageMode::Try,
-                    Some("require") => fs_store::HugepageMode::Require,
-                    _ => {
-                        eprintln!("bad or missing value for --hugepages (off|try|require)");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--no-stdin" => watch_stdin = false,
             _ => usage(),
         }
@@ -121,9 +101,10 @@ fn main() {
         std::process::exit(2);
     }
 
-    // Chaos harness: a malformed FS_FAILPOINTS spec refuses startup —
-    // a chaos run must never silently proceed fault-free.
-    match fs_graph::failpoint::configure_from_env() {
+    // Chaos harness: a malformed FS_FAILPOINTS spec, or one naming a
+    // site this server never consults, refuses startup — a chaos run
+    // must never silently proceed fault-free.
+    match fs_graph::failpoint::configure_from_env(&fs_serve::FAILPOINT_SITES) {
         Ok(false) => {}
         Ok(true) => eprintln!("failpoints armed from FS_FAILPOINTS"),
         Err(e) => {
@@ -134,11 +115,9 @@ fn main() {
 
     let mut config = Config::new(&root);
     config.addr = addr;
-    config.conn_workers = conn_workers.max(1);
     config.job_workers = job_workers.max(1);
     config.max_queue = max_queue.max(1);
     config.store_capacity = store_capacity.max(1);
-    config.hugepages = hugepages;
     config.cache_entries = cache_capacity;
     config.cache_bytes = cache_mb.saturating_mul(1024 * 1024).max(1);
     config.journal_dir = journal_dir.map(std::path::PathBuf::from);

@@ -75,4 +75,4 @@ pub use journal::{DurabilityStats, Journal, Replay};
 pub use json::Json;
 pub use obs::ServeObs;
 pub use registry::{RegistryError, StoreInfo, StoreRegistry};
-pub use server::{Config, Server};
+pub use server::{Config, Server, FAILPOINT_SITES};

@@ -8,15 +8,14 @@
 //! connection. All sockets are nonblocking; readiness comes from a
 //! level-triggered epoll set (hand-declared against libc, same
 //! dependency-free discipline as the `mmap(2)` shim in `fs-store` —
-//! see the safety argument on [`sys`]). Per connection the reactor
-//! runs three little state machines:
+//! see the safety argument on its `sys` module). Per connection the
+//! reactor runs three little state machines:
 //!
-//! * **read → parse**: bytes feed an incremental
-//!   [`RequestParser`](crate::http::RequestParser); every complete
-//!   request is routed immediately, so a pipelined burst is answered
-//!   in order without extra round trips. A framing error poisons the
-//!   connection: one 400 goes out and the connection closes — the
-//!   parser refuses to resynchronise (request-smuggling hygiene).
+//! * **read → parse**: bytes feed an incremental [`RequestParser`];
+//!   every complete request is routed immediately, so a pipelined burst
+//!   is answered in order without extra round trips. A framing error
+//!   poisons the connection: one 400 goes out and the connection closes
+//!   — the parser refuses to resynchronise (request-smuggling hygiene).
 //! * **write**: responses append to an output buffer flushed as far
 //!   as the socket allows; on `EAGAIN` the remainder parks behind an
 //!   `EPOLLOUT` interest and continues when the peer drains — short

@@ -17,7 +17,7 @@
 //! Store names are validated to a single path component (no `/`, no
 //! `..`), so requests cannot traverse outside the root.
 
-use fs_store::{HugepageMode, MmapGraph, StoreError};
+use fs_store::{MmapGraph, StoreError};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
@@ -67,7 +67,6 @@ struct Inner {
 pub struct StoreRegistry {
     root: PathBuf,
     capacity: usize,
-    hugepages: HugepageMode,
     inner: Mutex<Inner>,
     /// Open/evict telemetry; `None` in bare test harnesses.
     obs: Option<Arc<crate::obs::ServeObs>>,
@@ -96,7 +95,6 @@ impl StoreRegistry {
         StoreRegistry {
             root: root.into(),
             capacity,
-            hugepages: HugepageMode::Off,
             inner: Mutex::new(Inner {
                 open: HashMap::new(),
                 clock: 0,
@@ -105,17 +103,7 @@ impl StoreRegistry {
         }
     }
 
-    /// Sets the hugepage policy stores are opened with (see
-    /// [`fs_store::HugepageMode`]). `Try` is safe everywhere — it falls
-    /// back to a plain mapping when no hugepage pool is configured;
-    /// `Require` makes jobs fail loudly instead.
-    pub fn with_hugepages(mut self, mode: HugepageMode) -> StoreRegistry {
-        self.hugepages = mode;
-        self
-    }
-
-    /// Arms open/evict metrics and trace events (builder, like
-    /// [`StoreRegistry::with_hugepages`]).
+    /// Arms open/evict metrics and trace events (builder).
     pub fn with_obs(mut self, obs: Arc<crate::obs::ServeObs>) -> StoreRegistry {
         self.obs = Some(obs);
         self
@@ -197,8 +185,7 @@ impl StoreRegistry {
                     }
                 }
                 // The O(V) open runs outside the lock.
-                let graph =
-                    Arc::new(MmapGraph::open_with(&path, self.hugepages).map_err(&unreadable)?);
+                let graph = Arc::new(MmapGraph::open(&path).map_err(&unreadable)?);
                 let after = fs_store::file_digest(&path).map_err(&unreadable)?;
                 if after == digest {
                     break 'open graph;

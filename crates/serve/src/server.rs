@@ -53,6 +53,16 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
+/// The failpoint sites a running server consults: socket reads and
+/// writes, journal appends and store opens. `fs-serve` refuses an
+/// `FS_FAILPOINTS` spec that names any other site.
+pub const FAILPOINT_SITES: [&str; 4] = [
+    crate::reactor::READ_SITE,
+    crate::reactor::WRITE_SITE,
+    crate::journal::APPEND_SITE,
+    fs_store::OPEN_SITE,
+];
+
 /// Server configuration.
 #[derive(Clone, Debug)]
 pub struct Config {
@@ -60,20 +70,12 @@ pub struct Config {
     pub root: PathBuf,
     /// Bind address, e.g. `127.0.0.1:0` (port 0 = ephemeral).
     pub addr: String,
-    /// Retained for configuration compatibility with the threaded
-    /// server; the epoll reactor multiplexes every connection on one
-    /// thread, so this knob is ignored.
-    pub conn_workers: usize,
     /// Job worker threads.
     pub job_workers: usize,
     /// Maximum queued jobs (back-pressure → `429`).
     pub max_queue: usize,
     /// Maximum stores kept mapped.
     pub store_capacity: usize,
-    /// Hugepage policy for store mappings ([`fs_store::HugepageMode`]):
-    /// `Off` (default), `Try` (hugepages when available, transparent
-    /// fallback otherwise), or `Require`.
-    pub hugepages: fs_store::HugepageMode,
     /// HTTP parsing limits.
     pub limits: Limits,
     /// Result-cache entry bound (`0` disables caching).
@@ -94,11 +96,9 @@ impl Config {
         Config {
             root: root.into(),
             addr: "127.0.0.1:0".to_string(),
-            conn_workers: 4,
             job_workers: 2,
             max_queue: 256,
             store_capacity: 8,
-            hugepages: fs_store::HugepageMode::Off,
             limits: Limits::default(),
             cache_entries: 4_096,
             cache_bytes: 64 * 1024 * 1024,
@@ -155,9 +155,7 @@ impl Server {
         }
         obs.install_failpoint_hook();
         let registry = Arc::new(
-            StoreRegistry::new(&config.root, config.store_capacity)
-                .with_hugepages(config.hugepages)
-                .with_obs(Arc::clone(&obs)),
+            StoreRegistry::new(&config.root, config.store_capacity).with_obs(Arc::clone(&obs)),
         );
         let cache = Arc::new(ResultCache::new(config.cache_entries, config.cache_bytes));
         let (journal, replay, durability) = match &config.journal_dir {
@@ -984,6 +982,25 @@ mod tests {
             assert_eq!(*name, golden_name);
             assert_eq!(job_doc(view), golden, "{name}");
             assert!(json::parse(golden).is_ok(), "{name} is not JSON");
+        }
+    }
+
+    #[test]
+    fn failpoint_spec_must_name_a_consulted_site() {
+        use fs_graph::failpoint::validate_spec;
+        // CI's chaos spec arms only sites the server consults.
+        let chaos = "reactor.read=eintr:0.05,eagain:0.05,short_read:0.1;\
+                     reactor.write=eagain:0.05,short_write:0.1;journal.append=enospc:0.1";
+        assert_eq!(validate_spec(chaos, &FAILPOINT_SITES), Ok(()));
+        assert_eq!(
+            validate_spec("store.mmap_open=error:1.0", &FAILPOINT_SITES),
+            Ok(())
+        );
+        // The server never writes a store, and a misspelled site would
+        // otherwise arm nothing.
+        for site in ["store.write", "reactor.raed", "store.mmap-open"] {
+            let err = validate_spec(&format!("{site}=error:1.0"), &FAILPOINT_SITES).unwrap_err();
+            assert!(err.contains(&format!("'{site}'")), "{err}");
         }
     }
 }

@@ -220,7 +220,6 @@ fn routing_edges() {
 fn concurrent_submission_and_polling_32_in_flight() {
     let dir = store_dir("proto_conc", 500, 5);
     let mut config = Config::new(&dir);
-    config.conn_workers = 8;
     config.job_workers = 4;
     let server = Server::start(config).unwrap();
     let addr = server.addr();

@@ -208,7 +208,7 @@ pub mod prop {
             }
         }
 
-        /// See [`vec`].
+        /// See [`vec()`].
         pub struct VecStrategy<S> {
             element: S,
             len: Range<usize>,

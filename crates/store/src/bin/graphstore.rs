@@ -4,7 +4,7 @@
 //! graphstore convert <INPUT.el> <OUTPUT.fsg> [--in-memory | --snap] [--budget-mb N]
 //! graphstore inspect <FILE.fsg>
 //! graphstore verify  <FILE.fsg>
-//! graphstore map     <FILE.fsg> [--hugepages off|try|require]
+//! graphstore map     <FILE.fsg>
 //! ```
 //!
 //! `convert` defaults to the ingest pipeline (bounded RAM; dense vertex
@@ -17,21 +17,16 @@
 //! `inspect` prints the validated header and section table; `verify`
 //! additionally checks every payload checksum and the deep structural
 //! invariants, exiting non-zero on any failure. `map` opens the store
-//! through the mmap backend with the requested hugepage policy and
-//! reports which backing the kernel actually granted (`try` falls back
-//! to a plain file mapping when no hugepage pool is configured;
-//! `require` exits non-zero instead), then verifies checksums in
-//! place — a quick probe for whether a deployment gets 2 MiB pages.
+//! through the mmap backend the server serves it from and runs the
+//! same checks in place, over the mapping.
 
-use fs_store::{
-    ingest_edge_list, inspect, verify_store, write_store, HugepageMode, IngestOptions, MmapGraph,
-};
+use fs_store::{ingest_edge_list, inspect, verify_store, write_store, IngestOptions, MmapGraph};
 use std::path::PathBuf;
 use std::time::Instant;
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  graphstore convert <INPUT.el> <OUTPUT.fsg> [--in-memory | --snap] [--budget-mb N]\n  graphstore inspect <FILE.fsg>\n  graphstore verify <FILE.fsg>\n  graphstore map <FILE.fsg> [--hugepages off|try|require]"
+        "usage:\n  graphstore convert <INPUT.el> <OUTPUT.fsg> [--in-memory | --snap] [--budget-mb N]\n  graphstore inspect <FILE.fsg>\n  graphstore verify <FILE.fsg>\n  graphstore map <FILE.fsg>"
     );
     std::process::exit(2);
 }
@@ -78,31 +73,12 @@ fn main() {
 }
 
 fn map(args: &[String]) {
-    let mut path: Option<String> = None;
-    let mut mode = HugepageMode::Try;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--hugepages" => {
-                mode = match it.next().map(String::as_str) {
-                    Some("off") => HugepageMode::Off,
-                    Some("try") => HugepageMode::Try,
-                    Some("require") => HugepageMode::Require,
-                    _ => usage(),
-                }
-            }
-            other if !other.starts_with('-') && path.is_none() => path = Some(other.into()),
-            _ => usage(),
-        }
-    }
-    let path = path.unwrap_or_else(|| usage());
+    let [path] = args else { usage() };
     let t0 = Instant::now();
-    let graph = MmapGraph::open_with(&path, mode).unwrap_or_else(|e| fail(e));
+    let graph = MmapGraph::open(path).unwrap_or_else(|e| fail(e));
     println!(
-        "{path}: mapped {} bytes as {:?} (requested {:?}) in {:.2?}",
+        "{path}: mapped {} bytes in {:.2?}",
         graph.mapped_len(),
-        graph.backing(),
-        mode,
         t0.elapsed()
     );
     let t1 = Instant::now();

@@ -8,7 +8,7 @@
 //! that cap with a persistent binary form of the CSR the samplers
 //! already run on:
 //!
-//! * [`format`] — the `.fsg` container: versioned, sectioned,
+//! * [`format`](mod@format) — the `.fsg` container: versioned, sectioned,
 //!   little-endian, per-section FNV-1a checksums, 8-byte payload
 //!   alignment so sections are directly viewable as `&[u64]` / `&[u32]`.
 //! * [`write_store`] / [`write_weighted_store`] — persist an in-memory
@@ -23,7 +23,8 @@
 //! * [`ingest_edge_list`] — text edge list to store with bounded
 //!   memory: one pass and counting placement when the arcs fit the
 //!   budget, spooled vertex-range buckets on a second pass when not.
-//! * `graphstore` — the companion CLI: `convert`, `inspect`, `verify`.
+//! * `graphstore` — the companion CLI: `convert`, `inspect`, `verify`,
+//!   `map`.
 //!
 //! ## Quick example
 //!
@@ -42,16 +43,14 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod faulty;
 pub mod format;
 pub mod ingest;
 pub mod mmap;
 pub mod reader;
 mod writer;
 
-pub use faulty::FaultyStoreAccess;
 pub use format::{file_digest, Layout, SectionId, StoreError, StoreKind};
 pub use ingest::{ingest_edge_list, IngestOptions, IngestReport};
-pub use mmap::{HugepageMode, MapBacking, Mmap, MmapGraph};
+pub use mmap::{Mmap, MmapGraph, OPEN_SITE};
 pub use reader::{inspect, load_store, load_weighted_store, verify_store};
 pub use writer::{write_store, write_weighted_store, WRITE_SITE};

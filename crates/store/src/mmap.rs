@@ -17,19 +17,7 @@
 //!    a length taken from `fstat`, and a file descriptor owned by an
 //!    open [`File`]; failure (`MAP_FAILED`) is checked and surfaced as
 //!    `io::Error::last_os_error()`. `munmap` runs in `Drop` with the
-//!    exact pointer/length pair `mmap` returned. The opt-in hugepage
-//!    path ([`HugepageMode`]) adds three controlled variations, none of
-//!    which weaken the invariant that a live mapping is immutable:
-//!    `madvise(MADV_HUGEPAGE)` only changes page-size policy, never
-//!    content or protection; the anonymous `MAP_HUGETLB` copy is
-//!    writable *only* between `mmap` and the `mprotect(PROT_READ)` seal,
-//!    a window in which exactly one `&mut [u8]` exists (created and
-//!    dropped inside `map_hugetlb_copy`, before the `Mmap` escapes) and
-//!    no `&[u8]` has been handed out; and hugetlb lengths are rounded up
-//!    to the 2 MiB page size, with the rounded length stored separately
-//!    so `Drop` unmaps what was mapped. A hugetlb copy is additionally
-//!    *immune* to the outside-truncation caveat below — it shares no
-//!    pages with the file at all.
+//!    exact pointer/length pair `mmap` returned.
 //! 2. **The byte view.** `Mmap::as_slice` hands out `&[u8]` for the
 //!    mapping. The pointer is non-null and valid for `len` bytes for the
 //!    lifetime of the `Mmap` (the mapping is only removed in `Drop`),
@@ -75,11 +63,7 @@ mod sys {
     use std::os::raw::c_int;
 
     pub const PROT_READ: c_int = 1;
-    pub const PROT_WRITE: c_int = 2;
     pub const MAP_PRIVATE: c_int = 2;
-    pub const MAP_ANONYMOUS: c_int = 0x20;
-    pub const MAP_HUGETLB: c_int = 0x40000;
-    pub const MADV_HUGEPAGE: c_int = 14;
 
     // SAFETY: signatures transcribed from the Linux mmap(2) family's
     // libc ABI; callers uphold the pointer/length contracts (mapping
@@ -94,63 +78,16 @@ mod sys {
             offset: i64,
         ) -> *mut c_void;
         pub fn munmap(addr: *mut c_void, length: usize) -> c_int;
-        pub fn mprotect(addr: *mut c_void, length: usize, prot: c_int) -> c_int;
-        pub fn madvise(addr: *mut c_void, length: usize, advice: c_int) -> c_int;
     }
 }
 
-/// How aggressively [`Mmap::map_with`] should chase huge pages.
-///
-/// Random walks on a multi-gigabyte CSR touch cache lines scattered
-/// across the whole targets section; with 4 KiB pages every step risks a
-/// dTLB miss on top of the cache miss. Backing the store with 2 MiB
-/// pages cuts TLB entries ~512×.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum HugepageMode {
-    /// Plain file-backed `mmap` (the historical behavior).
-    #[default]
-    Off,
-    /// Best effort: try an explicit hugetlb copy, then transparent huge
-    /// pages via `madvise(MADV_HUGEPAGE)`, then fall back to a plain
-    /// map. Never fails for hugepage reasons.
-    Try,
-    /// Require the explicit hugetlb copy; error out if the kernel has no
-    /// huge pages to give (`HugePages_Total = 0`, no `CAP_IPC_LOCK`
-    /// pool, etc.). For benchmarking, where a silent fallback would
-    /// invalidate the comparison.
-    Require,
-}
-
-/// Which mapping strategy an [`Mmap`] actually ended up with.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum MapBacking {
-    /// Plain file-backed private mapping.
-    FileMmap,
-    /// File-backed mapping with `madvise(MADV_HUGEPAGE)` accepted by the
-    /// kernel (pages *may* be collapsed to 2 MiB by khugepaged).
-    FileMmapMadvised,
-    /// Anonymous `MAP_HUGETLB` mapping populated by copying the file and
-    /// sealed read-only with `mprotect`. Guaranteed 2 MiB pages, at the
-    /// cost of one up-front read of the whole file.
-    HugeTlbCopy,
-}
-
-/// Explicit hugetlb page size assumed for length rounding. `mmap` with
-/// `MAP_HUGETLB` requires the length to be a multiple of the huge page
-/// size; 2 MiB is the default on every x86-64/aarch64 kernel we target
-/// (boot-time 1 GiB pools would need `MAP_HUGE_1GB`, which we never
-/// pass).
-const HUGE_PAGE_LEN: usize = 2 * 1024 * 1024;
+/// The failpoint site [`MmapGraph::open`] consults before mapping.
+pub const OPEN_SITE: &str = "store.mmap_open";
 
 /// A read-only, private memory mapping of an entire file.
 pub struct Mmap {
     ptr: std::ptr::NonNull<u8>,
-    /// Bytes of file content visible through `as_slice`.
     len: usize,
-    /// Bytes actually mapped (≥ `len`: hugetlb mappings round up to the
-    /// huge page size, and `munmap` must be given the rounded length).
-    map_len: usize,
-    backing: MapBacking,
 }
 
 // SAFETY: the mapping is immutable (PROT_READ) for its whole lifetime
@@ -166,47 +103,13 @@ impl Mmap {
     /// rejected (`mmap` would fail with `EINVAL`; no store file is
     /// empty).
     pub fn map(file: &File) -> Result<Mmap, StoreError> {
-        Mmap::map_with(file, HugepageMode::Off)
-    }
-
-    /// Maps `file` read-only with the requested hugepage policy.
-    ///
-    /// Strategy chain for [`HugepageMode::Try`]:
-    ///
-    /// 1. Anonymous `MAP_HUGETLB` mapping (regular files cannot be
-    ///    hugetlb-mapped directly), populated by `read_at` and sealed
-    ///    read-only with `mprotect` — guaranteed 2 MiB pages.
-    /// 2. Plain file mapping plus `madvise(MADV_HUGEPAGE)` — transparent
-    ///    huge pages if the kernel enables them (`EINVAL` when THP is
-    ///    compiled out or disabled is tolerated and demotes to 3).
-    /// 3. Plain file mapping.
-    ///
-    /// [`HugepageMode::Require`] stops after step 1, surfacing the OS
-    /// error; [`HugepageMode::Off`] skips straight to step 3. Whatever
-    /// was obtained is reported by [`Mmap::backing`], and the visible
-    /// bytes are identical across all three backings.
-    pub fn map_with(file: &File, mode: HugepageMode) -> Result<Mmap, StoreError> {
+        use std::os::fd::AsRawFd;
         let len = file.metadata()?.len();
         let len = usize::try_from(len)
             .map_err(|_| StoreError::Format(format!("file of {len} bytes exceeds usize")))?;
         if len == 0 {
             return Err(StoreError::Format("cannot map an empty file".into()));
         }
-        match mode {
-            HugepageMode::Off => Mmap::map_file(file, len, false),
-            HugepageMode::Require => Mmap::map_hugetlb_copy(file, len),
-            HugepageMode::Try => match Mmap::map_hugetlb_copy(file, len) {
-                Ok(map) => Ok(map),
-                Err(_) => Mmap::map_file(file, len, true),
-            },
-        }
-    }
-
-    /// Plain file-backed private mapping; optionally asks for
-    /// transparent huge pages. `madvise` failure (THP disabled or
-    /// unsupported) only downgrades the reported backing.
-    fn map_file(file: &File, len: usize, want_thp: bool) -> Result<Mmap, StoreError> {
-        use std::os::fd::AsRawFd;
         // SAFETY: fd is valid for the duration of the call (borrowed
         // from an open File); length is the file's size; PROT_READ |
         // MAP_PRIVATE cannot alias writable memory. MAP_FAILED is
@@ -226,89 +129,7 @@ impl Mmap {
         }
         let ptr = std::ptr::NonNull::new(ptr.cast::<u8>())
             .ok_or_else(|| StoreError::Format("mmap returned null".into()))?;
-        let mut backing = MapBacking::FileMmap;
-        if want_thp {
-            // SAFETY: exactly the region mmap just returned; madvise
-            // with MADV_HUGEPAGE never alters content, only page-size
-            // policy, and its failure is tolerated.
-            let rc = unsafe { sys::madvise(ptr.as_ptr().cast(), len, sys::MADV_HUGEPAGE) };
-            if rc == 0 {
-                backing = MapBacking::FileMmapMadvised;
-            }
-        }
-        Ok(Mmap {
-            ptr,
-            len,
-            map_len: len,
-            backing,
-        })
-    }
-
-    /// Anonymous `MAP_HUGETLB` mapping populated by copying the file.
-    ///
-    /// Linux cannot hugetlb-map a regular file, so "hugepage-backed
-    /// store" means: reserve huge pages anonymously, `read_at` the file
-    /// into them once, then `mprotect(PROT_READ)` so the mapping is as
-    /// immutable as a file-backed one for the rest of its life.
-    fn map_hugetlb_copy(file: &File, len: usize) -> Result<Mmap, StoreError> {
-        use std::os::unix::fs::FileExt;
-        let map_len = len
-            .checked_next_multiple_of(HUGE_PAGE_LEN)
-            .ok_or_else(|| StoreError::Format(format!("{len} bytes overflow hugepage rounding")))?;
-        // SAFETY: anonymous mapping (fd -1, offset 0), length a multiple
-        // of the huge page size as MAP_HUGETLB requires; MAP_FAILED is
-        // checked below.
-        let ptr = unsafe {
-            sys::mmap(
-                std::ptr::null_mut(),
-                map_len,
-                sys::PROT_READ | sys::PROT_WRITE,
-                sys::MAP_PRIVATE | sys::MAP_ANONYMOUS | sys::MAP_HUGETLB,
-                -1,
-                0,
-            )
-        };
-        if ptr as isize == -1 {
-            return Err(StoreError::Io(std::io::Error::last_os_error()));
-        }
-        let Some(ptr) = std::ptr::NonNull::new(ptr.cast::<u8>()) else {
-            return Err(StoreError::Format("mmap returned null".into()));
-        };
-        let map = Mmap {
-            ptr,
-            len,
-            map_len,
-            backing: MapBacking::HugeTlbCopy,
-        }; // constructed first so any early return below unmaps
-           // SAFETY: ptr is valid for map_len ≥ len writable bytes (just
-           // mapped PROT_WRITE, not yet shared anywhere); this is the only
-           // mutable view that will ever exist, and it dies before map is
-           // returned.
-        let dst = unsafe { std::slice::from_raw_parts_mut(ptr.as_ptr(), len) };
-        let mut at = 0usize;
-        while at < len {
-            let n = file.read_at(&mut dst[at..], at as u64)?;
-            if n == 0 {
-                return Err(StoreError::Format(format!(
-                    "file shrank during hugepage copy ({at} of {len} bytes)"
-                )));
-            }
-            at += n;
-        }
-        // SAFETY: exactly the region mmap returned; dropping PROT_WRITE
-        // only removes permissions, after which the mapping satisfies
-        // the same immutability invariant as a PROT_READ file map.
-        let rc = unsafe { sys::mprotect(ptr.as_ptr().cast(), map_len, sys::PROT_READ) };
-        if rc != 0 {
-            return Err(StoreError::Io(std::io::Error::last_os_error()));
-        }
-        Ok(map)
-    }
-
-    /// Which mapping strategy backs this `Mmap`.
-    #[inline]
-    pub fn backing(&self) -> MapBacking {
-        self.backing
+        Ok(Mmap { ptr, len })
     }
 
     /// Length of the mapping in bytes.
@@ -334,21 +155,17 @@ impl Mmap {
 
 impl Drop for Mmap {
     fn drop(&mut self) {
-        // SAFETY: exactly the pointer/length pair mmap returned
-        // (map_len, which exceeds len for rounded hugetlb mappings);
-        // the mapping has not been unmapped before (Drop runs once).
+        // SAFETY: exactly the pointer/length pair mmap returned; the
+        // mapping has not been unmapped before (Drop runs once).
         unsafe {
-            sys::munmap(self.ptr.as_ptr().cast(), self.map_len);
+            sys::munmap(self.ptr.as_ptr().cast(), self.len);
         }
     }
 }
 
 impl std::fmt::Debug for Mmap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Mmap")
-            .field("len", &self.len)
-            .field("backing", &self.backing)
-            .finish()
+        f.debug_struct("Mmap").field("len", &self.len).finish()
     }
 }
 
@@ -402,24 +219,13 @@ impl MmapGraph {
     /// [`MmapGraph::verify`] (or `graphstore verify`) when reading
     /// possibly-corrupt data.
     pub fn open(path: impl AsRef<Path>) -> Result<MmapGraph, StoreError> {
-        MmapGraph::open_with(path, HugepageMode::Off)
-    }
-
-    /// [`MmapGraph::open`] with an explicit hugepage policy for the
-    /// backing mapping. The visible graph is byte-identical across every
-    /// [`MapBacking`]; only page size (and therefore dTLB behavior)
-    /// differs. See [`Mmap::map_with`] for the fallback chain.
-    pub fn open_with(
-        path: impl AsRef<Path>,
-        hugepages: HugepageMode,
-    ) -> Result<MmapGraph, StoreError> {
-        if fs_graph::failpoint::check("store.mmap_open").is_some() {
-            return Err(StoreError::Io(std::io::Error::other(
-                "injected mmap-open failure (failpoint store.mmap_open)",
-            )));
+        if fs_graph::failpoint::check(OPEN_SITE).is_some() {
+            return Err(StoreError::Io(std::io::Error::other(format!(
+                "injected mmap-open failure (failpoint {OPEN_SITE})"
+            ))));
         }
         let file = File::open(path.as_ref())?;
-        let map = Mmap::map_with(&file, hugepages)?;
+        let map = Mmap::map(&file)?;
         let bytes = map.as_slice();
         let layout = parse_layout(bytes, bytes.len())?;
         if layout.header.kind != StoreKind::Graph {
@@ -520,12 +326,6 @@ impl MmapGraph {
     /// The decoded header + section table of the backing file.
     pub fn layout(&self) -> &Layout {
         &self.layout
-    }
-
-    /// Which mapping strategy the backing [`Mmap`] ended up with.
-    #[inline]
-    pub fn backing(&self) -> MapBacking {
-        self.map.backing()
     }
 
     /// Number of distinct directed edges in the original `E_d`.

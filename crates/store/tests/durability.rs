@@ -1,12 +1,14 @@
 //! Writer durability under injected faults: a failed store write must
 //! be *invisible* — no half-written file under the target name, no
 //! stranded staging sibling — and a disarmed retry must succeed over
-//! the same path.
+//! the same path. A failed open surfaces as an I/O error and leaves
+//! the store openable once disarmed.
 //!
 //! The failpoint registry is process-global, and the test harness runs
 //! this binary's tests on parallel threads: one test's armed
-//! `store.write` fault would land in a sibling's unarmed writes. So
-//! every test here holds [`serial`] for its whole body, armed or not.
+//! `store.write` or `store.mmap_open` fault would land in a sibling's
+//! unarmed writes or opens. So every test here holds [`serial`] for its
+//! whole body, armed or not.
 
 use fs_graph::failpoint::ArmedGuard;
 use fs_graph::GraphAccess;
@@ -127,5 +129,27 @@ fn failed_ingest_is_invisible_and_retry_matches_the_builder_path() {
         assert_eq!(std::fs::read(&path).unwrap(), expected, "budget {budget}");
         std::fs::remove_file(&path).unwrap();
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn failed_open_is_an_io_error_and_disarmed_open_verifies() {
+    let _serial = serial();
+    let g = fs_gen::barabasi_albert(500, 3, &mut rand::rngs::SmallRng::seed_from_u64(13));
+    let dir = tmp_dir("open");
+    let path = dir.join("g.fsg");
+    fs_store::write_store(&g, &path).unwrap();
+
+    {
+        let _armed = ArmedGuard::new("store.mmap_open=error:1.0", 5);
+        match fs_store::MmapGraph::open(&path) {
+            Err(fs_store::StoreError::Io(_)) => {}
+            Err(other) => panic!("expected an I/O error, got {other}"),
+            Ok(_) => panic!("open succeeded with store.mmap_open armed"),
+        }
+    }
+    let m = fs_store::MmapGraph::open(&path).unwrap();
+    m.verify().unwrap();
+    assert_eq!(m.num_vertices(), g.num_vertices());
     std::fs::remove_dir_all(&dir).ok();
 }

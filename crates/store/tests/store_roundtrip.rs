@@ -353,86 +353,6 @@ fn mmap_graph_is_sync() {
     assert_sync::<MmapGraph>();
 }
 
-/// Whether the kernel has an explicit hugetlb pool to satisfy
-/// `MAP_HUGETLB` from (`HugePages_Total` in `/proc/meminfo`). CI and dev
-/// containers typically have none, which is exactly the fallback path
-/// the tests below pin.
-fn hugetlb_pool_available() -> bool {
-    std::fs::read_to_string("/proc/meminfo")
-        .ok()
-        .and_then(|m| {
-            m.lines()
-                .find(|l| l.starts_with("HugePages_Total:"))
-                .and_then(|l| l.split_whitespace().nth(1).map(str::to_owned))
-        })
-        .is_some_and(|n| n.parse::<u64>().is_ok_and(|n| n > 0))
-}
-
-#[test]
-fn hugepage_try_mode_opens_byte_identically() {
-    use fs_graph::StepSlot;
-    use fs_store::{HugepageMode, MapBacking};
-    let mut rng = SmallRng::seed_from_u64(0xBA);
-    let g = fs_gen::barabasi_albert(2_000, 4, &mut rng);
-    let path = TempPath::new("thp");
-    write_store(&g, &path.0).unwrap();
-
-    let plain = MmapGraph::open(&path.0).unwrap();
-    assert_eq!(plain.backing(), MapBacking::FileMmap);
-    let tried = MmapGraph::open_with(&path.0, HugepageMode::Try).unwrap();
-    // Try must never fail: whatever the kernel offers, the fallback
-    // chain bottoms out at a plain file mmap.
-    if !hugetlb_pool_available() {
-        assert_ne!(
-            tried.backing(),
-            MapBacking::HugeTlbCopy,
-            "no hugetlb pool, yet the copy path claims to have mapped one"
-        );
-    }
-    tried.verify().unwrap();
-    assert_access_matches(&tried, &g);
-
-    // The two views must agree byte-for-byte: identical sections...
-    assert_eq!(plain.offsets_slice(), tried.offsets_slice());
-    assert_eq!(plain.targets_slice(), tried.targets_slice());
-    // ...and identical batched step replies (the hot path a pool runs).
-    let mut a: Vec<StepSlot> = g
-        .vertices()
-        .flat_map(|u| (0..g.degree(u)).map(move |i| (u, i)))
-        .map(|(u, i)| StepSlot::new(u, g.row_start(u), i))
-        .collect();
-    let mut b = a.clone();
-    plain.step_query_batch(&mut a);
-    tried.step_query_batch(&mut b);
-    for (x, y) in a.iter().zip(b.iter()) {
-        assert_eq!(x.reply, y.reply);
-    }
-}
-
-#[test]
-fn hugepage_require_mode_is_honest() {
-    use fs_store::{HugepageMode, MapBacking};
-    let g = labeled_fixture();
-    let path = TempPath::new("thp_req");
-    write_store(&g, &path.0).unwrap();
-    match MmapGraph::open_with(&path.0, HugepageMode::Require) {
-        // If the kernel granted hugetlb pages, the backing must say so
-        // and the data must still be exactly the file's.
-        Ok(m) => {
-            assert_eq!(m.backing(), MapBacking::HugeTlbCopy);
-            m.verify().unwrap();
-            assert_access_matches(&m, &g);
-        }
-        // Otherwise Require must surface the failure, never silently
-        // downgrade (that is Try's job).
-        Err(StoreError::Io(_)) => assert!(
-            !hugetlb_pool_available(),
-            "hugetlb pool present but Require failed"
-        ),
-        Err(other) => panic!("unexpected error kind: {other}"),
-    }
-}
-
 /// `file_digest` and whole-file FNV-1a of generated stores, captured
 /// from the two-pass spooled ingester. Every conversion path must keep
 /// reproducing them byte for byte.
